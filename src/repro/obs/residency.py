@@ -76,9 +76,8 @@ class ResidencyStats:
 
         Bit-for-bit equal to the per-epoch loop, unlike one
         ``add_span(n * epoch_s, ...)``: each bucket receives its
-        per-epoch share *n* times with sequential adds, scalar below 48
-        epochs and :func:`repro.soa.accumulate_energy` above (the same
-        crossover as the kernel's span replay).
+        per-epoch share *n* times with sequential adds
+        (:func:`repro.soa.accumulate_energy`).
         """
         if epoch_s < 0.0:
             raise SimulationError(
@@ -91,18 +90,6 @@ class ResidencyStats:
         live_s = epoch_s - gated_s
         active_s = live_s * active_residency
         precharge_s = live_s - active_s
-        if n < 48:
-            deep = self.deep_power_down_s
-            active = self.active_standby_s
-            precharge = self.precharge_standby_s
-            for _ in range(n):
-                deep += gated_s
-                active += active_s
-                precharge += precharge_s
-            self.deep_power_down_s = deep
-            self.active_standby_s = active
-            self.precharge_standby_s = precharge
-            return
         self.deep_power_down_s = accumulate_energy(
             self.deep_power_down_s, gated_s, n)
         self.active_standby_s = accumulate_energy(

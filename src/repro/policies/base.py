@@ -30,8 +30,9 @@ The obligations, in the order the kernel exercises them:
     the low-water mark with no offline block to bring back.  The span
     planner asks it when a non-churn span reaches a fire; if it holds,
     the span runs past the fire (and every later one, since free memory
-    cannot move inside the span).  A policy without it keeps every fire
-    on the dynamic path.
+    cannot move inside the span).  A churn span's executor asks it once
+    at entry: if it holds, fires replay until churn moves memory.  A
+    policy without it keeps every fire on the dynamic path.
 
 ``monitor_timer`` / ``monitor_period_s``
     The replay surface: batched fast-forward advances the timer with

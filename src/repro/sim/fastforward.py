@@ -17,8 +17,10 @@ Bit-for-bit equivalence is the contract, which shapes the design:
 * the daemon's monitor timer ticks via
   :meth:`~repro.core.daemon.GreenDIMMDaemon.tick_quiescent`, a bit-exact
   mirror of its ``step`` arithmetic;
-* pinned-churn epochs still call the real churn routine (preserving the
-  RNG stream); the window closes the moment churn perturbs memory;
+* pinned churn keeps its RNG stream: quiet epochs consume exactly their
+  one arrival draw (the simulator's quiet-run scan), churn runs for
+  real at its events, and the window closes the moment churn perturbs
+  memory;
 * the fast path never opens a window while a fault-plan rule is live
   (:meth:`~repro.faults.injector.FaultInjector.quiescent_until`).
 """

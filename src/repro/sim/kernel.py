@@ -42,8 +42,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro import perfcounters
 from repro.errors import ConfigurationError
 from repro.ksm.content import RegionContent
@@ -58,6 +56,7 @@ from repro.soa import (
     accumulate_energy,
     batched_times,
     emit_replicated,
+    epochs_before,
     monitor_timer_after,
 )
 from repro.units import PAGE_SIZE, PEAK_DRAM_BANDWIDTH_BYTES_PER_S
@@ -201,8 +200,9 @@ class WorkloadSource(Protocol):
     ``[t, bound)`` — every :meth:`apply` call is a strict no-op (no
     allocation, free, swap, or RNG draw) and :meth:`operating_point` is
     constant.  Unlike :meth:`horizon` it does *not* promise the system
-    side is quiescent: the daemon's monitor may be armed, so the planner
-    separately caps each span before a monitor fire that could act.  Any
+    side is quiescent: the daemon's monitor may be armed, so the kernel
+    separately keeps every monitor fire that could act on the dynamic
+    path, and ends a churn span once churn moves memory.  Any
     valid ``horizon`` is a valid (conservative) ``stable_until``, which
     is the fallback the kernel uses for sources that don't implement it.
     """
@@ -296,8 +296,9 @@ class ProfileSource:
         # strict no-op on the `target == resident + held` branch provided
         # _try_swap_in also no-ops, i.e. nothing is held or free memory
         # sits at/below the swap-in reserve.  Free pages cannot change
-        # inside a non-churn stable span, so the condition holds for the
-        # whole flat run, not just at t.
+        # inside a stable span (a churn span ends after the epoch in
+        # which churn moves them), so the condition holds for the whole
+        # flat run, not just at t.
         sim = self.sim
         mm = sim.system.mm
         held = sim.swap.held_for(self.owner)
@@ -465,7 +466,8 @@ class MixSource:
         # Per-owner mirror of ProfileSource.stable_until: each resize is
         # a strict no-op when the target matches resident + held and the
         # swap-in fault path cannot fire (nothing held, or free at/below
-        # the reserve — free is read once, it cannot change mid-check).
+        # the reserve — free is read once, it cannot change mid-check,
+        # nor inside the span: a churn span ends once churn moves it).
         sim = self.sim
         mm = sim.system.mm
         free = mm.free_pages
@@ -603,131 +605,162 @@ class EpochKernel:
 
         The caller guarantees nothing can happen before *end_s*: owner
         footprints are flat and already resident, the daemon's monitor
-        would no-op, KSM is idle, and no fault rule is live.  Each
-        skipped epoch appends a clone of one template sample and
-        accumulates energy with the same per-epoch float ops as the slow
-        path.  Pinned churn (the one remaining source of activity) still
-        runs for real each epoch, preserving the RNG stream; the moment
-        it perturbs memory the epoch is completed through the normal
-        machinery and the window closes.
+        would no-op, KSM is idle, and no fault rule is live.  Skipped
+        epochs replay one template sample with the same per-epoch float
+        ops as the slow path (:meth:`_replay_epochs`).  Pinned churn (the
+        one remaining source of activity) is replayed from one churn
+        event to the next (:meth:`_churn_epochs`), preserving the RNG
+        stream; the moment it perturbs memory the epoch is completed
+        through the normal machinery and the window closes.
 
         Returns the updated ``(dram_energy, baseline_energy)``.
+        """
+        system = self.system
+        epoch_s = clock.epoch_s
+        stats = self.sim.ff_stats
+        stats.windows += 1
+        baseline_w = self._baseline_power_w(bandwidth, row_miss_rate)
+        active_res = min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S)
+        # Bound unconditionally: the exit event below reads it whenever
+        # the tracer is enabled at *exit*, which need not match its state
+        # at entry (tracing can be toggled mid-run).
+        skipped_before = stats.epochs_fast_forwarded
+        if TRACER.enabled:
+            TRACER.event("ff.enter", t_s=clock.now_s, end_s=end_s,
+                         churn=churn)
+        n = epochs_before(clock.now_s, epoch_s, end_s)
+        if churn:
+            # Every fire is inert: the monitor no-ops at entry and memory
+            # only moves in the epoch that closes the window.
+            dram_energy, baseline_energy, done, closed = self._churn_epochs(
+                clock, n, bandwidth, row_miss_rate, baseline_w, active_res,
+                True, samples, dram_energy, baseline_energy, residency)
+            stats.epochs_fast_forwarded += done - closed
+            stats.epochs_stepped += closed
+        else:
+            system.advance_time(clock.now_s)
+            template = self._sample(clock.now_s, bandwidth, row_miss_rate)
+            dram_energy, baseline_energy = self._replay_epochs(
+                clock, n, template, baseline_w, active_res, samples,
+                dram_energy, baseline_energy, residency, per_epoch=False)
+            stats.epochs_fast_forwarded += n
+        if TRACER.enabled:
+            TRACER.event("ff.exit", t_s=clock.now_s,
+                         epochs=stats.epochs_fast_forwarded - skipped_before)
+        return dram_energy, baseline_energy
+
+    # --- span replay -------------------------------------------------------
+
+    def _replay_epochs(self, clock: SimClock, n: int, template: EpochSample,
+                       baseline_w: float, active_res: float,
+                       samples: List[EpochSample], dram_energy: float,
+                       baseline_energy: float, residency: ResidencyStats,
+                       per_epoch: bool = True) -> Tuple[float, float]:
+        """Replay *n* epochs in which nothing but the clock and the
+        monitor timer moves.
+
+        Each epoch's sample is *template* at its timestamp and its
+        energy the template's, so the whole run collapses to the batched
+        ``repro.soa`` chains (scalar below their crossover): timestamps,
+        both energy sums, and the carried monitor timer come out
+        bit-identical to stepping.  A policy that does not promise the
+        standard timer chain (``span_batchable`` unset) ticks its own
+        timer once per epoch instead.  Residency is booked per epoch
+        (bit-exact) or, with ``per_epoch=False``, as one closed-form span
+        — the quiescent window's convention, equal up to float rounding.
+
+        Returns the updated ``(dram_energy, baseline_energy)``.
+        """
+        policy = self.system.policy
+        epoch_s = clock.epoch_s
+        times, clock.now_s = batched_times(clock.now_s, epoch_s, n)
+        emit_replicated(samples, times, template)
+        dram_energy = accumulate_energy(
+            dram_energy, template.dram_power_w * epoch_s, n)
+        baseline_energy = accumulate_energy(
+            baseline_energy, baseline_w * epoch_s, n)
+        if getattr(policy, "span_batchable", False):
+            policy.monitor_timer = monitor_timer_after(
+                policy.monitor_timer, epoch_s, policy.monitor_period_s, n)
+        else:
+            for _ in range(n):
+                policy.tick_quiescent(epoch_s)
+        if per_epoch:
+            residency.add_epochs(epoch_s, active_res,
+                                 template.dpd_fraction, n)
+        else:
+            residency.add_span(n * epoch_s, active_res,
+                               template.dpd_fraction)
+        return dram_energy, baseline_energy
+
+    def _churn_epochs(self, clock: SimClock, n: int, bandwidth: float,
+                      row_miss_rate: float, baseline_w: float,
+                      active_res: float, fires_inert: bool,
+                      samples: List[EpochSample], dram_energy: float,
+                      baseline_energy: float, residency: ResidencyStats,
+                      ) -> Tuple[float, float, int, int]:
+        """Execute up to *n* epochs under pinned churn, from one churn
+        event to the next.
+
+        The caller proved ``apply`` a strict no-op and the operating
+        point constant for as long as memory holds still, so only churn
+        and monitor fires can act.  The simulator's quiet-run scan
+        (:meth:`~repro.sim.server.ServerSimulator._quiet_churn_epochs`)
+        finds how many leading epochs churn merely draws a missing
+        arrival number; those replay in one batch.  The next epoch runs
+        churn for real, handing over the draw the scan already made.
+
+        *fires_inert* says every monitor fire is inert while memory
+        holds still.  Otherwise each scan stops short of the next fire,
+        and a fire reached with memory unmoved is acting.  An epoch in
+        which churn moved free memory, or a fire acted, is completed
+        through the real ``system.step`` and ends the run: the caller
+        re-plans, which re-checks every precondition.
+
+        Returns ``(dram_energy, baseline_energy, executed, closed)``;
+        *closed* is 1 when the last executed epoch was such a real step.
         """
         sim = self.sim
         system = self.system
         mm = system.mm
         policy = system.policy
         epoch_s = clock.epoch_s
-        stats = sim.ff_stats
-        stats.windows += 1
-        baseline_w = self._baseline_power_w(bandwidth, row_miss_rate)
-        active_res = min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S)
-        # Bound unconditionally: the churn-path exit event below reads it
-        # whenever the tracer is enabled at *exit*, which need not match
-        # its state at entry (tracing can be toggled mid-run).
-        skipped_before = stats.epochs_fast_forwarded
-        if TRACER.enabled:
-            TRACER.event("ff.enter", t_s=clock.now_s, end_s=end_s,
-                         churn=churn)
-        # The batched replay below assumes the standard monitor-timer
-        # chain; a policy that cannot promise it (span_batchable unset)
-        # takes the generic per-epoch tick_quiescent loop instead.
-        if not churn and getattr(policy, "span_batchable", False):
-            # No per-epoch side effects at all: replay the remaining float
-            # arithmetic (monitor timer, clock, energy sums) as batched
-            # np.add.accumulate chains.  ufunc.accumulate applies the add
-            # strictly left to right in binary64, i.e. the *same* op
-            # sequence as the scalar `x += step` loop, so every epoch
-            # timestamp, both energy sums, the carried monitor timer, and
-            # the final clock value are bit-identical to the stepped path.
-            system.advance_time(clock.now_s)
-            template = self._sample(clock.now_s, bandwidth, row_miss_rate)
-            used = template.used_pages
-            free = template.free_pages
-            offline = template.offline_blocks
-            dpd = template.dpd_fraction
-            power_w = template.dram_power_w
-            now = clock.now_s
-            period = policy.monitor_period_s
-            if (end_s - now) / epoch_s < 48.0:
-                # Short window: the scalar chain beats the numpy batch's
-                # fixed setup cost.  Same float ops either way, so the
-                # crossover is purely a speed choice.
-                append = samples.append
-                since = policy.monitor_timer
-                skipped = 0
-                while now < end_s:
-                    since += epoch_s
-                    if since >= period:
-                        since = 0.0
-                    append(EpochSample(time_s=now, used_pages=used,
-                                       free_pages=free,
-                                       offline_blocks=offline,
-                                       dpd_fraction=dpd,
-                                       dram_power_w=power_w))
-                    dram_energy += power_w * epoch_s
-                    baseline_energy += baseline_w * epoch_s
-                    skipped += 1
-                    now += epoch_s
-                policy.monitor_timer = since
-                clock.now_s = now
-                stats.epochs_fast_forwarded += skipped
-                residency.add_span(skipped * epoch_s, active_res, dpd)
-                if TRACER.enabled:
-                    TRACER.event("ff.exit", t_s=now, epochs=skipped)
-                return dram_energy, baseline_energy
-            # Epoch timestamps: the `now += epoch_s` chain, one extra
-            # element so the post-window clock value comes from the same
-            # chain.  The pad loop only grows on pathological rounding.
-            pad = max(int((end_s - now) / epoch_s) + 2, 4)
-            while True:
-                steps = np.empty(pad + 1, dtype=np.float64)
-                steps[0] = now
-                steps[1:] = epoch_s
-                times = np.add.accumulate(steps)
-                if times[-1] >= end_s:
-                    break
-                pad *= 2
-            n = int(np.searchsorted(times, end_s, side="left"))
-            emit_replicated(samples, times[:n].tolist(), template)
-            if n:
-                dram_energy = accumulate_energy(
-                    dram_energy, power_w * epoch_s, n)
-                baseline_energy = accumulate_energy(
-                    baseline_energy, baseline_w * epoch_s, n)
-                policy.monitor_timer = monitor_timer_after(
-                    policy.monitor_timer, epoch_s, period, n)
-            clock.now_s = float(times[n])
-            stats.epochs_fast_forwarded += n
-            # One closed-form span for the whole window: the operating
-            # point is constant, so this equals the per-epoch sum up to
-            # float rounding (which is why the residency invariant is
-            # pinned with approx, never bitwise).
-            residency.add_span(n * epoch_s, active_res, dpd)
-            if TRACER.enabled:
-                TRACER.event("ff.exit", t_s=clock.now_s, epochs=n)
-            return dram_energy, baseline_energy
+        period = policy.monitor_period_s
         template = None
-        while clock.now_s < end_s:
+        done = 0
+        while done < n:
+            limit = n - done
+            if not fires_inert:
+                limit = min(limit, epochs_before(
+                    policy.monitor_timer + epoch_s, epoch_s, period))
+            quiet, draw = sim._quiet_churn_epochs(clock.now_s, epoch_s,
+                                                  limit)
+            if quiet:
+                if template is None:
+                    template = self._sample(clock.now_s, bandwidth,
+                                            row_miss_rate)
+                dram_energy, baseline_energy = self._replay_epochs(
+                    clock, quiet, template, baseline_w, active_res,
+                    samples, dram_energy, baseline_energy, residency)
+                done += quiet
+                if done == n:
+                    break
             t = clock.now_s
             system.advance_time(t)
-            if churn:
-                free_before = mm.free_pages
-                sim._pinned_churn(t, epoch_s)
-                if mm.free_pages != free_before:
-                    # Churn moved memory: finish this epoch on the slow
-                    # path (the pending resize is still a guaranteed
-                    # no-op) and hand control back to the outer loop.
-                    system.step(t, epoch_s)
-                    sample = self._sample(t, bandwidth, row_miss_rate)
-                    samples.append(sample)
-                    dram_energy += sample.dram_power_w * epoch_s
-                    baseline_energy += baseline_w * epoch_s
-                    residency.add_span(epoch_s, active_res,
-                                       sample.dpd_fraction)
-                    stats.epochs_stepped += 1
-                    clock.tick()
-                    break
+            free_before = mm.free_pages
+            sim._pinned_churn(t, epoch_s, draw)
+            done += 1
+            if (mm.free_pages != free_before
+                    or (not fires_inert
+                        and policy.monitor_timer + epoch_s >= period)):
+                system.step(t, epoch_s)
+                sample = self._sample(t, bandwidth, row_miss_rate)
+                samples.append(sample)
+                dram_energy += sample.dram_power_w * epoch_s
+                baseline_energy += baseline_w * epoch_s
+                residency.add_span(epoch_s, active_res, sample.dpd_fraction)
+                clock.tick()
+                return dram_energy, baseline_energy, done, 1
             if template is None:
                 template = self._sample(t, bandwidth, row_miss_rate)
             policy.tick_quiescent(epoch_s)
@@ -735,12 +768,8 @@ class EpochKernel:
             dram_energy += template.dram_power_w * epoch_s
             baseline_energy += baseline_w * epoch_s
             residency.add_span(epoch_s, active_res, template.dpd_fraction)
-            stats.epochs_fast_forwarded += 1
             clock.tick()
-        if TRACER.enabled:
-            TRACER.event("ff.exit", t_s=clock.now_s,
-                         epochs=stats.epochs_fast_forwarded - skipped_before)
-        return dram_energy, baseline_energy
+        return dram_energy, baseline_energy, done, 0
 
     # --- stable stepped spans ----------------------------------------------
 
@@ -752,21 +781,23 @@ class EpochKernel:
         armed (free memory may sit outside the hysteresis band) — but
         nothing that could change system state can actually run during
         it: the caller has already proven ``apply`` is a strict no-op
-        and the operating point constant before *bound*; this method
-        additionally vetoes KSM activity and live fault rules (the same
-        conditions :func:`~repro.sim.fastforward.quiescent_horizon`
-        checks), intersects the fault injector's own horizon, and caps
-        the span strictly before the epoch whose ``step`` would fire the
-        monitor.  The timer cap replays the daemon's exact
+        and the operating point constant before *bound* (while memory
+        holds still); this method additionally vetoes KSM activity and
+        live fault rules (the same conditions
+        :func:`~repro.sim.fastforward.quiescent_horizon` checks),
+        intersects the fault injector's own horizon, and caps a
+        non-churn span strictly before the epoch whose ``step`` would
+        fire the monitor.  The timer cap replays the daemon's exact
         ``since += epoch_s`` float chain, so the firing epoch lands on
         the dynamic path at the identical simulated time either way.
 
-        The cap is lifted for a non-churn span when the policy proves the
-        fire inert (optional ``monitor_fire_is_noop``, asked lazily once
-        the chain reaches the period): free memory cannot move inside
-        such a span, so every fire up to *bound* is inert too, and the
-        replay's timer chain performs the resets.  Churn moves free
-        memory mid-span, so churn spans keep the cap.
+        The cap is lifted when the policy proves the fire inert
+        (optional ``monitor_fire_is_noop``, asked lazily once the chain
+        reaches the period): free memory cannot move inside a non-churn
+        span, so every fire up to *bound* is inert too, and the replay's
+        timer chain performs the resets.  A churn span is never capped
+        here: churn can move free memory mid-span, so its executor
+        decides each fire when it reaches it (:meth:`_churn_epochs`).
         """
         system = self.system
         # A policy that cannot prove its step() reduces to the standard
@@ -786,6 +817,8 @@ class EpochKernel:
                                        injector.quiescent_until(t))
             if bound <= t:
                 return 0
+        if churn:
+            return epochs_before(t, epoch_s, bound)
         period = policy.monitor_period_s
         since = policy.monitor_timer
         n = 0
@@ -794,12 +827,10 @@ class EpochKernel:
             since += epoch_s
             if since >= period:
                 fire_is_noop = getattr(policy, "monitor_fire_is_noop", None)
-                if churn or fire_is_noop is None or not fire_is_noop():
-                    break  # this epoch fires the monitor: leave it dynamic
-                while now < bound:  # inert fires: run to the bound
-                    n += 1
-                    now += epoch_s
-                break
+                if fire_is_noop is not None and fire_is_noop():
+                    # Inert fires: run to the bound.
+                    return n + epochs_before(now, epoch_s, bound)
+                return n  # this epoch fires the monitor: leave it dynamic
             n += 1
             now += epoch_s
         return n
@@ -810,30 +841,26 @@ class EpochKernel:
                             dram_energy: float, baseline_energy: float,
                             residency: ResidencyStats,
                             ) -> Tuple[float, float]:
-        """Execute *n* stable stepped epochs as one batch.
+        """Execute up to *n* stable stepped epochs as one batch.
 
         The planner proved that across these epochs ``apply`` is a
-        strict no-op, the operating point is constant, KSM is idle, no
-        fault rule is live, and every monitor fire is inert (for churn
-        spans: none can happen) — so a stepped epoch reduces to the
-        timer tick (:meth:`~repro.core.daemon.GreenDIMMDaemon.tick_quiescent`,
+        strict no-op, the operating point is constant, KSM is idle, and
+        no fault rule is live — so a stepped epoch reduces to the timer
+        tick (:meth:`~repro.core.daemon.GreenDIMMDaemon.tick_quiescent`,
         the bit-exact mirror of ``step`` when the pass does nothing), the
-        sample, and the energy sums.  Without churn those collapse to the
-        same batched ``np.add.accumulate`` chains the quiescent fast path
-        uses; with churn the real churn routine still runs every epoch
-        (preserving the RNG stream) and only the sample template is
-        refreshed when it moves memory — the span needs no early close
-        because churn cannot arm the timer or un-no-op ``apply`` (the
-        caller required strict owner steadiness for churn spans).
+        sample, and the energy sums.  Without churn every monitor fire
+        in the span is inert, and the whole span is one
+        :meth:`_replay_epochs` batch.  With churn the planner's promise
+        only lasts while memory holds still, so the span runs from one
+        churn event to the next (:meth:`_churn_epochs`) and ends early
+        after the first epoch in which churn moves free memory or a
+        monitor fire acts.
 
         Returns the updated ``(dram_energy, baseline_energy)``.
         """
-        sim = self.sim
         system = self.system
-        mm = system.mm
         policy = system.policy
-        epoch_s = clock.epoch_s
-        stats = sim.ff_stats
+        stats = self.sim.ff_stats
         stats.spans_stable += 1
         baseline_w = self._baseline_power_w(bandwidth, row_miss_rate)
         active_res = min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S)
@@ -841,58 +868,17 @@ class EpochKernel:
             TRACER.event("span.enter", t_s=clock.now_s, epochs=n,
                          churn=churn)
         if churn:
-            template = None
-            for _ in range(n):
-                t = clock.now_s
-                system.advance_time(t)
-                free_before = mm.free_pages
-                sim._pinned_churn(t, epoch_s)
-                if template is None or mm.free_pages != free_before:
-                    template = self._sample(t, bandwidth, row_miss_rate)
-                policy.tick_quiescent(epoch_s)
-                samples.append(template._replace(time_s=t))
-                dram_energy += template.dram_power_w * epoch_s
-                baseline_energy += baseline_w * epoch_s
-                residency.add_span(epoch_s, active_res,
-                                   template.dpd_fraction)
-                clock.tick()
+            fire_is_noop = getattr(policy, "monitor_fire_is_noop", None)
+            dram_energy, baseline_energy, n, _closed = self._churn_epochs(
+                clock, n, bandwidth, row_miss_rate, baseline_w, active_res,
+                fire_is_noop is not None and fire_is_noop(), samples,
+                dram_energy, baseline_energy, residency)
         else:
             system.advance_time(clock.now_s)
             template = self._sample(clock.now_s, bandwidth, row_miss_rate)
-            power_w = template.dram_power_w
-            dpd = template.dpd_fraction
-            period = policy.monitor_period_s
-            if n < 48:
-                # Short span: the scalar chain beats the numpy batch's
-                # fixed setup cost (same crossover as the quiescent
-                # path).  Same float ops either way.
-                append = samples.append
-                since = policy.monitor_timer
-                now = clock.now_s
-                for _ in range(n):
-                    since += epoch_s
-                    if since >= period:
-                        since = 0.0  # an inert monitor fire
-                    append(template._replace(time_s=now))
-                    dram_energy += power_w * epoch_s
-                    baseline_energy += baseline_w * epoch_s
-                    now += epoch_s
-                policy.monitor_timer = since
-                clock.now_s = now
-            else:
-                times, final = batched_times(clock.now_s, epoch_s, n)
-                emit_replicated(samples, times, template)
-                dram_energy = accumulate_energy(
-                    dram_energy, power_w * epoch_s, n)
-                baseline_energy = accumulate_energy(
-                    baseline_energy, baseline_w * epoch_s, n)
-                policy.monitor_timer = monitor_timer_after(
-                    policy.monitor_timer, epoch_s, period, n)
-                clock.now_s = final
-            # Per-epoch adds, not one closed-form span: stable epochs are
-            # stepped epochs, so their residency matches stepping bit for
-            # bit (a resident service reports it).
-            residency.add_epochs(epoch_s, active_res, dpd, n)
+            dram_energy, baseline_energy = self._replay_epochs(
+                clock, n, template, baseline_w, active_res, samples,
+                dram_energy, baseline_energy, residency)
         stats.epochs_stepped += n
         stats.epochs_batched += n
         if TRACER.enabled:
@@ -987,11 +973,16 @@ class EpochKernel:
                     # No quiescent window — the monitor is armed, or the
                     # one ahead is too short.  Try a *stable* span: the
                     # weaker promise that apply() no-ops and the
-                    # operating point holds, capped before a monitor fire
-                    # that could act.  With churn the span must stay a
-                    # no-op while churn moves memory, which only strict
-                    # owner steadiness (== the horizon's veto) guarantees.
-                    stable = wl_horizon if pinned_churn else stable_until(t)
+                    # operating point holds while memory holds still.
+                    # A churn span ends after the first epoch in which
+                    # churn moves memory, so this loop re-plans (and
+                    # re-checks the swap-in precondition) right there.
+                    # A horizon past t is itself a valid stable bound
+                    # (the built-in sources' stable_until returns the
+                    # same one), so only a vetoed horizon needs the
+                    # weaker check.
+                    stable = (wl_horizon if wl_horizon > t
+                              else stable_until(t))
                     if stable > t:
                         n = self._plan_stable_span(t, epoch_s,
                                                    min(stable, cap),

@@ -17,9 +17,10 @@ the reference path).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import AllocationError
 from repro.obs.residency import ResidencyStats
@@ -300,16 +301,25 @@ class ServerSimulator:
             return
         self.swap.swap_in(owner, take)
 
-    def _pinned_churn(self, now_s: float, dt_s: float) -> None:
+    def _pinned_churn(self, now_s: float, dt_s: float,
+                      draw: Optional[float] = None) -> None:
         """Short-lived pinned allocations that leak unmovable pages into
-        movable blocks — the EBUSY source of Section 5.2."""
+        movable blocks — the EBUSY source of Section 5.2.
+
+        *draw* is this epoch's arrival draw when
+        :meth:`_quiet_churn_epochs` already took it from :attr:`rng`.
+        Such a draw must be passed exactly once, to the epoch it was
+        drawn for; drawing again (or dropping it) desyncs the stream.
+        """
         for pin in list(self._pinned):
             if pin.expires_s <= now_s:
                 self.system.mm.free_all(f"pin{pin.owner_seq}")
                 self._pinned.remove(pin)
         expected = self.pinned_churn_rate_per_s * dt_s
         count = int(expected)
-        if self.rng.random() < expected - count:
+        if draw is None:
+            draw = self.rng.random()
+        if draw < expected - count:
             count += 1
         for _ in range(count):
             self._pin_seq += 1
@@ -327,6 +337,35 @@ class ServerSimulator:
             self._pinned.append(_PinnedExtent(
                 owner_seq=self._pin_seq,
                 expires_s=now_s + self.rng.expovariate(1.0 / self.pinned_lifetime_s)))
+
+    def _quiet_churn_epochs(self, now_s: float, dt_s: float,
+                            limit: int) -> Tuple[int, Optional[float]]:
+        """Scan ahead for the next epoch in which churn can act.
+
+        Walks the ``now += dt`` epoch chain from *now_s* for at most
+        *limit* epochs and returns ``(k, draw)``: in each of the first
+        *k* epochs :meth:`_pinned_churn` would do nothing but draw one
+        arrival number that misses (no pin expires, no arrival).  Those
+        *k* draws are consumed here.  When epoch *k* is cut short by an
+        arrival, *draw* is the number already taken for it and the
+        caller must hand it to ``_pinned_churn``; otherwise (an expiry,
+        or *limit* reached) *draw* is ``None``.  Returns ``(0, None)``
+        when every epoch expects at least one arrival.
+        """
+        expected = self.pinned_churn_rate_per_s * dt_s
+        if int(expected):
+            return 0, None
+        first_expiry = min((pin.expires_s for pin in self._pinned),
+                           default=math.inf)
+        random = self.rng.random
+        k = 0
+        while k < limit and first_expiry > now_s:
+            draw = random()
+            if draw < expected:
+                return k, draw
+            k += 1
+            now_s += dt_s
+        return k, None
 
     def _owner_steady(self, owner: str, target_pages: int) -> bool:
         """Would resizing *owner* to *target_pages* be a strict no-op?"""

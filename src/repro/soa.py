@@ -39,6 +39,7 @@ __all__ = [
     "accumulate_energy",
     "batched_times",
     "emit_replicated",
+    "epochs_before",
     "monitor_timer_after",
 ]
 
@@ -290,6 +291,13 @@ class GroupGateStore:
 # its float additions strictly left to right (``np.add.accumulate`` in
 # binary64 performs the identical op sequence as a scalar ``x += step``
 # loop) — never ``np.sum``, which is free to re-associate.
+#
+# Below ``SCALAR_MAX_EPOCHS`` epochs each helper runs the scalar loop
+# instead: it beats numpy's fixed setup cost there, and it is the same
+# float-op sequence, so the crossover is purely a speed choice made in
+# this one place.
+
+SCALAR_MAX_EPOCHS = 48
 
 
 def batched_times(start: float, step: float, n: int) -> Tuple[List[float], float]:
@@ -299,6 +307,13 @@ def batched_times(start: float, step: float, n: int) -> Tuple[List[float], float
     chain would visit (starting at *start* itself) and the value the
     clock holds after the last tick.
     """
+    if n < SCALAR_MAX_EPOCHS:
+        times = []
+        append = times.append
+        for _ in range(n):
+            append(start)
+            start += step
+        return times, start
     steps = np.empty(n + 1, dtype=np.float64)
     steps[0] = start
     steps[1:] = step
@@ -306,8 +321,39 @@ def batched_times(start: float, step: float, n: int) -> Tuple[List[float], float
     return times[:n].tolist(), float(times[n])
 
 
+def epochs_before(start: float, step: float, end: float) -> int:
+    """Count the ``now += step`` chain's values below *end*.
+
+    From *start*, the number of chain values strictly below the finite
+    bound *end*: the iterations of ``while now < end: now += step``.
+    """
+    if not start < end:
+        return 0
+    if (end - start) / step < SCALAR_MAX_EPOCHS:
+        n = 0
+        while start < end:
+            n += 1
+            start += step
+        return n
+    # One extra element so the chain reaches past *end*; the pad loop
+    # only grows on pathological rounding.
+    pad = int((end - start) / step) + 2
+    while True:
+        steps = np.empty(pad + 1, dtype=np.float64)
+        steps[0] = start
+        steps[1:] = step
+        times = np.add.accumulate(steps)
+        if times[-1] >= end:
+            return int(np.searchsorted(times, end, side="left"))
+        pad *= 2
+
+
 def accumulate_energy(initial: float, step_j: float, n: int) -> float:
     """*n* sequential ``energy += step_j`` additions starting at *initial*."""
+    if n < SCALAR_MAX_EPOCHS:
+        for _ in range(n):
+            initial += step_j
+        return initial
     acc = np.empty(n + 1, dtype=np.float64)
     acc[0] = initial
     acc[1:] = step_j
@@ -324,6 +370,12 @@ def monitor_timer_after(since: float, step: float, period: float,
     steady cycle from 0.0 (``0.0 + step == step`` exactly, so the chain
     starts bit-equal), and the final value falls out of the remainder.
     """
+    if n < SCALAR_MAX_EPOCHS:
+        for _ in range(n):
+            since += step
+            if since >= period:
+                since = 0.0
+        return since
     acc = np.empty(n + 1, dtype=np.float64)
     acc[0] = since
     acc[1:] = step

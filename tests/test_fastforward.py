@@ -84,29 +84,42 @@ class TestWorkloadEquivalence:
         from repro.obs.tracer import GLOBAL_TRACER
 
         sim = ServerSimulator(small_system(), seed=5, fast_forward=True)
+        kernel = sim.kernel
+        window = kernel._fast_forward_window
         original = sim._pinned_churn
+        in_window = []
 
-        def churn_then_enable(t, epoch_s):
-            result = original(t, epoch_s)
-            if sim.ff_stats.windows > 0 and not GLOBAL_TRACER.enabled:
+        def tracked_window(*args):
+            in_window.append(True)
+            try:
+                return window(*args)
+            finally:
+                in_window.pop()
+
+        def churn_then_enable(t, epoch_s, draw=None):
+            result = original(t, epoch_s, draw)
+            # Toggle from inside a window's churn event epoch.
+            if in_window and not GLOBAL_TRACER.enabled:
                 GLOBAL_TRACER.enable()
             return result
 
+        kernel._fast_forward_window = tracked_window
         sim._pinned_churn = churn_then_enable
         try:
             result = sim.run_workload(profile_by_name("429.mcf"),
                                       epoch_s=1.0, pinned_churn=True)
             assert GLOBAL_TRACER.enabled  # the toggle actually fired
-            exits = [e for e in GLOBAL_TRACER.snapshot()["events"]
-                     if e["kind"] == "ff.exit"]
+            events = GLOBAL_TRACER.snapshot()["events"]
+            enters = [e for e in events if e["kind"] == "ff.enter"]
+            exits = [e for e in events if e["kind"] == "ff.exit"]
         finally:
             GLOBAL_TRACER.disable()
             GLOBAL_TRACER.drain()
         assert result.samples
         assert sim.ff_stats.windows > 0
-        # The first window entered untraced, so its exit event (emitted
+        # The toggled window entered untraced, so its exit event (emitted
         # traced) proves the mid-window toggle path survived.
-        assert exits
+        assert len(exits) == len(enters) + 1
 
     def test_energy_convention_scales_with_overhead(self):
         (result, _sim), _ = workload_pair(churn=False)

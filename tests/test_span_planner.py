@@ -25,6 +25,8 @@ from repro.core.config import GreenDIMMConfig
 from repro.core.system import GreenDIMMSystem
 from repro.dram.organization import DDR4_4GB_X8, MemoryOrganization
 from repro.faults.plan import FaultPlan, FaultRule, storm_plan
+from repro.obs.residency import ResidencyStats
+from repro.sim.fastforward import SimClock
 from repro.sim.server import ServerSimulator
 from repro.soa import (
     accumulate_energy,
@@ -169,14 +171,26 @@ class TestStableSpans:
         from repro.obs.tracer import GLOBAL_TRACER
 
         sim = ServerSimulator(small_system(), seed=5, fast_forward=True)
+        kernel = sim.kernel
+        span_window = kernel._stable_span_window
         original = sim._pinned_churn
+        in_span = []
 
-        def churn_then_enable(t, epoch_s):
-            result = original(t, epoch_s)
-            if t > 40.0 and not GLOBAL_TRACER.enabled:
+        def tracked_span(*args):
+            in_span.append(True)
+            try:
+                return span_window(*args)
+            finally:
+                in_span.pop()
+
+        def churn_then_enable(t, epoch_s, draw=None):
+            result = original(t, epoch_s, draw)
+            # Toggle from inside a span's churn event epoch.
+            if t > 40.0 and in_span and not GLOBAL_TRACER.enabled:
                 GLOBAL_TRACER.enable()
             return result
 
+        kernel._stable_span_window = tracked_span
         sim._pinned_churn = churn_then_enable
         try:
             result = sim.run_workload(staircase_profile(), epoch_s=0.2,
@@ -190,9 +204,10 @@ class TestStableSpans:
             GLOBAL_TRACER.drain()
         assert result.samples
         assert sim.ff_stats.epochs_batched > 0
-        # Spans kept forming after the mid-run toggle, and every traced
-        # entry saw its exit.
-        assert enters and len(enters) == len(exits)
+        # Spans kept forming after the mid-span toggle; the span it fired
+        # in exited traced without a traced entry, and every later
+        # traced entry saw its exit.
+        assert enters and len(exits) == len(enters) + 1
 
 
 def vm_trace(vms):
@@ -296,13 +311,49 @@ class TestInertMonitorFires:
         system.policy.monitor_timer = 0.0
         plan = sim.kernel._plan_stable_span
         # Every block online, below low water: inert, so the span runs to
-        # the bound — unless pinned churn could move free memory.
+        # the bound.  A churn span runs to the bound either way: its
+        # executor decides each fire when it reaches it.
         assert plan(0.0, 0.25, 10.0, churn=False) == 40
-        assert plan(0.0, 0.25, 10.0, churn=True) == 3
+        assert plan(0.0, 0.25, 10.0, churn=True) == 40
         # Free memory inside the hysteresis band is inert as well.
         mm.free_pages_of("hog", system.daemon.low_water_pages)
         assert system.daemon.monitor_is_noop()
         assert plan(0.0, 0.25, 10.0, churn=False) == 40
+
+    def test_churn_span_closes_on_an_acting_fire(self):
+        # One block offline and free memory below low water: the first
+        # fire must on-line it.  The non-churn planner stops short of
+        # that fire; the churn planner does not, so its executor must
+        # run the fire through the real step and close the span there.
+        sim = ServerSimulator(small_system(), seed=5, fast_forward=True,
+                              pinned_churn_rate_per_s=0.0)
+        system = sim.system
+        mm = system.mm
+        block = next(b for b in reversed(range(mm.num_blocks))
+                     if system.hotplug.try_offline_block(b).success)
+        system.power_control.block_offlined(block, 0.0)
+        mm.allocate("hog", mm.free_pages - 16)
+        assert not system.daemon.monitor_fire_is_noop()
+        system.policy.monitor_timer = 0.0
+        kernel = sim.kernel
+        assert kernel._plan_stable_span(0.0, 0.25, 10.0, churn=False) == 3
+        assert kernel._plan_stable_span(0.0, 0.25, 10.0, churn=True) == 40
+        clock = SimClock(0.25)
+        samples = []
+        kernel._stable_span_window(clock, 40, 1e9, 0.5, True, samples,
+                                   0.0, 0.0, ResidencyStats())
+        # Three quiet epochs, then the fire at t=0.75 on-lines the block
+        # and ends the span.
+        assert [s.time_s for s in samples] == [0.0, 0.25, 0.5, 0.75]
+        assert clock.now_s == 1.0
+        assert [(e.kind, e.time_s, e.block)
+                for e in system.daemon.event_log] == [("online", 0.75,
+                                                       block)]
+        assert samples[-1].offline_blocks == 0
+        assert samples[0].offline_blocks == 1
+        stats = sim.ff_stats
+        assert stats.spans_stable == 1
+        assert stats.epochs_batched == stats.epochs_stepped == 4
 
 
 class TestRandomizedEquivalence:
