@@ -5,7 +5,8 @@ Power Management for DRAM with a Sub-array Granularity Power-Down State*
 (Lee et al., MICRO 2021): DRAM organization and power models, a memory
 controller with rank low-power states, an OS physical-memory substrate
 with buddy allocation and memory hot-plug, KSM, the GreenDIMM daemon and
-sub-array deep power-down, baselines (self-refresh, RAMZzz, PASR), and
+sub-array deep power-down, the rank-level policies it is compared
+against (self-refresh, RAMZzz, PASR), and
 the benchmark harness regenerating every table and figure of the paper's
 evaluation.
 

@@ -17,12 +17,12 @@ from typing import Dict
 
 from repro.analysis.paper import PAPER
 from repro.analysis.report import Table
-from repro.baselines.srf_only import SelfRefreshOnlyPolicy
 from repro.dram.address import AddressMapping
 from repro.dram.organization import spec_server_memory
 from repro.experiments.common import ExperimentResult
 from repro.memctrl.controller import MemoryController
 from repro.memctrl.lowpower import LowPowerConfig
+from repro.policies.registry import policy_class
 from repro.power.model import DRAMPowerModel
 from repro.sim.perfmodel import (
     MemorySystemPoint,
@@ -69,7 +69,7 @@ def run(fast: bool = False) -> ExperimentResult:
     org = spec_server_memory()
     perf = PerformanceModel()
     power_model = DRAMPowerModel(org)
-    srf = SelfRefreshOnlyPolicy()
+    srf = policy_class("srf_only")
     requests = 6_000 if fast else 30_000
 
     speedup_table = Table(
@@ -112,9 +112,9 @@ def run(fast: bool = False) -> ExperimentResult:
                                 bandwidth_cap_bytes_per_s=base.bandwidth_cap_bytes_per_s / 4)
         runtime_factor = perf.cpi(profile, off, 1) / perf.cpi(profile, on, 1)
         power_on = power_model.power(
-            srf.estimate(profile, org, True, 1).rank_profiles).total_w
+            srf.estimate(profile, org, True, 1)).total_w
         power_off = power_model.power(
-            srf.estimate(profile, org, False, 1).rank_profiles).total_w
+            srf.estimate(profile, org, False, 1)).total_w
         ratio = (power_off * runtime_factor) / power_on
         savings.append(1.0 - ratio)
         energy_table.add_row(profile.name, f"{runtime_factor:.2f}",

@@ -1,7 +1,8 @@
 """Policy tournament: every registered power policy x the scenario matrix.
 
-The Figure 9/10 experiments compare policies analytically (closed-form
-operating points per :mod:`repro.baselines`); the golden kernel suite
+The Figure 9/10 experiments compare policies analytically (the
+closed-form operating points of each rank-level policy class's
+``estimate``); the golden kernel suite
 pins the GreenDIMM daemon alone.  This experiment closes the gap: it
 runs every *in-kernel* policy from :mod:`repro.policies.registry`
 through the full scenario matrix — a steady workload, pinned-page
@@ -14,7 +15,7 @@ Cells are independent and picklable, so the matrix fans out over
 serial path is the bitwise reference, as everywhere in this repo.
 
 The headline cross-check: restricted to the policies that also have a
-closed-form estimator, the in-kernel steady-state energy ranking must
+closed-form estimate, the in-kernel steady-state energy ranking must
 agree with the analytical Figure 9/10 power ranking — the live
 reimplementations and the paper-facing estimates must tell one story.
 """
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.common import ExperimentResult
 from repro.policies.registry import (
     analytical_policy_names,
-    create_estimator,
+    policy_class,
     policy_names,
 )
 from repro.policies.schema import PolicyRow, mean_saving_by_policy, render_rows
@@ -202,11 +203,11 @@ def run_cell(job: TournamentJob) -> PolicyRow:
         f"unknown tournament scenario {job.scenario!r} (known: {known})")
 
 
-def analytical_ranking() -> List[str]:
-    """Figure 9/10's static view: estimator policies by DRAM power.
+def analytical_powers() -> Dict[str, float]:
+    """Closed-form DRAM power of each analytical policy, in watts.
 
     Evaluated at the tournament's own operating point (the steady
-    profile, non-interleaved, on the 16 GiB box), best first.
+    profile, non-interleaved, on the 16 GiB box).
     """
     from repro.power.model import DRAMPowerModel
     from repro.workloads.registry import profile_by_name
@@ -214,12 +215,15 @@ def analytical_ranking() -> List[str]:
     organization = _tournament_memory()
     power_model = DRAMPowerModel(organization)
     profile = profile_by_name("429.mcf")
-    powers = {}
-    for name in analytical_policy_names():
-        estimate = create_estimator(name).estimate(
-            profile, organization, False, 1)
-        powers[name] = (power_model.power(estimate.rank_profiles).total_w
-                        + estimate.extra_power_w)
+    return {name: power_model.power(policy_class(name).estimate(
+                profile, organization, False, 1)).total_w
+            for name in analytical_policy_names()}
+
+
+def analytical_ranking() -> List[str]:
+    """Figure 9/10's static view: analytical policies by DRAM power,
+    best first."""
+    powers = analytical_powers()
     return sorted(powers, key=lambda name: powers[name])
 
 

@@ -2,9 +2,10 @@
 
 The :class:`~repro.policies.base.PowerPolicy` protocol names the surface
 :class:`~repro.sim.kernel.EpochKernel` drives; the registry maps policy
-names to lazy factories for both the in-kernel implementations and the
-closed-form analytical estimators.  See ``docs/ARCHITECTURE.md`` for the
-protocol obligations and the span-planner veto contract.
+names to their classes, resolved lazily by ``"module:Class"`` path.  The
+rank-level classes (srf_only, ramzzz, pasr) also give the closed-form
+``estimate`` the paper's figures use.  See ``docs/ARCHITECTURE.md`` for
+the protocol obligations and the span-planner veto contract.
 """
 
 from repro.policies.base import PeriodicPolicy, PowerPolicy
@@ -17,8 +18,8 @@ from repro.policies.registry import (
     DEFAULT_POLICY,
     PolicySpec,
     analytical_policy_names,
-    create_estimator,
     create_policy,
+    policy_class,
     policy_names,
     policy_spec,
 )
@@ -31,9 +32,9 @@ __all__ = [
     "PolicySpec",
     "PowerPolicy",
     "analytical_policy_names",
-    "create_estimator",
     "create_policy",
     "get_active_policy",
+    "policy_class",
     "policy_names",
     "policy_scope",
     "policy_spec",

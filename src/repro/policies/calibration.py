@@ -12,8 +12,9 @@ fraction using the platform's own IDD table:
     equiv_dpd      = saved / ((1 - spare)(1 - residual))
 
 where ``static`` is background + refresh power of one device.  Because
-the conversion and the analytical :mod:`repro.baselines` estimates both
-derive from the same :class:`~repro.power.model.DevicePowerModel`, the
+the conversion and the closed-form
+:meth:`~repro.policies.ranklevel.RankLevelPolicy.estimate` both derive
+from the same :class:`~repro.power.model.DevicePowerModel`, the
 in-kernel policy ranking tracks the Figure 9/10 analytical ranking by
 construction.
 """
@@ -25,10 +26,15 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.power.idd import DPD_RESIDUAL_FRACTION, SPARE_ROW_FRACTION
 from repro.power.states import PowerState
+from repro.units import GIB
 
 if TYPE_CHECKING:
     from repro.dram.organization import MemoryOrganization
     from repro.power.model import DRAMPowerModel
+
+#: Kernel allocation a closed-form estimate places next to a workload's
+#: footprint (live usage already includes it).
+ESTIMATE_KERNEL_BYTES = 2 * GIB
 
 
 def static_power_w(power_model: "DRAMPowerModel",
@@ -85,10 +91,8 @@ def resident_ranks(used_bytes: int,
                    organization: "MemoryOrganization") -> int:
     """Ranks a non-interleaved placement needs for *used_bytes*.
 
-    The in-kernel analogue of
-    :func:`repro.baselines.base.resident_ranks_for` with
-    ``kernel_bytes=0``: live memory-manager usage already includes the
-    kernel boot allocation, so nothing is added back.
+    Live memory-manager usage already includes the kernel boot
+    allocation; a closed-form estimate adds it to the footprint first.
     """
     ranks = math.ceil(used_bytes / organization.rank_capacity_bytes)
     return max(1, min(organization.total_ranks, ranks))

@@ -36,9 +36,6 @@ IDLE_MIX = {PowerState.SELF_REFRESH: 0.85, PowerState.POWER_DOWN: 0.10}
 #: Sustained bandwidth of the migration copy loop.
 MIGRATION_BANDWIDTH_BYTES_PER_S = 8e9
 
-#: Runtime dilation from the access-stats monitoring machinery.
-MONITORING_OVERHEAD = 0.01
-
 #: Row-miss rate of the streaming migration copies (sequential sweeps).
 _MIGRATION_ROW_MISS = 0.5
 
@@ -47,6 +44,9 @@ class RankAwareMigrationPolicy(RankLevelPolicy):
     """Hot-page concentration with explicit migration-cost accounting."""
 
     name = "rank-migration"
+
+    #: Runtime dilation from the access-stats monitoring machinery.
+    RUNTIME_OVERHEAD = 0.01
 
     _STATE_ATTRS = RankLevelPolicy._STATE_ATTRS + (
         "_current_resident", "_extra_power_w", "_migrations",
@@ -127,9 +127,6 @@ class RankAwareMigrationPolicy(RankLevelPolicy):
 
     def extra_power_w(self) -> float:
         return self._extra_power_w
-
-    def runtime_overhead_fraction(self) -> float:
-        return MONITORING_OVERHEAD
 
     def policy_metrics(self) -> Dict[str, float]:
         return {"migrations": float(self._migrations),

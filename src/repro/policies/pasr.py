@@ -1,24 +1,39 @@
-"""In-kernel PASR: bank-granularity partial-array self-refresh.
+"""PASR: bank-granularity partial-array self-refresh (mobile DRAM).
 
-The live counterpart of :class:`repro.baselines.pasr_policy.PASRPolicy`:
-idle ranks self-refresh at the timeout capture rate, and on *every*
-rank the banks the current usage leaves untouched stop refreshing
-(``PASR_BANK_SAVING`` of their background share), expressed as a
-whole-channel dpd term through the same dpd scale the power model
-applies.  Both terms move with live usage at every monitor fire.
+PASR lets idle banks stop refreshing while the rank self-refreshes, and
+unused banks enter a deep power-down-like state.  Like every rank/bank
+scheme it assumes an idle bank *exists*; with interleaving the paper's
+Ramulator experiment finds none (Section 3.3), so PASR only helps with
+interleaving disabled, and even then only for the refresh component of
+banks the footprint does not touch.
+
+Idle ranks self-refresh at the timeout capture rate, and on *every*
+rank the untouched banks shed ``PASR_BANK_SAVING`` of their background
+share, expressed as a whole-channel dpd term through the same dpd scale
+the power model applies.  In the kernel both terms move with live usage
+at every monitor fire.
 """
 
 from __future__ import annotations
 
-from repro.baselines.pasr_policy import PASR_BANK_SAVING
-from repro.baselines.srf_only import SELF_REFRESH_EFFICIENCY
+from typing import TYPE_CHECKING
+
 from repro.policies.calibration import (
     idle_bank_fraction,
     idle_rank_fraction,
     rank_mix_dpd,
 )
 from repro.policies.ranklevel import RankLevelPolicy
+from repro.policies.srf import SELF_REFRESH_EFFICIENCY
 from repro.power.states import PowerState
+
+if TYPE_CHECKING:
+    from repro.dram.organization import MemoryOrganization
+
+#: Background-power share PASR's deep state removes for a fully idle
+#: bank (refresh plus part of the bank periphery; chip-global circuits
+#: and the shared I/O stay powered because the rank remains addressable).
+PASR_BANK_SAVING = 0.55
 
 
 class PASRKernelPolicy(RankLevelPolicy):
@@ -27,6 +42,11 @@ class PASRKernelPolicy(RankLevelPolicy):
     name = "pasr"
 
     IDLE_MIX = {PowerState.SELF_REFRESH: SELF_REFRESH_EFFICIENCY}
+
+    @classmethod
+    def _estimate_bank_dpd(cls, footprint: int,
+                           organization: "MemoryOrganization") -> float:
+        return idle_bank_fraction(footprint, organization) * PASR_BANK_SAVING
 
     def _compute_dpd(self, used_bytes: int) -> float:
         organization = self.system.organization

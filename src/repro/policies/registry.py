@@ -1,18 +1,20 @@
 """The policy registry: one name space for every power policy.
 
-Kernel policies (things the epoch kernel can drive live) and analytical
-estimators (the closed-form :mod:`repro.baselines` used by Figures
-9-11) register side by side under one name, so the figure experiments,
-``repro run --policy``, and ``repro tournament`` all agree on what a
-policy is called.  Registration is **lazy**: specs hold factories, and
-nothing is instantiated until a caller asks — importing this module (or
-:mod:`repro.sim.experiment`) constructs no policy objects.
+Each name maps to one class, given as a ``"module:Class"`` path.  The
+class is the live in-kernel policy; the rank-level ones (flagged
+``analytical``) also carry the closed-form ``estimate`` classmethod that
+Figures 3 and 9-11 use, so the figure experiments, ``repro run
+--policy``, and ``repro tournament`` all agree on what a policy is
+called.  Registration is **lazy**: a path is resolved only when a caller
+asks for the class — importing this module (or
+:mod:`repro.sim.experiment`) loads no policy module.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple, Type
 
 from repro.errors import ConfigurationError
 
@@ -26,128 +28,65 @@ DEFAULT_POLICY = "greendimm"
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """One registered policy: how to build it, in either incarnation."""
+    """One registered policy and the class that implements it."""
 
     name: str
     description: str
-    #: Builds the live in-kernel policy for one system.
-    kernel_factory: Callable[["GreenDIMMSystem"], "PowerPolicy"]
-    #: Builds the closed-form estimator (``None``: no analytical form).
-    estimator_factory: Optional[Callable[[], object]] = None
+    #: ``"module:Class"`` of the policy class.
+    path: str
+    #: The class has a closed-form ``estimate`` classmethod.
+    analytical: bool = False
 
 
-def _make_greendimm(system: "GreenDIMMSystem") -> "PowerPolicy":
-    from repro.policies.greendimm import GreenDIMMPolicy
-    return GreenDIMMPolicy(system)
-
-
-def _make_srf(system: "GreenDIMMSystem") -> "PowerPolicy":
-    from repro.policies.srf import SelfRefreshTimeoutPolicy
-    return SelfRefreshTimeoutPolicy(system)
-
-
-def _make_ramzzz(system: "GreenDIMMSystem") -> "PowerPolicy":
-    from repro.policies.ramzzz import RAMZzzKernelPolicy
-    return RAMZzzKernelPolicy(system)
-
-
-def _make_pasr(system: "GreenDIMMSystem") -> "PowerPolicy":
-    from repro.policies.pasr import PASRKernelPolicy
-    return PASRKernelPolicy(system)
-
-
-def _make_migration(system: "GreenDIMMSystem") -> "PowerPolicy":
-    from repro.policies.migration import RankAwareMigrationPolicy
-    return RankAwareMigrationPolicy(system)
-
-
-def _make_demotion(system: "GreenDIMMSystem") -> "PowerPolicy":
-    from repro.policies.demotion import AdaptiveDemotionPolicy
-    return AdaptiveDemotionPolicy(system)
-
-
-def _estimate_srf() -> object:
-    from repro.baselines.srf_only import SelfRefreshOnlyPolicy
-    return SelfRefreshOnlyPolicy()
-
-
-def _estimate_ramzzz() -> object:
-    from repro.baselines.ramzzz import RAMZzzPolicy
-    return RAMZzzPolicy()
-
-
-def _estimate_pasr() -> object:
-    from repro.baselines.pasr_policy import PASRPolicy
-    return PASRPolicy()
-
-
-_REGISTRY: Optional[Dict[str, PolicySpec]] = None
-
-
-def _registry() -> Dict[str, PolicySpec]:
-    """Build the spec table once, in canonical order.
-
-    The analytical baselines come first in the order the figure suite
-    has always evaluated them (srf_only, ramzzz, pasr), then GreenDIMM,
-    then the kernel-only Lu et al. policies.
-    """
-    global _REGISTRY
-    if _REGISTRY is None:
-        specs = (
-            PolicySpec("srf_only",
-                       "rank-granularity self-refresh timeout",
-                       _make_srf, _estimate_srf),
-            PolicySpec("ramzzz",
-                       "RAMZzz hot/cold rank reshaping (SC'12)",
-                       _make_ramzzz, _estimate_ramzzz),
-            PolicySpec("pasr",
-                       "partial-array self-refresh bank masking",
-                       _make_pasr, _estimate_pasr),
-            PolicySpec("greendimm",
-                       "sub-array power-down daemon (the paper)",
-                       _make_greendimm),
-            PolicySpec("rank-migration",
-                       "hot-page concentration with migration "
-                       "accounting (Lu et al.)",
-                       _make_migration),
-            PolicySpec("adaptive-demotion",
-                       "per-rank demotion depth from observed idle "
-                       "distributions (Lu et al.)",
-                       _make_demotion),
-        )
-        _REGISTRY = {spec.name: spec for spec in specs}
-    return _REGISTRY
+#: Canonical order: the analytical policies in the order the figure
+#: suite has always evaluated them (srf_only, ramzzz, pasr), then
+#: GreenDIMM, then the kernel-only Lu et al. policies.
+_SPECS = (
+    PolicySpec("srf_only", "rank-granularity self-refresh timeout",
+               "repro.policies.srf:SelfRefreshTimeoutPolicy", True),
+    PolicySpec("ramzzz", "RAMZzz hot/cold rank reshaping (SC'12)",
+               "repro.policies.ramzzz:RAMZzzKernelPolicy", True),
+    PolicySpec("pasr", "partial-array self-refresh bank masking",
+               "repro.policies.pasr:PASRKernelPolicy", True),
+    PolicySpec("greendimm", "sub-array power-down daemon (the paper)",
+               "repro.policies.greendimm:GreenDIMMPolicy"),
+    PolicySpec("rank-migration",
+               "hot-page concentration with migration accounting "
+               "(Lu et al.)",
+               "repro.policies.migration:RankAwareMigrationPolicy"),
+    PolicySpec("adaptive-demotion",
+               "per-rank demotion depth from observed idle distributions "
+               "(Lu et al.)",
+               "repro.policies.demotion:AdaptiveDemotionPolicy"),
+)
+_REGISTRY = {spec.name: spec for spec in _SPECS}
 
 
 def policy_names() -> Tuple[str, ...]:
     """Every registered policy name, in canonical order."""
-    return tuple(_registry())
+    return tuple(_REGISTRY)
 
 
 def analytical_policy_names() -> Tuple[str, ...]:
-    """Policies with a closed-form estimator, in evaluation order."""
-    return tuple(name for name, spec in _registry().items()
-                 if spec.estimator_factory is not None)
+    """Policies with a closed-form estimate, in evaluation order."""
+    return tuple(spec.name for spec in _SPECS if spec.analytical)
 
 
 def policy_spec(name: str) -> PolicySpec:
     try:
-        return _registry()[name]
+        return _REGISTRY[name]
     except KeyError:
-        known = ", ".join(_registry())
+        known = ", ".join(_REGISTRY)
         raise ConfigurationError(
             f"unknown policy {name!r} (known: {known})") from None
 
 
+def policy_class(name: str) -> Type["PowerPolicy"]:
+    """Import and return the class registered as *name*."""
+    module, _sep, attr = policy_spec(name).path.partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
 def create_policy(name: str, system: "GreenDIMMSystem") -> "PowerPolicy":
     """Instantiate the in-kernel policy *name* for *system*."""
-    return policy_spec(name).kernel_factory(system)
-
-
-def create_estimator(name: str) -> object:
-    """Instantiate the analytical estimator for *name*."""
-    spec = policy_spec(name)
-    if spec.estimator_factory is None:
-        raise ConfigurationError(
-            f"policy {name!r} has no closed-form estimator")
-    return spec.estimator_factory()
+    return policy_class(name)(system)

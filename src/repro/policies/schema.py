@@ -1,9 +1,7 @@
 """One serialization schema for policy-comparison results.
 
-Three layers used to carry their own ad-hoc shapes: the Figure 9/10
-matrix cells (:class:`repro.sim.experiment.PolicyResult`), the
-closed-form :class:`repro.baselines.base.BaselineEstimate`, and the
-tournament's per-cell measurements.  They all flatten into a
+The Figure 9/10 matrix cells (:class:`repro.sim.experiment.PolicyResult`)
+and the tournament's per-cell measurements both flatten into a
 :class:`PolicyRow` here, so tournament tables, figure expectations, and
 ``repro report`` sections render from the same field set and round-trip
 through the JSONL metrics stream without bespoke glue.

@@ -44,6 +44,11 @@ from repro.service.fleet_service import FleetService
 #: Largest accepted request body (snapshots of big fleets are MBs).
 MAX_BODY_BYTES = 256 * 1024 * 1024
 
+#: Most header lines accepted in one request.
+MAX_HEADERS = 100
+
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
+
 _SERVER_ROUTE = re.compile(r"^/servers/(\d+)(/[a-z]+)?$")
 
 
@@ -56,6 +61,7 @@ class _HttpError(Exception):
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error"}
 
 
@@ -135,16 +141,28 @@ class ControlPlane:
         except ValueError:
             raise _HttpError(400, "malformed request line") from None
         headers: Dict[str, str] = {}
+        lines = 0
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > MAX_HEADERS:
+                raise _HttpError(431, "too many header fields")
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not _CONTENT_LENGTH.fullmatch(declared):
+            raise _HttpError(400, f"malformed Content-Length {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as err:
+            raise _HttpError(
+                400, f"request body ended after {len(err.partial)} of "
+                     f"{length} bytes") from None
         return method, target, headers, body
 
     @staticmethod

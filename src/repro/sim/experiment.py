@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.baselines.base import BaselineEstimate, resident_ranks_for
 from repro.core.system import GreenDIMMSystem
 from repro.dram.organization import MemoryOrganization, spec_server_memory
-from repro.policies.registry import analytical_policy_names, create_estimator
+from repro.policies.calibration import ESTIMATE_KERNEL_BYTES, resident_ranks
+from repro.policies.registry import analytical_policy_names, policy_class
 from repro.policies.schema import PolicyRow
 from repro.power.model import DRAMPowerModel, RankPowerProfile
 from repro.power.system import SystemPowerModel
@@ -76,8 +76,9 @@ def _runtimes(profile: WorkloadProfile, organization: MemoryOrganization,
     if profile.latency_critical:
         return {True: profile.duration_s, False: profile.duration_s}
     on = interleaved_point(organization)
-    resident = resident_ranks_for(profile.peak_footprint_bytes * n_copies,
-                                  organization, interleaved=False)
+    resident = resident_ranks(
+        profile.peak_footprint_bytes * n_copies + ESTIMATE_KERNEL_BYTES,
+        organization)
     off = non_interleaved_point(organization, resident_ranks=resident)
     ratio = perf.cpi(profile, off, n_copies) / perf.cpi(profile, on, n_copies)
     return {True: profile.duration_s, False: profile.duration_s * ratio}
@@ -112,15 +113,13 @@ def evaluate_policies(profile: WorkloadProfile,
     cpu_util = profile.cpu_utilization
     results: Dict[Tuple[str, bool], PolicyResult] = {}
 
-    baselines = {name: create_estimator(name)
-                 for name in analytical_policy_names()}
+    policies = {name: policy_class(name)
+                for name in analytical_policy_names()}
     for interleaved in (True, False):
-        for name, policy in baselines.items():
-            estimate: BaselineEstimate = policy.estimate(
-                profile, organization, interleaved, n_copies)
-            dram_w = (power_model.power(estimate.rank_profiles).total_w
-                      + estimate.extra_power_w)
-            runtime = runtimes[interleaved] * estimate.runtime_factor
+        for name, policy in policies.items():
+            dram_w = power_model.power(policy.estimate(
+                profile, organization, interleaved, n_copies)).total_w
+            runtime = runtimes[interleaved] * (1.0 + policy.RUNTIME_OVERHEAD)
             system_w = system_power.power_w(cpu_util, dram_w)
             results[(name, interleaved)] = PolicyResult(
                 policy=name, interleaved=interleaved, runtime_s=runtime,
@@ -131,13 +130,13 @@ def evaluate_policies(profile: WorkloadProfile,
         profile, organization, n_copies, seed)
     overhead = perf.greendimm_overhead_fraction(
         profile, off_events, on_events, profile.duration_s)
-    srf = baselines["srf_only"]
+    srf = policies["srf_only"]
     for interleaved in (True, False):
         # GreenDIMM inherits the operating point's traffic shape and adds
         # sub-array deep power-down for the off-lined capacity.
-        estimate = srf.estimate(profile, organization, interleaved, n_copies)
         profiles = []
-        for rank_profile in estimate.rank_profiles:
+        for rank_profile in srf.estimate(profile, organization, interleaved,
+                                         n_copies):
             profiles.append(RankPowerProfile(
                 state_residency=dict(rank_profile.state_residency),
                 bandwidth_bytes_per_s=rank_profile.bandwidth_bytes_per_s,

@@ -1,15 +1,21 @@
-"""Baseline policy estimators (srf-only, RAMZzz, PASR)."""
+"""Closed-form estimates of the rank-level comparison policies
+(srf-only, RAMZzz, PASR): each policy class's ``estimate``."""
 
-from repro.baselines import (
-    PASRPolicy,
-    RAMZzzPolicy,
-    SelfRefreshOnlyPolicy,
-    resident_ranks_for,
+from repro.core.config import GreenDIMMConfig
+from repro.core.system import GreenDIMMSystem
+from repro.dram.device import DDR4_4GB_X8
+from repro.dram.organization import MemoryOrganization, spec_server_memory
+from repro.policies.calibration import (
+    ESTIMATE_KERNEL_BYTES,
+    idle_bank_fraction,
+    resident_ranks,
 )
-from repro.dram.organization import spec_server_memory
+from repro.policies.pasr import PASR_BANK_SAVING, PASRKernelPolicy
+from repro.policies.ramzzz import RAMZzzKernelPolicy
+from repro.policies.srf import SelfRefreshTimeoutPolicy
 from repro.power.model import DRAMPowerModel
 from repro.power.states import PowerState
-from repro.units import GIB
+from repro.units import GIB, MIB
 from repro.workloads import profile_by_name
 
 ORG = spec_server_memory()
@@ -19,74 +25,87 @@ GCC = profile_by_name("403.gcc")
 
 
 def policy_power(policy, profile, interleaved, n_copies=8):
-    estimate = policy.estimate(profile, ORG, interleaved, n_copies)
-    return MODEL.power(estimate.rank_profiles).total_w, estimate
+    ranks = policy.estimate(profile, ORG, interleaved, n_copies)
+    return MODEL.power(ranks).total_w, ranks
 
 
 class TestResidentRanks:
     def test_interleaved_footprint_everywhere(self):
-        assert resident_ranks_for(GIB, ORG, interleaved=True) == ORG.total_ranks
+        _power, ranks = policy_power(SelfRefreshTimeoutPolicy, GCC, True,
+                                     n_copies=1)
+        assert len(ranks) == ORG.total_ranks
+        assert all(rank.bandwidth_bytes_per_s > 0 for rank in ranks)
 
     def test_non_interleaved_minimal(self):
         # 1GB + 2GB kernel -> one 4GB rank.
-        assert resident_ranks_for(GIB, ORG, interleaved=False) == 1
+        assert resident_ranks(GIB + ESTIMATE_KERNEL_BYTES, ORG) == 1
 
     def test_large_footprint_spans_ranks(self):
-        assert resident_ranks_for(30 * GIB, ORG, interleaved=False) == 8
+        assert resident_ranks(30 * GIB + ESTIMATE_KERNEL_BYTES, ORG) == 8
 
     def test_capped_at_total(self):
-        assert resident_ranks_for(10_000 * GIB, ORG,
-                                  interleaved=False) == ORG.total_ranks
+        assert resident_ranks(10_000 * GIB + ESTIMATE_KERNEL_BYTES,
+                              ORG) == ORG.total_ranks
 
 
 class TestSelfRefreshOnly:
     def test_interleaved_no_rank_sleeps(self):
-        _power, estimate = policy_power(SelfRefreshOnlyPolicy(), MCF, True)
-        for profile in estimate.rank_profiles:
-            assert PowerState.SELF_REFRESH not in profile.state_residency
+        _power, ranks = policy_power(SelfRefreshTimeoutPolicy, MCF, True)
+        for rank in ranks:
+            assert PowerState.SELF_REFRESH not in rank.state_residency
 
     def test_non_interleaved_idle_ranks_sleep(self):
-        _power, estimate = policy_power(SelfRefreshOnlyPolicy(), MCF, False)
+        _power, ranks = policy_power(SelfRefreshTimeoutPolicy, MCF, False)
         sleeping = sum(
-            1 for p in estimate.rank_profiles
-            if p.state_residency.get(PowerState.SELF_REFRESH, 0) > 0.5)
+            1 for rank in ranks
+            if rank.state_residency.get(PowerState.SELF_REFRESH, 0) > 0.5)
         assert sleeping >= 8
 
     def test_power_lower_without_interleaving(self):
-        with_intlv, _ = policy_power(SelfRefreshOnlyPolicy(), MCF, True)
-        without, _ = policy_power(SelfRefreshOnlyPolicy(), MCF, False)
+        with_intlv, _ = policy_power(SelfRefreshTimeoutPolicy, MCF, True)
+        without, _ = policy_power(SelfRefreshTimeoutPolicy, MCF, False)
         assert without < with_intlv
 
 
 class TestRAMZzz:
     def test_no_benefit_with_interleaving(self):
-        ramzzz, _ = policy_power(RAMZzzPolicy(), MCF, True)
-        srf, _ = policy_power(SelfRefreshOnlyPolicy(), MCF, True)
+        ramzzz, _ = policy_power(RAMZzzKernelPolicy, MCF, True)
+        srf, _ = policy_power(SelfRefreshTimeoutPolicy, MCF, True)
         assert ramzzz >= srf * 0.98  # monitoring gains nothing
 
     def test_beats_srf_without_interleaving(self):
-        ramzzz, _ = policy_power(RAMZzzPolicy(), GCC, False)
-        srf, _ = policy_power(SelfRefreshOnlyPolicy(), GCC, False)
+        ramzzz, _ = policy_power(RAMZzzKernelPolicy, GCC, False)
+        srf, _ = policy_power(SelfRefreshTimeoutPolicy, GCC, False)
         assert ramzzz < srf
 
     def test_carries_runtime_overhead(self):
-        _power, estimate = policy_power(RAMZzzPolicy(), MCF, False)
-        assert estimate.runtime_factor > 1.0
+        assert RAMZzzKernelPolicy.RUNTIME_OVERHEAD > 0.0
+        assert SelfRefreshTimeoutPolicy.RUNTIME_OVERHEAD == 0.0
+        org = MemoryOrganization(device=DDR4_4GB_X8, channels=2,
+                                 dimms_per_channel=1, ranks_per_dimm=2)
+        system = GreenDIMMSystem(organization=org,
+                                 config=GreenDIMMConfig(block_bytes=64 * MIB),
+                                 kernel_boot_bytes=256 * MIB,
+                                 policy="ramzzz", seed=3)
+        assert (system.policy.runtime_overhead_fraction()
+                == RAMZzzKernelPolicy.RUNTIME_OVERHEAD)
 
 
 class TestPASR:
     def test_no_idle_banks_with_interleaving(self):
-        _power, estimate = policy_power(PASRPolicy(), MCF, True)
-        assert "0.00" in estimate.notes
+        _power, ranks = policy_power(PASRKernelPolicy, MCF, True)
+        assert all(rank.dpd_fraction == 0.0 for rank in ranks)
 
     def test_refresh_savings_without_interleaving(self):
-        pasr, _ = policy_power(PASRPolicy(), MCF, False)
-        srf, _ = policy_power(SelfRefreshOnlyPolicy(), MCF, False)
+        pasr, _ = policy_power(PASRKernelPolicy, MCF, False)
+        srf, _ = policy_power(SelfRefreshTimeoutPolicy, MCF, False)
         assert pasr < srf
 
     def test_idle_bank_fraction_shrinks_with_footprint(self):
-        _p1, small = policy_power(PASRPolicy(), GCC, False, n_copies=1)
-        _p2, big = policy_power(PASRPolicy(), MCF, False, n_copies=16)
-        frac_small = float(small.notes.split()[-1])
-        frac_big = float(big.notes.split()[-1])
-        assert frac_small > frac_big
+        _p1, small = policy_power(PASRKernelPolicy, GCC, False, n_copies=1)
+        _p2, big = policy_power(PASRKernelPolicy, MCF, False, n_copies=16)
+        assert small[0].dpd_fraction > big[0].dpd_fraction
+        for ranks, profile, n_copies in ((small, GCC, 1), (big, MCF, 16)):
+            expected = PASR_BANK_SAVING * idle_bank_fraction(
+                profile.peak_footprint_bytes * n_copies, ORG)
+            assert all(rank.dpd_fraction == expected for rank in ranks)

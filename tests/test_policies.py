@@ -16,9 +16,9 @@ from repro.policies import (
     PolicyRow,
     PowerPolicy,
     analytical_policy_names,
-    create_estimator,
     create_policy,
     get_active_policy,
+    policy_class,
     policy_names,
     policy_scope,
     policy_spec,
@@ -60,12 +60,15 @@ class TestRegistry:
     def test_unknown_policy_rejected_with_catalog(self):
         with pytest.raises(ConfigurationError, match="srf_only"):
             policy_spec("bogus")
-        with pytest.raises(ConfigurationError):
-            create_estimator("bogus")
+        with pytest.raises(ConfigurationError, match="srf_only"):
+            policy_class("bogus")
 
     def test_no_estimator_for_kernel_only_policy(self):
-        with pytest.raises(ConfigurationError, match="no closed-form"):
-            create_estimator("rank-migration")
+        assert policy_spec("rank-migration").analytical is False
+        assert "rank-migration" not in analytical_policy_names()
+        for name in analytical_policy_names():
+            assert policy_spec(name).analytical is True
+            assert callable(policy_class(name).estimate)
 
     def test_registration_is_lazy(self):
         # Importing the registry (or the experiment module) must not
@@ -177,7 +180,6 @@ class TestSchema:
         assert back == dataclasses.replace(row, extras=dict(row.extras))
 
     def test_policy_result_and_estimate_share_the_schema(self):
-        from repro.baselines.srf_only import SelfRefreshOnlyPolicy
         from repro.sim.experiment import PolicyResult
 
         result = PolicyResult(policy="pasr", interleaved=False,
@@ -186,14 +188,6 @@ class TestSchema:
         row = result.to_row()
         assert (row.policy, row.scenario) == ("pasr", "no-intlv")
         assert row.dram_energy_j == 120.0
-
-        org = MemoryOrganization(device=DDR4_4GB_X8, channels=2,
-                                 dimms_per_channel=1, ranks_per_dimm=2)
-        estimate = SelfRefreshOnlyPolicy().estimate(
-            profile_by_name("429.mcf"), org, False, 1)
-        erow = estimate.to_row(scenario="fig9")
-        assert erow.scenario == "fig9"
-        assert "runtime_factor" in erow.extras
         assert set(row.as_dict()) >= {"policy", "scenario", "dram_energy_j"}
 
     def test_render_rows_is_a_table(self):
@@ -202,18 +196,37 @@ class TestSchema:
 
 
 class TestTournament:
+    #: Pinned model error: in-kernel minus closed-form relative gain
+    #: over srf_only at the tournament's steady operating point.
+    MODEL_GAPS = {"ramzzz": 0.017, "pasr": -0.035}
+
     def test_fast_matrix_and_ranking_consistency(self):
         from repro.experiments.tournament import (
+            analytical_powers,
             analytical_ranking,
             kernel_ranking,
             run,
         )
+        from repro.runner import MetricsBus
 
+        bus = MetricsBus()
         result = run(fast=True, policies=("srf_only", "ramzzz", "pasr",
                                           "greendimm"),
-                     scenarios=("steady",))
+                     scenarios=("steady",), metrics=bus)
         assert result.measured["cells"] == 4
         assert result.measured["ranking_consistent"] is True
+
+        # The closed-form estimate is a checked claim: its gain over
+        # srf_only must stay within a point of the pinned distance from
+        # what the kernel simulates.
+        energy = {event["policy"]: event["dram_energy_j"]
+                  for event in bus.events
+                  if event["event"] == "tournament_row"}
+        power = analytical_powers()
+        for name, gap in self.MODEL_GAPS.items():
+            analytic = 1.0 - power[name] / power["srf_only"]
+            kernel = 1.0 - energy[name] / energy["srf_only"]
+            assert kernel - analytic == pytest.approx(gap, abs=0.01), name
         ranking = analytical_ranking()
         assert set(ranking) == set(analytical_policy_names())
         rows = [PolicyRow(policy="srf_only", scenario="steady",

@@ -10,6 +10,7 @@ simulation results.
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 
 import pytest
@@ -22,6 +23,7 @@ from repro.service import (
     FleetService,
     StreamSource,
 )
+from repro.service.http import MAX_HEADERS
 from repro.sim.fleet import shard_assignment
 from repro.units import GIB
 from repro.workloads.azure import VMEvent, VMInstance, VMType
@@ -238,3 +240,42 @@ class TestControlPlane:
             client.restore(0, b"")
         with pytest.raises(ReproError):
             client.restore(0, b"garbage bytes")
+
+
+def _raw_status(port: int, request: bytes) -> int:
+    """Send *request* bytes, half-close, and return the answer's status."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        answer = b""
+        while b"\r\n" not in answer:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            answer += chunk
+    return int(answer.split(b" ", 2)[1])
+
+
+class TestHostileRequests:
+    """Malformed requests answer 4xx and leave the simulation untouched."""
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"POST /advance HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+        (b"POST /advance HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+        (b"POST /advance HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+         b'{"dt_s": 6', 400),
+        (b"GET /status HTTP/1.1\r\n"
+         + b"X-Filler: 1\r\n" * (MAX_HEADERS + 1) + b"\r\n", 431),
+    ], ids=["non-numeric-length", "negative-length", "short-body",
+            "too-many-headers"])
+    def test_rejected_without_touching_state(self, live_service,
+                                             request_bytes, status):
+        client = live_service.client
+        client.ingest(vm_id=1, memory_bytes=2 * GIB)
+        client.advance(until_s=120.0)
+        before = client.server(0)["dram_energy_j"]
+        assert _raw_status(live_service.plane.bound_port,
+                           request_bytes) == status
+        after = client.server(0)["dram_energy_j"]
+        assert after.hex() == before.hex()
+        assert client.status()["now_s"] == 120.0
