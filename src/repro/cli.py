@@ -131,7 +131,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         with trace_scope(True):
             outcomes = engine.run(jobs)
-        _append_trace_events((o.trace for o in outcomes), args.trace)
+        _append_trace_events((o.account.get("trace") for o in outcomes),
+                             args.trace)
     else:
         outcomes = engine.run(jobs)
     aggregator.extend(outcomes)

@@ -16,20 +16,27 @@ and off.  Rank-granularity power-down and self-refresh buckets exist
 for the baseline policies (commodity CKE timeouts); the GreenDIMM
 kernel itself never enters them, which the report makes visible.
 
-The process-global :data:`GLOBAL_RESIDENCY` account mirrors
-:mod:`repro.perfcounters`: the kernel publishes every finished run into
-it, and the runner drains it at the process that ran the job so the
-totals survive the trip back from pool workers and land in the
-``job_end`` JSONL metrics events.
+The process-global :data:`GLOBAL_ACCOUNT` (a :class:`RunAccount`) also
+carries the fast-forward and power-memo counters of the same runs: the
+kernel books every finished run into it, and the runner drains it —
+with the fault counts and the trace — at the process that ran the job
+(:func:`drain_account`), so the totals survive the trip back from pool
+workers and land in the ``job_end`` JSONL metrics events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from repro.errors import SimulationError
+from repro.faults.context import drain_fault_counts
+from repro.obs.tracer import drain_trace
 from repro.soa import accumulate_energy
+
+if TYPE_CHECKING:
+    from repro.power.model import PowerCacheStats
+    from repro.sim.fastforward import FastForwardStats
 
 
 @dataclass
@@ -131,26 +138,59 @@ class ResidencyStats:
                 for state, seconds in self.as_dict().items()}
 
 
+#: The :class:`RunAccount` counters drained as a job's ``perf`` part.
+_PERF_COUNTERS = ("power_cache_hits", "power_cache_misses", "epochs_stepped",
+                  "epochs_fast_forwarded", "fast_forward_windows",
+                  "epochs_batched", "stable_spans")
+
+
 @dataclass
-class ResidencyAccount:
-    """What one process accumulated across kernel runs since last drain."""
+class RunAccount:
+    """What one process's kernel runs accumulated since the last drain.
+
+    Residency, energies, and the runs' fast-forward and power-memo
+    counters.
+    """
 
     residency: ResidencyStats = field(default_factory=ResidencyStats)
     dram_energy_j: float = 0.0
     baseline_dram_energy_j: float = 0.0
     duration_s: float = 0.0
     runs: int = 0
+    power_cache_hits: int = 0
+    power_cache_misses: int = 0
+    epochs_stepped: int = 0
+    epochs_fast_forwarded: int = 0
+    fast_forward_windows: int = 0
+    #: Stepped epochs the span planner executed in bulk (a subset of
+    #: ``epochs_stepped``) and the stable spans that batched them.
+    epochs_batched: int = 0
+    stable_spans: int = 0
 
     def record_run(self, residency: ResidencyStats, dram_energy_j: float,
-                   baseline_dram_energy_j: float, duration_s: float) -> None:
+                   baseline_dram_energy_j: float, duration_s: float,
+                   ff_stats: "FastForwardStats",
+                   cache_stats: "PowerCacheStats") -> None:
         """Fold one finished kernel run into the account."""
         self.residency.merge(residency)
         self.dram_energy_j += dram_energy_j
         self.baseline_dram_energy_j += baseline_dram_energy_j
         self.duration_s += duration_s
         self.runs += 1
+        self.power_cache_hits += cache_stats.hits
+        self.power_cache_misses += cache_stats.misses
+        self.epochs_stepped += ff_stats.epochs_stepped
+        self.epochs_fast_forwarded += ff_stats.epochs_fast_forwarded
+        self.fast_forward_windows += ff_stats.windows
+        self.epochs_batched += ff_stats.epochs_batched
+        self.stable_spans += ff_stats.spans_stable
 
-    def as_dict(self) -> Dict[str, object]:
+    def perf_dict(self) -> Dict[str, int]:
+        """Non-zero perf counters only, so quiet jobs emit nothing."""
+        return {name: getattr(self, name) for name in _PERF_COUNTERS
+                if getattr(self, name)}
+
+    def residency_dict(self) -> Dict[str, object]:
         """JSONL-friendly summary; ``{}`` when no run was recorded."""
         if not self.runs:
             return {}
@@ -162,27 +202,21 @@ class ResidencyAccount:
             "runs": self.runs,
         }
 
-    def reset(self) -> None:
-        self.residency = ResidencyStats()
-        self.dram_energy_j = 0.0
-        self.baseline_dram_energy_j = 0.0
-        self.duration_s = 0.0
-        self.runs = 0
+
+#: The process-wide account the kernel books finished runs into.
+GLOBAL_ACCOUNT = RunAccount()
 
 
-#: The process-wide account the kernel publishes finished runs into.
-GLOBAL_RESIDENCY = ResidencyAccount()
+def drain_account() -> Dict[str, Dict]:
+    """Snapshot and clear every process account (one job's worth).
 
-
-def record_run(residency: ResidencyStats, dram_energy_j: float,
-               baseline_dram_energy_j: float, duration_s: float) -> None:
-    """Publish one finished run to the process account."""
-    GLOBAL_RESIDENCY.record_run(residency, dram_energy_j,
-                                baseline_dram_energy_j, duration_s)
-
-
-def drain_residency() -> Dict[str, object]:
-    """Snapshot and clear the process account (one job's worth)."""
-    snapshot = GLOBAL_RESIDENCY.as_dict()
-    GLOBAL_RESIDENCY.reset()
-    return snapshot
+    Returns ``{"faults", "perf", "residency", "trace"}`` with the empty
+    parts left out, ready to spread into a ``job_end`` event.
+    """
+    global GLOBAL_ACCOUNT
+    account, GLOBAL_ACCOUNT = GLOBAL_ACCOUNT, RunAccount()
+    parts = {"faults": drain_fault_counts(),
+             "perf": account.perf_dict(),
+             "residency": account.residency_dict(),
+             "trace": drain_trace()}
+    return {key: part for key, part in parts.items() if part}

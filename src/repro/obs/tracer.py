@@ -24,11 +24,12 @@ Design constraints, in order:
    simulation state, so enabling it cannot perturb the bit-for-bit
    golden contract of :mod:`repro.sim.kernel`.
 
-The process-global :data:`GLOBAL_TRACER` mirrors
-:data:`repro.perfcounters.GLOBAL`: each pool worker accumulates its
+Like the rest of the job's account, the process-global
+:data:`GLOBAL_TRACER` is per process: each pool worker accumulates its
 own, and the runner drains it at the process that ran the job
-(:func:`drain_trace`) so traces survive the trip back from workers and
-land in the ``job_end`` JSONL metrics events.
+(:func:`repro.obs.residency.drain_account` calls :func:`drain_trace`)
+so traces survive the trip back from workers and land in the
+``job_end`` JSONL metrics events.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro import perfcounters
 from repro.dram.organization import MemoryOrganization
 from repro.dram.timing import DDR4Timing, DDR4_2133, DDR4_2133_8GB
 from repro.errors import ConfigurationError
@@ -325,15 +324,15 @@ class DRAMPowerModel:
         ``dpd_fraction``) and :class:`DRAMPowerBreakdown` is frozen, so
         cached instances are safe to share.  The epoch simulator asks for
         the same operating point thousands of times per run; hits and
-        misses land in :data:`repro.perfcounters.GLOBAL` for the metrics
-        bus and in :attr:`cache_stats` for per-model inspection.
+        misses land in :attr:`cache_stats`, which the epoch kernel books
+        into the process :class:`~repro.obs.residency.RunAccount` when a
+        run finishes.
         """
         key = (total_bandwidth_bytes_per_s, active_residency,
                row_miss_rate, dpd_fraction)
         cached = self._busy_cache.get(key)
         if cached is not None:
             self.cache_stats.hits += 1
-            perfcounters.GLOBAL.power_cache_hits += 1
             return cached
         result = self.busy_power(total_bandwidth_bytes_per_s,
                                  active_residency=active_residency,
@@ -343,5 +342,4 @@ class DRAMPowerModel:
             self._busy_cache.clear()
         self._busy_cache[key] = result
         self.cache_stats.misses += 1
-        perfcounters.GLOBAL.power_cache_misses += 1
         return result

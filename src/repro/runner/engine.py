@@ -14,15 +14,12 @@ from __future__ import annotations
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentResult
-from repro.faults.context import drain_fault_counts
-from repro.obs.residency import drain_residency
-from repro.obs.tracer import drain_trace
-from repro.perfcounters import drain_perf_counters
+from repro.obs.residency import drain_account
 from repro.runner.cache import ResultCache
 from repro.runner.jobs import ExperimentJob, execute_job
 from repro.runner.metrics import MetricsBus
@@ -40,10 +37,8 @@ class JobOutcome:
     wall_s: float
     cached: bool
     error: Optional[str] = None
-    faults: Optional[Dict[str, int]] = None
-    perf: Optional[Dict[str, int]] = None
-    residency: Optional[Dict[str, object]] = None
-    trace: Optional[Dict[str, object]] = None
+    #: The job's :func:`drain_account` (empty for cache hits).
+    account: Dict[str, Dict] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -63,28 +58,18 @@ class _Execution:
 
     result: Optional[ExperimentResult]
     wall_s: float
-    faults: Dict[str, int]
-    perf: Dict[str, int]
-    residency: Dict[str, object]
-    trace: Dict[str, object]
+    account: Dict[str, Dict]
     error: Optional[str] = None
-
-
-def _drain_all() -> Tuple[Dict[str, int], Dict[str, int],
-                          Dict[str, object], Dict[str, object]]:
-    """Drain every process-global account one job may have touched."""
-    return (drain_fault_counts(), drain_perf_counters(),
-            drain_residency(), drain_trace())
 
 
 def _timed_execute(job: ExperimentJob) -> _Execution:
     """Worker entry point: run one job and drain its process accounts.
 
-    The fault/perf/residency/trace accounts come from the process-global
-    accumulators of the process that ran the job — drained here so they
-    survive the trip back from pool workers, and drained on the
-    exception path too so a failed job's counters land on *its* outcome
-    instead of leaking into the next job's.
+    The account comes from the process-global accumulators of the
+    process that ran the job — drained here so it survives the trip
+    back from pool workers, and drained on the exception path too so a
+    failed job's counters land on *its* outcome instead of leaking into
+    the next job's.
     """
     start = time.perf_counter()
     try:
@@ -94,9 +79,8 @@ def _timed_execute(job: ExperimentJob) -> _Execution:
         result = None
         error = traceback.format_exc(limit=8)
     wall = time.perf_counter() - start
-    faults, perf, residency, trace = _drain_all()
-    return _Execution(result=result, wall_s=wall, faults=faults, perf=perf,
-                      residency=residency, trace=trace, error=error)
+    return _Execution(result=result, wall_s=wall, account=drain_account(),
+                      error=error)
 
 
 class ParallelRunner:
@@ -161,10 +145,8 @@ class ParallelRunner:
             # job failure: _timed_execute contains those) still must not
             # kill the sweep, and still must not leave the process
             # accounts loaded for the next job.
-            faults, perf, residency, trace = _drain_all()
             execution = _Execution(
-                result=None, wall_s=0.0, faults=faults, perf=perf,
-                residency=residency, trace=trace,
+                result=None, wall_s=0.0, account=drain_account(),
                 error=traceback.format_exc(limit=8))
         return self._finish(job, execution)
 
@@ -191,8 +173,7 @@ class ParallelRunner:
                                 traceback.format_exception_only(
                                     type(err), err)).strip()
                             execution = _Execution(
-                                result=None, wall_s=0.0, faults={},
-                                perf={}, residency={}, trace={},
+                                result=None, wall_s=0.0, account={},
                                 error=message)
                         outcomes[index] = self._finish(job, execution)
             except KeyboardInterrupt:
@@ -206,16 +187,10 @@ class ParallelRunner:
         error_line = (execution.error.splitlines()[-1]
                       if execution.error else None)
         self.metrics.job_end(job.experiment, execution.wall_s, cached=False,
-                             error=error_line, faults=execution.faults,
-                             perf=execution.perf,
-                             residency=execution.residency,
-                             trace=execution.trace)
+                             error=error_line, account=execution.account)
         return JobOutcome(job=job, result=execution.result,
                           wall_s=execution.wall_s, cached=False,
-                          error=execution.error, faults=execution.faults,
-                          perf=execution.perf,
-                          residency=execution.residency,
-                          trace=execution.trace)
+                          error=execution.error, account=execution.account)
 
     def _store(self, job: ExperimentJob, result: ExperimentResult,
                wall_s: float) -> None:
@@ -238,21 +213,18 @@ def _abort_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _drained_call(fn: Callable[[ItemT], ResultT],
-                  item: ItemT) -> Tuple[ResultT, float, Dict[str, int],
-                                        Dict[str, int], Dict[str, object],
-                                        Dict[str, object]]:
-    """Run one :func:`fan_out` item and drain its process accounts.
+                  item: ItemT) -> Tuple[ResultT, float, Dict[str, Dict]]:
+    """Run one :func:`fan_out` item and drain its process account.
 
     Module-level (pool-picklable) for the same reason as
-    :func:`_timed_execute`: the drains must happen in the process that
-    ran the item, or a pool worker's fault/perf/residency/trace
-    accumulators never reach the parent's ``job_end`` events.
+    :func:`_timed_execute`: the drain must happen in the process that
+    ran the item, or a pool worker's account never reaches the
+    parent's ``job_end`` events.
     """
     t0 = time.perf_counter()
     result = fn(item)
     wall = time.perf_counter() - t0
-    faults, perf, residency, trace = _drain_all()
-    return result, wall, faults, perf, residency, trace
+    return result, wall, drain_account()
 
 
 def fan_out(fn: Callable[[ItemT], ResultT], items: Sequence[ItemT],
@@ -265,21 +237,26 @@ def fan_out(fn: Callable[[ItemT], ResultT], items: Sequence[ItemT],
     benchmark sweeps and the fleet) whose unit of work is not a registry
     experiment.  *fn* must be a module-level function (or
     ``functools.partial`` of one) so it can cross the process boundary.
+
+    Without *metrics* the inline path leaves each item's account
+    loaded, so a fan-out nested in a runner job (fleet, tournament)
+    reaches that job's own drain.
     """
     if workers < 1:
         raise ConfigurationError("need at least one worker")
+    inline = workers == 1 or len(items) <= 1
+    if inline and metrics is None:
+        return [fn(item) for item in items]
     bus = metrics or MetricsBus()
     started = time.perf_counter()
     results: List[ResultT] = [None] * len(items)  # type: ignore[list-item]
     try:
-        if workers == 1 or len(items) <= 1:
+        if inline:
             for index, item in enumerate(items):
                 bus.job_start(label(item))
-                result, wall, faults, perf, residency, trace = \
-                    _drained_call(fn, item)
+                result, wall, account = _drained_call(fn, item)
                 results[index] = result
-                bus.job_end(label(item), wall, cached=False, faults=faults,
-                            perf=perf, residency=residency, trace=trace)
+                bus.job_end(label(item), wall, cached=False, account=account)
         else:
             from concurrent.futures import as_completed
 
@@ -292,12 +269,10 @@ def fan_out(fn: Callable[[ItemT], ResultT], items: Sequence[ItemT],
                             (index, item)
                     for future in as_completed(futures):
                         index, item = futures[future]
-                        result, wall, faults, perf, residency, trace = \
-                            future.result()
+                        result, wall, account = future.result()
                         results[index] = result
                         bus.job_end(label(item), wall, cached=False,
-                                    faults=faults, perf=perf,
-                                    residency=residency, trace=trace)
+                                    account=account)
                 except KeyboardInterrupt:
                     _abort_pool(pool)
                     raise

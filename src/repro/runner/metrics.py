@@ -51,35 +51,22 @@ class MetricsBus:
 
     def job_end(self, experiment: str, wall_s: float, cached: bool,
                 error: Optional[str] = None,
-                faults: Optional[Dict[str, int]] = None,
-                perf: Optional[Dict[str, int]] = None,
-                residency: Optional[Dict[str, object]] = None,
-                trace: Optional[Dict[str, object]] = None) -> None:
-        """Close a job.  *faults* is the injected-fault counter mapping
-        (``op:error -> count``) drained from the job's fault injectors;
-        *perf* is the drained simulation perf-counter snapshot (power
-        cache hits/misses, epochs fast-forwarded/stepped); *residency*
-        is the drained per-power-state account
-        (:func:`repro.obs.residency.drain_residency`); *trace* is the
-        drained tracer snapshot (:func:`repro.obs.tracer.drain_trace`).
-        Each lands in the JSONL event only when non-empty — and each is
-        drained on the error path too, so a failed job's counters never
-        leak into the next job's event."""
+                account: Optional[Dict[str, Dict]] = None) -> None:
+        """Close a job.  *account* is the job's drained process account
+        (:func:`repro.obs.residency.drain_account`): the injected-fault
+        counts (``faults``, ``op:error -> count``), the perf counters
+        (``perf``: power cache hits/misses, epochs fast-forwarded,
+        stepped and batched), the per-power-state ``residency`` and the
+        tracer snapshot (``trace``), empty parts left out.  It is
+        spread into the JSONL event — and drained on the error path
+        too, so a failed job's counters never leak into the next job's
+        event."""
         if cached:
             self.cache_hits += 1
         else:
             self.cache_misses += 1
-        extra: Dict[str, object] = {}
-        if faults:
-            extra["faults"] = faults
-        if perf:
-            extra["perf"] = perf
-        if residency:
-            extra["residency"] = residency
-        if trace:
-            extra["trace"] = trace
         self.emit("job_end", experiment=experiment, wall_s=wall_s,
-                  cached=cached, error=error, **extra)
+                  cached=cached, error=error, **(account or {}))
 
     # --- aggregation -------------------------------------------------------
 

@@ -61,7 +61,7 @@ class _HttpError(Exception):
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
-            431: "Request Header Fields Too Large",
+            414: "URI Too Long", 431: "Request Header Fields Too Large",
             500: "Internal Server Error"}
 
 
@@ -130,9 +130,18 @@ class ControlPlane:
             except (ConnectionError, OSError):
                 pass
 
+    @staticmethod
+    async def _readline(reader: asyncio.StreamReader, status: int) -> bytes:
+        """One line, or *status* when it overruns the stream's limit."""
+        try:
+            return await reader.readline()
+        except ValueError:  # past StreamReader's 64 KiB line limit
+            raise _HttpError(status, "request line or header too long") \
+                from None
+
     async def _read_request(self, reader: asyncio.StreamReader
                             ) -> Tuple[str, str, Dict[str, str], bytes]:
-        request_line = await reader.readline()
+        request_line = await self._readline(reader, 414)
         if not request_line.strip():
             raise _HttpError(400, "empty request")
         try:
@@ -143,7 +152,7 @@ class ControlPlane:
         headers: Dict[str, str] = {}
         lines = 0
         while True:
-            line = await reader.readline()
+            line = await self._readline(reader, 431)
             if line in (b"\r\n", b"\n", b""):
                 break
             lines += 1

@@ -42,7 +42,6 @@ from typing import (
     Tuple,
 )
 
-from repro import perfcounters
 from repro.errors import ConfigurationError
 from repro.ksm.content import RegionContent
 from repro.obs import residency as residency_mod
@@ -494,8 +493,8 @@ class EpochKernel:
     Owns everything the three hand-rolled loops used to duplicate: the
     epoch clock, the warmup spin-up, quiescence fast-forward gating,
     per-epoch sampling, energy integration, and the stats lifecycle
-    (reset before the measured span, publish to the process counters
-    after).
+    (reset before the measured span, booked into the process
+    :class:`~repro.obs.residency.RunAccount` after).
     """
 
     def __init__(self, sim: "ServerSimulator"):
@@ -523,16 +522,6 @@ class EpochKernel:
         getattr(hotplug, "inner", hotplug).stats = HotplugStats()
         self.sim.ff_stats = FastForwardStats()
         self.system.power_model.cache_stats = PowerCacheStats()
-
-    def _publish_ff_stats(self) -> None:
-        """Mirror the finished run's counters into the process totals."""
-        counters = perfcounters.GLOBAL
-        stats = self.sim.ff_stats
-        counters.epochs_stepped += stats.epochs_stepped
-        counters.epochs_fast_forwarded += stats.epochs_fast_forwarded
-        counters.fast_forward_windows += stats.windows
-        counters.epochs_batched += stats.epochs_batched
-        counters.stable_spans += stats.spans_stable
 
     # --- sampling ---------------------------------------------------------
 
@@ -1018,10 +1007,11 @@ class EpochKernel:
         return clock.now_s >= duration
 
     def finish(self, state: KernelRunState) -> KernelRun:
-        """Close the measured span: publish stats, shape the result."""
-        self._publish_ff_stats()
-        residency_mod.record_run(state.residency, state.dram_energy,
-                                 state.baseline_energy, state.duration_s)
+        """Close the measured span: book the run, shape the result."""
+        residency_mod.GLOBAL_ACCOUNT.record_run(
+            state.residency, state.dram_energy, state.baseline_energy,
+            state.duration_s, self.sim.ff_stats,
+            self.system.power_model.cache_stats)
         if TRACER.enabled:
             TRACER.event("kernel.run_end", t_s=state.duration_s,
                          samples=len(state.samples),

@@ -353,8 +353,10 @@ class TestDeterminism:
         assert inline[0].ok and pooled[0].ok
         assert inline[0].result == pooled[0].result
         assert inline[0].result.render() == pooled[0].result.render()
-        assert inline[0].faults == pooled[0].faults
-        assert inline[0].faults, "fault counters must survive the pool trip"
+        assert (inline[0].account.get("faults")
+                == pooled[0].account.get("faults"))
+        assert inline[0].account.get("faults"), \
+            "fault counters must survive the pool trip"
 
     def test_job_without_plan_reports_no_faults(self):
         from repro.runner import ExperimentJob, ParallelRunner
@@ -362,7 +364,7 @@ class TestDeterminism:
         outcome = ParallelRunner(workers=1).run(
             [ExperimentJob("tab1", fast=True)])[0]
         assert outcome.ok
-        assert not outcome.faults
+        assert "faults" not in outcome.account
 
 
 class TestPoliciesUnderStorm:

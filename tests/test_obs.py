@@ -9,7 +9,7 @@ from repro.obs import (
     GLOBAL_TRACER,
     ResidencyStats,
     Tracer,
-    drain_residency,
+    drain_account,
     drain_trace,
     trace_scope,
 )
@@ -21,12 +21,10 @@ from repro.runner import MetricsBus, ParallelRunner, suite_jobs
 def _clean_process_accounts():
     """Obs globals must not leak between tests (or from earlier ones)."""
     GLOBAL_TRACER.disable()
-    drain_trace()
-    drain_residency()
+    drain_account()
     yield
     GLOBAL_TRACER.disable()
-    drain_trace()
-    drain_residency()
+    drain_account()
 
 
 class TestTracer:
@@ -206,9 +204,9 @@ class TestKernelResidency:
             assert fast.as_dict()[state] == pytest.approx(seconds)
 
     def test_runs_publish_to_process_account(self):
-        drain_residency()
+        drain_account()
         _residency_of(True)
-        account = drain_residency()
+        account = drain_account()["residency"]
         assert account["runs"] == 1
         assert account["duration_s"] > 0.0
         assert sum(account["states"].values()) == pytest.approx(

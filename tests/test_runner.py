@@ -229,6 +229,20 @@ class TestFanOut:
         assert (fan_out(math.factorial, items, workers=3)
                 == fan_out(math.factorial, items, workers=1))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nested_fan_out_account_reaches_the_job(self, workers):
+        # The fleet fans its servers out with no bus of its own; their
+        # kernel runs must land on the enclosing job's account.
+        from repro.experiments.fleet import FAST_SERVERS
+
+        metrics = MetricsBus()
+        ParallelRunner(workers=workers, metrics=metrics).run(
+            [ExperimentJob("fleet", fast=True)])
+        (job_end,) = [e for e in metrics.events if e["event"] == "job_end"]
+        assert job_end["residency"]["runs"] == FAST_SERVERS
+        perf = job_end["perf"]
+        assert perf["epochs_stepped"] + perf["epochs_fast_forwarded"] > 0
+
 
 def _outcome(name, ok=True, cached=False, wall=0.1):
     result = ExperimentResult(experiment=name, description="d") if ok else None
@@ -275,11 +289,13 @@ class TestErrorPathDraining:
 
     def test_failed_job_keeps_its_counters(self, monkeypatch, tmp_path):
         import repro.runner.engine as engine
-        from repro import perfcounters
+        from repro.obs import drain_account, residency
+
+        drain_account()  # start from an empty process account
 
         def fake_execute(job):
             if job.experiment == "tab1":
-                perfcounters.GLOBAL.epochs_stepped += 7
+                residency.GLOBAL_ACCOUNT.epochs_stepped += 7
                 raise RuntimeError("mid-job failure")
             return ExperimentResult(experiment=job.experiment,
                                     description="d")
@@ -292,8 +308,8 @@ class TestErrorPathDraining:
 
         failed, clean = outcomes
         assert not failed.ok and clean.ok
-        assert failed.perf == {"epochs_stepped": 7}
-        assert not clean.perf  # nothing leaked forward
+        assert failed.account["perf"] == {"epochs_stepped": 7}
+        assert "perf" not in clean.account  # nothing leaked forward
 
         ends = {e["experiment"]: e for e in metrics.events
                 if e["event"] == "job_end"}
@@ -303,17 +319,16 @@ class TestErrorPathDraining:
 
     def test_harness_failure_still_drains(self, monkeypatch):
         import repro.runner.engine as engine
-        from repro import perfcounters
+        from repro.obs import drain_account, residency
 
         def boom(job):
-            perfcounters.GLOBAL.power_cache_hits += 3
+            residency.GLOBAL_ACCOUNT.power_cache_hits += 3
             raise RuntimeError("harness broke")
 
         monkeypatch.setattr(engine, "_timed_execute", boom)
         ParallelRunner(workers=1).run([ExperimentJob("tab1", fast=True)])
-        from repro.perfcounters import drain_perf_counters
 
-        assert drain_perf_counters() == {}  # nothing left loaded
+        assert drain_account() == {}  # nothing left loaded
 
 
 class TestTimestamps:

@@ -266,8 +266,11 @@ class TestHostileRequests:
          b'{"dt_s": 6', 400),
         (b"GET /status HTTP/1.1\r\n"
          + b"X-Filler: 1\r\n" * (MAX_HEADERS + 1) + b"\r\n", 431),
+        (b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /status HTTP/1.1\r\nX-Long: " + b"a" * 70000
+         + b"\r\n\r\n", 431),
     ], ids=["non-numeric-length", "negative-length", "short-body",
-            "too-many-headers"])
+            "too-many-headers", "long-request-line", "long-header"])
     def test_rejected_without_touching_state(self, live_service,
                                              request_bytes, status):
         client = live_service.client

@@ -20,11 +20,11 @@ import random
 
 import pytest
 
-from repro import perfcounters
 from repro.core.config import GreenDIMMConfig
 from repro.core.system import GreenDIMMSystem
 from repro.dram.organization import DDR4_4GB_X8, MemoryOrganization
 from repro.faults.plan import FaultPlan, FaultRule, storm_plan
+from repro.obs import drain_account
 from repro.obs.residency import ResidencyStats
 from repro.sim.fastforward import SimClock
 from repro.sim.server import ServerSimulator
@@ -116,15 +116,41 @@ class TestStableSpans:
                 == slow[1].ff_stats.epochs_stepped)
 
     def test_span_counters_reach_process_counters(self):
-        perfcounters.drain_perf_counters()
-        _, fast = run_pair(staircase_profile(), epoch_s=0.2, churn=False)
-        drained = perfcounters.drain_perf_counters()
-        stats = fast[1].ff_stats
+        drain_account()
+        pair = run_pair(staircase_profile(), epoch_s=0.2, churn=False)
+        account = drain_account()
+        drained = account["perf"]
+        stats = pair[1][1].ff_stats
         assert stats.epochs_batched > 0
         # Both runs of the pair published; the fast one contributed all
         # batched epochs and stable spans.
         assert drained["epochs_batched"] == stats.epochs_batched
         assert drained["stable_spans"] == stats.spans_stable
+        # The account is exactly the two runs' own counters, summed.
+        expected = {}
+        for _, sim in pair:
+            ff = sim.ff_stats
+            cache = sim.system.power_cache_stats
+            for key, value in (("power_cache_hits", cache.hits),
+                               ("power_cache_misses", cache.misses),
+                               ("epochs_stepped", ff.epochs_stepped),
+                               ("epochs_fast_forwarded",
+                                ff.epochs_fast_forwarded),
+                               ("fast_forward_windows", ff.windows),
+                               ("epochs_batched", ff.epochs_batched),
+                               ("stable_spans", ff.spans_stable)):
+                expected[key] = expected.get(key, 0) + value
+        assert drained == {k: v for k, v in expected.items() if v}
+        # The buckets cover every executed epoch.  The float clock ends
+        # each 0.2 s run one epoch past its nominal ``duration_s``, so
+        # that is the span they sum to.
+        residency = account["residency"]
+        assert residency["runs"] == 2
+        epochs = sum(sim.ff_stats.epochs_total for _, sim in pair)
+        assert sum(residency["states"].values()) == pytest.approx(
+            epochs * 0.2)
+        assert residency["duration_s"] == pytest.approx(
+            (epochs - 2) * 0.2)
         assert stats.span_counters() == {
             "spans_quiescent": stats.windows,
             "spans_stable": stats.spans_stable,
