@@ -1,20 +1,21 @@
-"""The physical memory manager: zones + extents + per-block accounting.
+"""The physical memory manager: zones + extent runs + per-block accounting.
 
 This is the substrate's equivalent of the Linux mm core that GreenDIMM's
 daemon talks to: it satisfies allocations from the zone buddy allocators,
-keeps the ``mem_map`` (extent metadata), maintains per-memory-block usage
-counters that back the sysfs ``removable`` flag, migrates pages out of
-blocks being off-lined, and renders ``/proc/meminfo``-style snapshots.
+keeps the ``mem_map`` (one record per run of buddy blocks), maintains
+per-memory-block usage counters that back the sysfs ``removable`` flag,
+migrates pages out of blocks being off-lined, and renders
+``/proc/meminfo``-style snapshots.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.errors import AllocationError, ConfigurationError
-from repro.os.buddy import MAX_ORDER
+from repro.os.buddy import MAX_ORDER, BuddyAllocator
 from repro.os.page import BlockAccounting, OwnerKind, PageExtent
 from repro.os.zones import Zone, ZoneKind, ZoneLayout
 from repro.soa import BlockStateStore
@@ -65,6 +66,13 @@ class Meminfo:
 class PhysicalMemoryManager:
     """Owns the frame space: allocation, freeing, migration, accounting.
 
+    The unit of ownership is a *run* (:class:`PageExtent`): ``count``
+    consecutive buddy blocks of one order, where ``count > 1`` only for
+    ``MAX_ORDER`` blocks inside one memory block.  Runs are indexed three
+    ways — by start pfn, by owner (an ascending list of run starts), and
+    by memory block — and the buddy allocators below still see one
+    ``(pfn, order)`` block at a time.
+
     Parameters
     ----------
     total_bytes:
@@ -101,33 +109,25 @@ class PhysicalMemoryManager:
         movable = [z for z in self.zones if z.kind is ZoneKind.MOVABLE]
         self._kernel_zones: List[Zone] = normal
         self._user_zones: List[Zone] = movable + normal
+        #: Run start pfn -> run.
         self._extents: Dict[int, PageExtent] = {}
-        self._owners: Dict[str, Set[int]] = {}
-        #: Per-owner max-heap of extent pfns (negated), maintained beside
-        #: ``_owners`` with lazy deletion: every registration pushes, and
-        #: :meth:`free_pages_of` pops stale entries as it meets them.
-        #: Replaces the full ``sorted(owner_set, reverse=True)`` rebuild
-        #: each shrink performed — the visit order (descending live
-        #: pfns) is identical.
-        self._owner_maxheaps: Dict[str, List[int]] = {}
+        #: Owner -> ascending run start pfns; freeing walks from the end.
+        self._owners: Dict[str, List[int]] = {}
         #: Incremental per-owner resident-page totals; kept in lock-step
         #: with ``_owners`` so ``owner_pages`` is O(1) instead of an
-        #: O(extents) scan on the per-epoch resize path.
+        #: O(runs) scan on the per-epoch resize path.
         self._owner_pages: Dict[str, int] = {}
-        #: Recycling pool of freed extents, keyed by pfn.  PageExtent is
-        #: immutable and identity-free (no __eq__/__hash__ overrides are
-        #: relied on), so an allocation whose (pfn, order, owner, kind,
-        #: mergeable) matches a previously freed extent can reuse the
-        #: object instead of constructing a new one — workloads that
-        #: oscillate re-acquire the same frames constantly.
-        self._extent_pool: Dict[int, PageExtent] = {}
         self._blocks: List[BlockAccounting] = [
             BlockAccounting() for _ in range(self.num_blocks)]
-        #: Write-back numpy mirror of the per-block counters; the extent
-        #: hot path only marks blocks dirty, scans call ``soa_view()``.
+        #: Write-back numpy mirror of the per-block counters; the
+        #: registration path only marks blocks dirty, scans call
+        #: ``soa_view()``.
         self.soa = BlockStateStore(self.num_blocks)
         self._offlined_pages = 0
         self._isolated_blocks: Set[int] = set()
+        #: Start pfns of zones whose free lists may hold unmerged free
+        #: buddies (left by ``undo_isolation``); see :meth:`allocate`.
+        self._uncoalesced: Set[int] = set()
 
     # --- zone routing -----------------------------------------------------
 
@@ -143,341 +143,218 @@ class PhysicalMemoryManager:
             return self._kernel_zones
         return self._user_zones
 
-    # --- allocation / freeing -------------------------------------------------
-
-    def allocate(self, owner_id: str, n_pages: int,
-                 kind: OwnerKind = OwnerKind.USER,
-                 mergeable: bool = False) -> List[PageExtent]:
-        """Allocate *n_pages* for *owner_id* as a list of extents.
-
-        All-or-nothing across zones; raises :class:`AllocationError` when
-        the online free memory cannot satisfy the request.
-        """
-        if n_pages <= 0:
-            raise AllocationError("n_pages must be positive")
-        plan: List[Tuple[Zone, List[Tuple[int, int]]]] = []
-        remaining = n_pages
-        for zone in self._zones_for(kind):
-            if remaining == 0:
-                break
-            take = min(remaining, zone.allocator.free_pages)
-            if take <= 0:
-                continue
-            blocks = zone.allocator.alloc_pages(take)
-            plan.append((zone, blocks))
-            remaining -= take
-        if remaining > 0:
-            for zone, blocks in plan:
-                for pfn, order in blocks:
-                    zone.allocator.free_block(pfn, order)
-            raise AllocationError(
-                f"cannot allocate {n_pages} pages for {owner_id!r}: "
-                f"{remaining} short")
-        # Inlined bulk registration: identical bookkeeping to
-        # :meth:`_register`, restructured so the index maintenance runs
-        # as C-level bulk operations (allocations routinely span
-        # thousands of extents).
-        pool = self._extent_pool
-        pool_get = pool.get
-        extents = []
-        append = extents.append
-        for _zone, blocks in plan:
-            for pfn, order in blocks:
-                cached = pool_get(pfn)
-                if (cached is not None and cached.order == order
-                        and cached.owner_id == owner_id
-                        and cached.kind is kind
-                        and cached.mergeable == mergeable
-                        and not cached.ksm_shared):
-                    append(cached)
-                else:
-                    append(PageExtent(pfn, order, owner_id, kind, mergeable))
-        pfns = [extent.pfn for extent in extents]
-        self._extents.update(zip(pfns, extents))
-        owner_set = self._owners.setdefault(owner_id, set())
-        owner_set.update(pfns)
-        owner_heap = self._owner_maxheaps.setdefault(owner_id, [])
-        # The heap's contents alone determine its pop sequence (repeated
-        # heappop yields ascending order whatever the tree shape), so any
-        # insertion strategy is equivalent: k pushes cost O(k log n) and
-        # win for the small ramp-epoch deltas, one heapify costs O(n)
-        # and wins for bulk loads.
-        if len(pfns) * 8 < len(owner_heap):
-            for pfn in pfns:
-                heapq.heappush(owner_heap, -pfn)
-        else:
-            owner_heap.extend(map(int.__neg__, pfns))
-            heapq.heapify(owner_heap)
-        block_list = self._blocks
-        block_pages = self.block_pages
-        dirty = self.soa._dirty
-        # Extents come out of the buddy allocator in runs that stay
-        # within one memory block, so a last-block cache spares the
-        # accounting lookup on most iterations (it is only a cache —
-        # any extent order is still correct).
-        cur_block = -1
-        acct = None
-        acct_add = None
-        used_run = 0
-        if kind is OwnerKind.USER:
-            for extent in extents:
-                pfn = extent.pfn
-                block = pfn // block_pages
-                if block != cur_block:
-                    if acct is not None:
-                        acct.used_pages += used_run
-                    cur_block = block
-                    acct = block_list[block]
-                    acct_add = acct.extents.add
-                    dirty.add(block)
-                    used_run = 0
-                used_run += extent.pages
-                acct_add(pfn)
-            if acct is not None:
-                acct.used_pages += used_run
-        else:
-            for extent in extents:
-                pfn = extent.pfn
-                pages = extent.pages
-                block = pfn // block_pages
-                if block != cur_block:
-                    if acct is not None:
-                        acct.used_pages += used_run
-                        acct.unmovable_pages += used_run
-                    cur_block = block
-                    acct = block_list[block]
-                    acct_add = acct.extents.add
-                    dirty.add(block)
-                    used_run = 0
-                used_run += pages
-                acct_add(pfn)
-            if acct is not None:
-                acct.used_pages += used_run
-                acct.unmovable_pages += used_run
-        # Every zone contributed exactly its ``take``, so the extent
-        # pages sum to n_pages by construction.
-        self._owner_pages[owner_id] = (
-            self._owner_pages.get(owner_id, 0) + n_pages)
-        return extents
-
-    def _register(self, extent: PageExtent) -> None:
-        self._extents[extent.pfn] = extent
-        self._owners.setdefault(extent.owner_id, set()).add(extent.pfn)
-        heapq.heappush(
-            self._owner_maxheaps.setdefault(extent.owner_id, []),
-            -extent.pfn)
-        self._owner_pages[extent.owner_id] = (
-            self._owner_pages.get(extent.owner_id, 0) + extent.pages)
-        block = extent.pfn // self.block_pages
-        acct = self._blocks[block]
-        acct.used_pages += extent.pages
-        acct.extents.add(extent.pfn)
-        if not extent.movable:
-            acct.unmovable_pages += extent.pages
-        self.soa.mark_dirty(block)
-
-    def _unregister(self, extent: PageExtent) -> None:
-        del self._extents[extent.pfn]
-        owner_set = self._owners[extent.owner_id]
-        owner_set.remove(extent.pfn)
-        remaining = self._owner_pages[extent.owner_id] - extent.pages
-        if owner_set:
-            self._owner_pages[extent.owner_id] = remaining
-        else:
-            del self._owners[extent.owner_id]
-            del self._owner_pages[extent.owner_id]
-            self._owner_maxheaps.pop(extent.owner_id, None)
-        block = extent.pfn // self.block_pages
-        acct = self._blocks[block]
-        acct.used_pages -= extent.pages
-        acct.extents.remove(extent.pfn)
-        if not extent.movable:
-            acct.unmovable_pages -= extent.pages
-        self.soa.mark_dirty(block)
-
     def _zone_of(self, pfn: int) -> Zone:
         for start, end, zone in self._zone_spans:
             if start <= pfn < end:
                 return zone
         raise AllocationError(f"pfn {pfn} outside all zones")
 
+    # --- run bookkeeping ------------------------------------------------------
+
+    def _register(self, owner_id: str, kind: OwnerKind, mergeable: bool,
+                  blocks: List[Tuple[int, int]]) -> List[PageExtent]:
+        """Coalesce buddy blocks into runs and index them for *owner_id*.
+
+        Consecutive ``MAX_ORDER`` blocks join one run unless the next one
+        starts a new memory block.
+        """
+        block_pages = self.block_pages
+        spans: List[List[int]] = []
+        end = -1
+        for pfn, order in blocks:
+            if (pfn == end and order == MAX_ORDER and pfn % block_pages
+                    and span[1] == MAX_ORDER):
+                span[2] += 1
+            else:
+                span = [pfn, order, 1]
+                spans.append(span)
+            end = pfn + (1 << order)
+        runs = [PageExtent(pfn, order, owner_id, kind, mergeable, count=count)
+                for pfn, order, count in spans]
+        pfns = [run.pfn for run in runs]
+        self._extents.update(zip(pfns, runs))
+        owned = self._owners.setdefault(owner_id, [])
+        owned += pfns
+        owned.sort()
+        block_list = self._blocks
+        mark_dirty = self.soa.mark_dirty
+        added = 0
+        for run in runs:
+            block = run.pfn // block_pages
+            acct = block_list[block]
+            acct.used_pages += run.pages
+            if not run.movable:
+                acct.unmovable_pages += run.pages
+            acct.extents.add(run.pfn)
+            mark_dirty(block)
+            added += run.pages
+        self._owner_pages[owner_id] = (
+            self._owner_pages.get(owner_id, 0) + added)
+        return runs
+
+    def _unregister(self, run: PageExtent) -> None:
+        del self._extents[run.pfn]
+        owner_id = run.owner_id
+        owned = self._owners[owner_id]
+        del owned[bisect_left(owned, run.pfn)]
+        if owned:
+            self._owner_pages[owner_id] -= run.pages
+        else:
+            del self._owners[owner_id]
+            del self._owner_pages[owner_id]
+        block = run.pfn // self.block_pages
+        acct = self._blocks[block]
+        acct.used_pages -= run.pages
+        if not run.movable:
+            acct.unmovable_pages -= run.pages
+        acct.extents.remove(run.pfn)
+        self.soa.mark_dirty(block)
+
+    # --- allocation / freeing -------------------------------------------------
+
+    def allocate(self, owner_id: str, n_pages: int,
+                 kind: OwnerKind = OwnerKind.USER,
+                 mergeable: bool = False) -> List[PageExtent]:
+        """Allocate *n_pages* for *owner_id* as a list of runs.
+
+        All-or-nothing across zones; raises :class:`AllocationError`
+        without allocating when the online free memory of the kind's zones
+        cannot satisfy the request (the check is exact: a buddy allocator
+        grabs up to its free page count without failing).
+        """
+        if n_pages <= 0:
+            raise AllocationError("n_pages must be positive")
+        zones = self._zones_for(kind)
+        short = n_pages - sum(zone.allocator.free_pages for zone in zones)
+        if short > 0:
+            self._coalesce(zones)
+            raise AllocationError(
+                f"cannot allocate {n_pages} pages for {owner_id!r}: "
+                f"{short} short")
+        blocks: List[Tuple[int, int]] = []
+        remaining = n_pages
+        for zone in zones:
+            take = min(remaining, zone.allocator.free_pages)
+            if take > 0:
+                blocks += zone.allocator.alloc_pages(take)
+                remaining -= take
+                if not remaining:
+                    break
+        return self._register(owner_id, kind, mergeable, blocks)
+
+    def _coalesce(self, zones: List[Zone]) -> None:
+        """Merge the free buddies ``undo_isolation`` left split in *zones*.
+
+        Grabbing a zone's whole free memory and freeing it block by block
+        leaves its free lists in canonical (fully coalesced) form, which
+        is what a short request's grab-and-roll-back always did.  Zones
+        that are canonical already are skipped: the round trip would
+        leave them unchanged.
+        """
+        for zone in zones:
+            allocator = zone.allocator
+            if zone.start_pfn in self._uncoalesced and allocator.free_pages:
+                for pfn, order in allocator.alloc_pages(allocator.free_pages):
+                    allocator.free_block(pfn, order)
+            self._uncoalesced.discard(zone.start_pfn)
+
     def free_extent(self, pfn: int) -> int:
-        """Free one extent by its first pfn; returns pages freed."""
-        extent = self._extents.get(pfn)
-        if extent is None:
+        """Free one run by its first pfn; returns pages freed."""
+        run = self._extents.get(pfn)
+        if run is None:
             raise AllocationError(f"no extent at pfn {pfn}")
-        self._unregister(extent)
-        self._zone_of(pfn).allocator.free_block(pfn, extent.order)
-        return extent.pages
+        self._release([run])
+        return run.pages
 
     def free_pages_of(self, owner_id: str, n_pages: int) -> int:
         """Free *n_pages* of *owner_id*'s memory, highest addresses first.
 
-        Splits the final extent when needed so exactly *n_pages* (or the
-        owner's entire holding, if smaller) are returned.  Freeing highest
-        addresses first models a process unmapping its most recently grown
-        regions and keeps high blocks empty — which is what gives the
-        GreenDIMM daemon blocks it can off-line without migration.
+        Splits the final buddy block when needed so exactly *n_pages* (or
+        the owner's entire holding, if smaller) are returned.  Freeing
+        highest addresses first models a process unmapping its most
+        recently grown regions and keeps high blocks empty — which is what
+        gives the GreenDIMM daemon blocks it can off-line without
+        migration.
         """
-        return self._free_top(owner_id, n_pages, recycle=True)
-
-    def _free_top(self, owner_id: str, n_pages: int, recycle: bool) -> int:
-        """The bulk loop behind :meth:`free_pages_of` and :meth:`free_all`.
-
-        *recycle* parks each freed extent in ``_extent_pool`` for a later
-        allocation to reuse — worth it for an owner that shrinks and
-        regrows, pure memory growth for one that is leaving for good.
-        """
-        if n_pages <= 0:
-            return 0
-        owner_set = self._owners.get(owner_id)
-        if not owner_set:
-            return 0
-        # Highest-address-first order comes from the owner's lazy
-        # max-heap: popping it yields exactly the descending sequence
-        # ``sorted(owner_set, reverse=True)`` once stale entries (pfns no
-        # longer owned) are skipped, without re-sorting the whole owner
-        # set on every shrink.
-        heap = self._owner_maxheaps[owner_id]
-        if len(heap) > 4 * len(owner_set) + 64:
-            # A sorted list of negated pfns is a valid min-heap.
-            heap[:] = sorted(-pfn for pfn in owner_set)
-        # Inlined bulk unregister (mirrors :meth:`_unregister`); the
-        # owner-pages total is settled once after the whole-extent loop.
-        extent_map = self._extents
-        block_list = self._blocks
-        block_pages = self.block_pages
-        dirty = self.soa._dirty
-        pool = self._extent_pool
-        heappop = heapq.heappop
-        span_start = span_end = -1
-        span_free = None
-        span_alloc = None
-        span_mo = -1
-        # Max-order extents never coalesce, so their frees commute with
-        # everything else in the span and can be batched into one
-        # ``free_max_order_blocks`` call per zone span.
-        mo_batch: List[int] = []
-        freed = 0
-        partial = None
-        # Descending pfns visit each memory block in one contiguous run,
-        # so a last-block cache spares the accounting lookup on most
-        # iterations, with the page delta flushed per run (pure cache —
-        # correct in any visit order).
-        cur_block = -1
-        acct = None
-        acct_remove = None
-        used_run = 0
-        unmovable_run = 0
-        while heap and freed < n_pages:
-            # Pop immediately: a stale entry is discarded either way, and
-            # the partial-case break below may consume its entry too (the
-            # split in _free_partial re-registers the kept piece, which
-            # re-pushes its pfn).
-            pfn = -heappop(heap)
-            if pfn not in owner_set:
-                continue
-            extent = extent_map[pfn]
-            pages = extent.pages
-            if freed + pages > n_pages:
-                partial = extent
-                break
-            del extent_map[pfn]
-            if recycle:
-                pool[pfn] = extent
-            owner_set.remove(pfn)
-            block = pfn // block_pages
-            if block != cur_block:
-                if acct is not None:
-                    acct.used_pages -= used_run
-                    acct.unmovable_pages -= unmovable_run
-                cur_block = block
-                acct = block_list[block]
-                acct_remove = acct.extents.remove
-                dirty.add(block)
-                used_run = 0
-                unmovable_run = 0
-            used_run += pages
-            acct_remove(pfn)
-            if not extent.movable:
-                unmovable_run += pages
-            if not span_start <= pfn < span_end:
-                if mo_batch:
-                    span_alloc.free_max_order_blocks(mo_batch)
-                    mo_batch = []
-                for start, end, zone in self._zone_spans:
-                    if start <= pfn < end:
-                        span_start, span_end = start, end
-                        span_alloc = zone.allocator
-                        span_mo = span_alloc.max_order
-                        span_free = span_alloc.free_block
-                        break
-                else:
-                    raise AllocationError(f"pfn {pfn} outside all zones")
-            if extent.order == span_mo:
-                mo_batch.append(pfn)
-            else:
-                span_free(pfn, extent.order)
-            freed += pages
-        if acct is not None:
-            acct.used_pages -= used_run
-            acct.unmovable_pages -= unmovable_run
-        if mo_batch:
-            span_alloc.free_max_order_blocks(mo_batch)
-        if freed:
-            if owner_set:
-                self._owner_pages[owner_id] -= freed
-            else:
-                del self._owners[owner_id]
-                del self._owner_pages[owner_id]
-                self._owner_maxheaps.pop(owner_id, None)
-        if partial is not None:
-            freed += self._free_partial(partial, n_pages - freed)
-        return freed
-
-    def _free_partial(self, extent: PageExtent, n_pages: int) -> int:
-        """Free the top *n_pages* of one extent by splitting it.
-
-        Caller guarantees ``0 < n_pages < extent.pages``; the loop keeps
-        the invariant ``remaining < current.pages``, so it always
-        terminates with a kept low remainder registered to the owner.
-        """
-        zone = self._zone_of(extent.pfn)
-        self._unregister(extent)
-        allocator = zone.allocator
-        pfn = extent.pfn
-        order = extent.order
-        remaining = n_pages
-        # Track the current piece as (pfn, order) and only materialize a
-        # PageExtent for pieces that are actually kept — the freed high
-        # halves and the still-splitting piece never need one.
-        while remaining > 0:
-            allocator.split_allocated(pfn, order)
-            order -= 1
-            half_pages = 1 << order
-            if remaining >= half_pages:
-                allocator.free_block(pfn + half_pages, order)
-                remaining -= half_pages
-            else:
-                self._register(PageExtent(pfn, order, extent.owner_id,
-                                          extent.kind, extent.mergeable,
-                                          extent.ksm_shared))
-                pfn += half_pages
-        self._register(PageExtent(pfn, order, extent.owner_id,
-                                  extent.kind, extent.mergeable,
-                                  extent.ksm_shared))
-        return n_pages
+        return self._free_top(owner_id, n_pages)
 
     def free_all(self, owner_id: str) -> int:
-        """Free every extent of *owner_id*; returns pages freed.
+        """Free every run of *owner_id*; returns pages freed.
 
-        The same state as freeing extent by extent with
-        :meth:`free_extent`: eager coalescing leaves the buddy free lists
-        independent of free order, and the extents skip the recycling
-        pool because their owner is gone.
+        The same buddy state as freeing block by block in any order:
+        eager coalescing leaves the free lists independent of free order.
         """
-        return self._free_top(owner_id, self.owner_pages(owner_id),
-                              recycle=False)
+        return self._free_top(owner_id, self.owner_pages(owner_id))
+
+    def _free_top(self, owner_id: str, n_pages: int) -> int:
+        """Free the owner's highest *n_pages*, whole runs first.
+
+        Max-order blocks never coalesce, so their frees commute with
+        everything else and are batched into one ``free_max_order_blocks``
+        call per zone.
+        """
+        owned = self._owners.get(owner_id, ())
+        freed = 0
+        runs: List[PageExtent] = []
+        for pfn in reversed(owned):
+            if freed >= n_pages:
+                break
+            run = self._extents[pfn]
+            if freed + run.pages > n_pages:
+                self._release(runs)
+                return freed + self._free_partial(run, n_pages - freed)
+            runs.append(run)
+            freed += run.pages
+        self._release(runs)
+        return freed
+
+    def _release(self, runs: List[PageExtent]) -> None:
+        """Unregister *runs* and give their blocks back, in list order."""
+        pending: Dict[BuddyAllocator, List[int]] = {}
+        for run in runs:
+            self._unregister(run)
+            allocator = self._zone_of(run.pfn).allocator
+            if run.order == MAX_ORDER:
+                pending.setdefault(allocator, []).extend(run.blocks())
+            else:
+                allocator.free_block(run.pfn, run.order)
+        for allocator, pfns in pending.items():
+            allocator.free_max_order_blocks(pfns)
+
+    def _free_partial(self, run: PageExtent, n_pages: int) -> int:
+        """Free the top *n_pages* of one run.
+
+        Caller guarantees ``0 < n_pages < run.pages``.  Whole top blocks
+        go back at once and the run shortens by them; a remainder smaller
+        than one block splits the next block down, keeping its low pieces
+        registered to the owner.
+        """
+        allocator = self._zone_of(run.pfn).allocator
+        self._unregister(run)
+        whole, remaining = divmod(n_pages, 1 << run.order)
+        blocks = run.blocks()
+        if whole:
+            allocator.free_max_order_blocks(list(blocks[run.count - whole:]))
+        keep = run.count - whole - (1 if remaining else 0)
+        kept = [(pfn, run.order) for pfn in blocks[:keep]]
+        if remaining:
+            pfn, order = blocks[keep], run.order
+            # The loop keeps ``remaining < 2**order`` and always ends
+            # with a kept low piece.
+            while remaining > 0:
+                allocator.split_allocated(pfn, order)
+                order -= 1
+                half_pages = 1 << order
+                if remaining >= half_pages:
+                    allocator.free_block(pfn + half_pages, order)
+                    remaining -= half_pages
+                else:
+                    kept.append((pfn, order))
+                    pfn += half_pages
+            kept.append((pfn, order))
+        if kept:
+            self._register(run.owner_id, run.kind, run.mergeable, kept)
+        return n_pages
 
     # --- queries -----------------------------------------------------------
 
@@ -500,7 +377,8 @@ class PhysicalMemoryManager:
         return self._owners.keys()
 
     def extents_of(self, owner_id: str) -> List[PageExtent]:
-        return [self._extents[p] for p in sorted(self._owners.get(owner_id, ()))]
+        """The owner's runs, ascending."""
+        return [self._extents[p] for p in self._owners.get(owner_id, ())]
 
     def soa_view(self) -> BlockStateStore:
         """The per-block SoA mirror, with dirty counters flushed."""
@@ -542,43 +420,61 @@ class PhysicalMemoryManager:
 
     def migrate_block_out(self, index: int,
                           isolated: List[Tuple[int, int]]) -> int:
-        """Move every movable extent out of block *index*.
+        """Move every movable run out of block *index*.
 
         The block's free pages must already be isolated so new allocations
         cannot land there; *isolated* is the running list of (pfn, order)
-        blocks held out of the free lists, and each migrated source extent
-        is appended to it (migrated-away frames are free but must stay
-        isolated).  Returns pages migrated; raises
+        blocks held out of the free lists, and each migrated source buddy
+        block is appended to it (migrated-away frames are free but must
+        stay isolated).  Returns pages migrated; raises
         :class:`AllocationError` when destination memory is insufficient
         (the off-lining EAGAIN path) — the caller then undoes the whole
         isolation with the accumulated list.
+
+        A run's blocks move one at a time, each trying the zones in
+        order — in one allocation when the first zone can hold the whole
+        run, since a buddy allocator that has the pages hands out the same
+        blocks, in the same order, to one call as to one call per block.
         """
         migrated = 0
-        source_zone = self._zone_of(self.block_range(index)[0])
-        for extent in self.block_extents(index):
-            if not extent.movable:
+        source = self._zone_of(self.block_range(index)[0]).allocator
+        for run in self.block_extents(index):
+            if not run.movable:
                 raise AllocationError(
-                    f"block {index} has unmovable extent at {extent.pfn}")
-            new_blocks = None
-            for zone in self._zones_for(extent.kind):
-                try:
-                    new_blocks = zone.allocator.alloc_pages(extent.pages)
-                    break
-                except AllocationError:
-                    continue
-            if new_blocks is None:
+                    f"block {index} has unmovable extent at {run.pfn}")
+            zones = self._zones_for(run.kind)
+            blocks = run.blocks()
+            first = zones[0].allocator
+            if first.free_pages >= run.pages:
+                new_blocks = first.alloc_pages(run.pages)
+                moved = run.count
+            else:
+                new_blocks = []
+                moved = 0
+                for _ in blocks:
+                    for zone in zones:
+                        try:
+                            new_blocks += zone.allocator.alloc_pages(
+                                1 << run.order)
+                            break
+                        except AllocationError:
+                            continue
+                    else:
+                        break
+                    moved += 1
+            if moved:
+                self._unregister(run)
+                for pfn in blocks[:moved]:
+                    source.remove_allocated(pfn, run.order)
+                    isolated.append((pfn, run.order))
+                # An unmoved top of the run stays where it is.
+                self._register(run.owner_id, run.kind, run.mergeable,
+                               new_blocks + [(pfn, run.order)
+                                             for pfn in blocks[moved:]])
+            if moved < run.count:
                 raise AllocationError(
                     f"no destination frames to migrate block {index}")
-            self._unregister(extent)
-            source_zone.allocator.remove_allocated(extent.pfn, extent.order)
-            isolated.append((extent.pfn, extent.order))
-            for pfn, order in new_blocks:
-                moved = PageExtent(pfn=pfn, order=order,
-                                   owner_id=extent.owner_id, kind=extent.kind,
-                                   mergeable=extent.mergeable,
-                                   ksm_shared=extent.ksm_shared)
-                self._register(moved)
-            migrated += extent.pages
+            migrated += run.pages
         return migrated
 
     # --- offline bookkeeping (driven by MemoryBlockManager) -------------------
@@ -592,7 +488,9 @@ class PhysicalMemoryManager:
     def undo_isolate_block(self, index: int,
                            removed: List[Tuple[int, int]]) -> None:
         start, _count = self.block_range(index)
-        self._zone_of(start).allocator.undo_isolation(removed)
+        zone = self._zone_of(start)
+        zone.allocator.undo_isolation(removed)
+        self._uncoalesced.add(zone.start_pfn)
         self._isolated_blocks.discard(index)
 
     def complete_offline(self, index: int) -> None:
@@ -619,36 +517,33 @@ class PhysicalMemoryManager:
 
         Everything lands in one pickle (see :mod:`repro.sim.snapshot`),
         which is what preserves the cross-structure sharing the restore
-        depends on: the same :class:`PageExtent` objects appear in
-        ``_extents``, the per-block ``extents`` sets, and the recycling
-        pool, and the owner max-heaps keep their lazy stale entries so
-        the post-restore pop order is bit-identical.
+        depends on: the same :class:`PageExtent` run objects are reached
+        from ``_extents`` and, by start pfn, from the owner lists and
+        per-block ``extents`` sets.
         """
         return {
             "zones": [zone.allocator.state_dict() for zone in self.zones],
             "extents": self._extents,
             "owners": self._owners,
-            "owner_maxheaps": self._owner_maxheaps,
             "owner_pages": self._owner_pages,
-            "extent_pool": self._extent_pool,
             "blocks": self._blocks,
             "soa": self.soa.state_dict(),
             "offlined_pages": self._offlined_pages,
             "isolated_blocks": self._isolated_blocks,
+            "uncoalesced": self._uncoalesced,
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Adopt a captured state tree in place (zones/spans keep their
+        """Adopt a captured state tree in place (zones keep their
         identity; only allocator internals and the index containers are
         replaced)."""
         for zone, allocator_state in zip(self.zones, state["zones"]):
             zone.allocator.load_state_dict(allocator_state)
         self._extents = state["extents"]
         self._owners = state["owners"]
-        self._owner_maxheaps = state["owner_maxheaps"]
         self._owner_pages = state["owner_pages"]
-        self._extent_pool = state["extent_pool"]
         self._blocks = state["blocks"]
         self.soa.load_state_dict(state["soa"])
         self._offlined_pages = state["offlined_pages"]
         self._isolated_blocks = state["isolated_blocks"]
+        self._uncoalesced = state["uncoalesced"]

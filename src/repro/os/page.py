@@ -2,10 +2,12 @@
 
 Real kernels keep a ``struct page`` per frame; simulating tens of millions
 of those in Python would drown the experiments, so the substrate tracks
-*extents*: each buddy allocation (pfn, order) carries one metadata record.
-Buddy alignment guarantees an extent never straddles a memory block, so
-per-block accounting (used/unmovable page counts, the ``removable`` flag)
-stays exact.
+*runs*: one metadata record per ``count`` consecutive buddy blocks of one
+order with uniform ownership.  Only ``MAX_ORDER`` blocks form runs longer
+than one, and a run never crosses a memory block, so a multi-GiB VM costs
+a few records per 128 MiB block rather than one per 4 MiB buddy block,
+and per-block accounting (used/unmovable page counts, the ``removable``
+flag) stays exact.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ class OwnerKind(enum.Enum):
 
 
 class PageExtent:
-    """A contiguous run of 2**order frames with uniform ownership.
+    """A run of ``count`` buddy blocks of 2**order frames, one owner.
+
+    The blocks are consecutive and share every attribute below.
+    ``count`` exceeds one only for ``MAX_ORDER`` blocks inside one memory
+    block.  The buddy allocator still holds each block separately;
+    :meth:`blocks` lists their first pfns.
 
     ``mergeable`` marks pages an application advised as KSM candidates via
     ``madvise(MADV_MERGEABLE)``; ``ksm_shared`` marks extents whose content
@@ -34,40 +41,46 @@ class PageExtent:
     accounted by the KSM substrate, not here).
 
     Treated as immutable: relocation goes through :meth:`moved_to`.  A
-    ``__slots__`` class (not a frozen dataclass) because extents are the
-    single most-constructed object on the allocation hot path, and the
-    derived fields (``pages``, ``movable``) are read several times per
-    extent by the accounting code.
+    ``__slots__`` class (not a frozen dataclass) because the derived
+    fields (``pages``, ``movable``) are read several times per extent by
+    the accounting code.
     """
 
     __slots__ = ("pfn", "order", "owner_id", "kind", "mergeable",
-                 "ksm_shared", "pages", "end_pfn", "movable")
+                 "ksm_shared", "count", "pages", "end_pfn", "movable")
 
     def __init__(self, pfn: int, order: int, owner_id: str,
                  kind: OwnerKind = OwnerKind.USER,
-                 mergeable: bool = False, ksm_shared: bool = False):
+                 mergeable: bool = False, ksm_shared: bool = False,
+                 count: int = 1):
         self.pfn = pfn
         self.order = order
         self.owner_id = owner_id
         self.kind = kind
         self.mergeable = mergeable
         self.ksm_shared = ksm_shared
-        pages = 1 << order
-        #: Frame count (2**order).
+        self.count = count
+        pages = count << order
+        #: Frame count (count * 2**order).
         self.pages = pages
         self.end_pfn = pfn + pages
         #: Whether page migration can relocate this extent.
         self.movable = kind is OwnerKind.USER
 
+    def blocks(self) -> range:
+        """First pfns of the run's buddy blocks, ascending."""
+        return range(self.pfn, self.end_pfn, 1 << self.order)
+
     def moved_to(self, new_pfn: int) -> "PageExtent":
         """The same extent relocated to *new_pfn* (after migration)."""
         return PageExtent(new_pfn, self.order, self.owner_id, self.kind,
-                          self.mergeable, self.ksm_shared)
+                          self.mergeable, self.ksm_shared, self.count)
 
     def __repr__(self) -> str:
         return (f"PageExtent(pfn={self.pfn}, order={self.order}, "
                 f"owner_id={self.owner_id!r}, kind={self.kind}, "
-                f"mergeable={self.mergeable}, ksm_shared={self.ksm_shared})")
+                f"mergeable={self.mergeable}, ksm_shared={self.ksm_shared}, "
+                f"count={self.count})")
 
 
 @dataclass
@@ -76,7 +89,7 @@ class BlockAccounting:
 
     used_pages: int = 0
     unmovable_pages: int = 0
-    extents: "set[int]" = field(default_factory=set)  # extent pfns in block
+    extents: "set[int]" = field(default_factory=set)  # run start pfns in block
 
     @property
     def has_unmovable(self) -> bool:

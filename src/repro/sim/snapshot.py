@@ -11,13 +11,11 @@ A snapshot is two halves:
   by the ``state_dict()`` methods and pickled **in one call**.
 
 The one-pickle rule is what makes restore exact: components share
-objects across their state dicts (``PageExtent`` instances appear in
-the memory manager's owner table, the per-block extent lists, and the
-extent pool; KSM region content is shared with the trace source; the
-daemon and the GreenDIMM policy share one ``DaemonStats``).  Every
-``state_dict()`` therefore returns **live references**, the snapshot
-layer assembles the whole tree, and a single immediate
-``pickle.dumps`` preserves the shared identities.  Restore is the
+objects across their state dicts (KSM region content is shared with
+the trace source; the daemon and the GreenDIMM policy share one
+``DaemonStats``).  Every ``state_dict()`` therefore returns **live
+references**, the snapshot layer assembles the whole tree, and a
+single immediate ``pickle.dumps`` preserves the shared identities.  Restore is the
 mirror image: ``load_state_dict()`` assigns state *onto the existing
 component instances* — never replacing the components themselves — so
 all cross-wiring (daemon -> selector, sysfs -> hot-plug, policy ->
@@ -61,7 +59,7 @@ PathLike = Union[str, pathlib.Path]
 
 #: Bump on any incompatible change to the state tree's shape.  Restore
 #: refuses versions it does not know rather than guessing.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Named memory organizations a spec may reference (JSON carries the
 #: name, not the object).  ``fleet`` matches

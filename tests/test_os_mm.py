@@ -1,20 +1,28 @@
 """Physical memory manager: allocation, zones, accounting, migration."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AllocationError, ConfigurationError
+from repro.os.buddy import MAX_ORDER
 from repro.os.mm import PhysicalMemoryManager
 from repro.os.page import OwnerKind
-from repro.os.zones import ZoneKind
+from repro.os.zones import ZoneKind, ZoneLayout
 from repro.units import GIB, MIB, PAGE_SIZE
 
 
 def make_mm(total=4 * GIB, movable=0.75) -> PhysicalMemoryManager:
     return PhysicalMemoryManager(total_bytes=total, block_bytes=128 * MIB,
                                  movable_fraction=movable)
+
+
+def run_blocks(runs):
+    """Runs expanded to (pfn, order, kind, mergeable) buddy blocks."""
+    return sorted((pfn, run.order, run.kind, run.mergeable)
+                  for run in runs for pfn in run.blocks())
 
 
 class TestConstruction:
@@ -98,9 +106,9 @@ class TestFreeing:
 
     def test_partial_free_prefers_high_addresses(self, small_mm):
         small_mm.allocate("a", 4096)
-        before = {e.pfn for e in small_mm.extents_of("a")}
+        before = {b[0] for b in run_blocks(small_mm.extents_of("a"))}
         small_mm.free_pages_of("a", 2048)
-        after = {e.pfn for e in small_mm.extents_of("a")}
+        after = {b[0] for b in run_blocks(small_mm.extents_of("a"))}
         assert min(before) in {e for e in after} or min(after) <= min(before)
         assert max(after) < max(before)
 
@@ -128,71 +136,387 @@ class TestFreeing:
         assert mm.free_pages == mm.total_pages
 
 
-def _extent_key(extent):
-    return (extent.pfn, extent.order, extent.owner_id, extent.kind,
-            extent.mergeable, extent.ksm_shared)
+class NaiveMM:
+    """Reference model of the memory manager: one record per buddy block.
+
+    No runs, pools, heaps or caches — just a ``pfn -> (order, owner,
+    kind, mergeable)`` table on top of the same :class:`BuddyAllocator`
+    zones, freeing and migrating one buddy block at a time.
+    """
+
+    def __init__(self, total, movable):
+        self.block_pages = 128 * MIB // PAGE_SIZE
+        self.zones = ZoneLayout(total // PAGE_SIZE, movable,
+                                alignment_pages=self.block_pages).build()
+        self.records = {}
+        self.isolated_blocks = set()
+
+    def _zones_for(self, kind):
+        normal = [z for z in self.zones if z.kind is ZoneKind.NORMAL]
+        if kind is OwnerKind.KERNEL:
+            return normal
+        return [z for z in self.zones if z.kind is ZoneKind.MOVABLE] + normal
+
+    def _allocator_of(self, pfn):
+        return next(z.allocator for z in self.zones if z.contains(pfn))
+
+    def owned(self, owner):
+        """The owner's (pfn, order, kind, mergeable) blocks, sorted."""
+        return sorted((pfn, order, kind, merge) for pfn, (order, who, kind,
+                      merge) in self.records.items() if who == owner)
+
+    def owners(self):
+        return {who for _order, who, _kind, _merge in self.records.values()}
+
+    def block_counts(self, index):
+        used = unmovable = 0
+        for pfn, (order, _who, kind, _merge) in self.records.items():
+            if pfn // self.block_pages == index:
+                used += 1 << order
+                if kind is not OwnerKind.USER:
+                    unmovable += 1 << order
+        return used, unmovable
+
+    def allocate(self, owner, n_pages, kind=OwnerKind.USER, mergeable=False):
+        if n_pages <= 0:
+            raise AllocationError("n_pages must be positive")
+        grabbed = []
+        remaining = n_pages
+        for zone in self._zones_for(kind):
+            take = min(remaining, zone.allocator.free_pages)
+            if take:
+                grabbed += [(zone.allocator, block)
+                            for block in zone.allocator.alloc_pages(take)]
+                remaining -= take
+        if remaining:
+            # Take everything there is, then give it back block by block.
+            for allocator, (pfn, order) in grabbed:
+                allocator.free_block(pfn, order)
+            raise AllocationError(f"cannot allocate {n_pages} pages for "
+                                  f"{owner!r}: {remaining} short")
+        got = [block for _allocator, block in grabbed]
+        for pfn, order in got:
+            self.records[pfn] = (order, owner, kind, mergeable)
+        return sorted(got)
+
+    def free_pages_of(self, owner, n_pages):
+        freed = 0
+        for pfn, order, kind, merge in reversed(self.owned(owner)):
+            if freed >= n_pages:
+                break
+            del self.records[pfn]
+            allocator = self._allocator_of(pfn)
+            if freed + (1 << order) <= n_pages:
+                allocator.free_block(pfn, order)
+                freed += 1 << order
+                continue
+            remaining = n_pages - freed
+            while remaining:
+                allocator.split_allocated(pfn, order)
+                order -= 1
+                if remaining >= 1 << order:
+                    allocator.free_block(pfn + (1 << order), order)
+                    remaining -= 1 << order
+                else:
+                    self.records[pfn] = (order, owner, kind, merge)
+                    pfn += 1 << order
+            self.records[pfn] = (order, owner, kind, merge)
+            freed = n_pages
+        return freed
+
+    def free_all(self, owner):
+        return self.free_pages_of(owner, sum(1 << b[1]
+                                             for b in self.owned(owner)))
+
+    def isolate_block(self, index):
+        start = index * self.block_pages
+        self.isolated_blocks.add(index)
+        return self._allocator_of(start).isolate_range(start,
+                                                       self.block_pages)
+
+    def migrate_block_out(self, index, isolated):
+        migrated = 0
+        source = self._allocator_of(index * self.block_pages)
+        for pfn in sorted(p for p in self.records
+                          if p // self.block_pages == index):
+            order, owner, kind, merge = self.records[pfn]
+            if kind is not OwnerKind.USER:
+                raise AllocationError(
+                    f"block {index} has unmovable extent at {pfn}")
+            for zone in self._zones_for(kind):
+                try:
+                    new_blocks = zone.allocator.alloc_pages(1 << order)
+                    break
+                except AllocationError:
+                    continue
+            else:
+                raise AllocationError(
+                    f"no destination frames to migrate block {index}")
+            del self.records[pfn]
+            source.remove_allocated(pfn, order)
+            isolated.append((pfn, order))
+            for new_pfn, new_order in new_blocks:
+                self.records[new_pfn] = (new_order, owner, kind, merge)
+            migrated += 1 << order
+        return migrated
+
+    def undo_isolate_block(self, index, removed):
+        self._allocator_of(index * self.block_pages).undo_isolation(removed)
+        self.isolated_blocks.discard(index)
+
+    def complete_offline(self, index):
+        if index not in self.isolated_blocks:
+            raise AllocationError(f"block {index} was not isolated")
+        if self.block_counts(index)[0]:
+            raise AllocationError(f"block {index} still has used pages")
+        self.isolated_blocks.remove(index)
+
+    def complete_online(self, index):
+        start = index * self.block_pages
+        self._allocator_of(start).add_range(start, self.block_pages)
 
 
-def _mm_state(mm):
-    """Everything free_all may touch, in comparable form."""
+def assert_same_state(mm, naive):
+    for zone, ref in zip(mm.zones, naive.zones):
+        ours, theirs = zone.allocator, ref.allocator
+        assert ours._sorted == theirs._sorted
+        assert ours._free_sets == theirs._free_sets
+        assert ours._allocated == theirs._allocated
+        assert ours.free_pages == theirs.free_pages
+    assert set(mm.owners()) == naive.owners()
+    for owner in naive.owners():
+        runs = mm.extents_of(owner)
+        assert run_blocks(runs) == naive.owned(owner)
+        assert mm.owner_pages(owner) == sum(run.pages for run in runs)
     soa = mm.soa_view()
-    return {
-        "buddy": [(z.allocator._sorted, z.allocator._free_sets,
-                   z.allocator._allocated, z.allocator.free_pages)
-                  for z in mm.zones],
-        "blocks": mm._blocks,
-        "soa": (soa.used_pages.tolist(), soa.unmovable_pages.tolist()),
-        "extents": {p: _extent_key(e) for p, e in mm._extents.items()},
-        "owners": mm._owners,
-        "owner_pages": mm._owner_pages,
-        "owner_maxheaps": {o: sorted(h)
-                           for o, h in mm._owner_maxheaps.items()},
-        "pool": {p: _extent_key(e) for p, e in mm._extent_pool.items()},
-    }
+    for index in range(mm.num_blocks):
+        counts = naive.block_counts(index)
+        acct = mm.block_accounting(index)
+        assert (acct.used_pages, acct.unmovable_pages) == counts
+        assert (soa.used_pages[index], soa.unmovable_pages[index]) == counts
+        for run in mm.block_extents(index):
+            # A run stays inside its memory block; only max-order
+            # blocks form runs longer than one.
+            assert (run.end_pfn - 1) // mm.block_pages == index
+            assert run.count == 1 or run.order == MAX_ORDER
+
+
+def outcome(call, *args):
+    """A call's return value, or its AllocationError message."""
+    try:
+        return call(*args)
+    except AllocationError as error:
+        return ("AllocationError", str(error))
+
+
+class MMPair:
+    """The memory manager and the oracle driven in lock-step."""
+
+    def __init__(self, total=1 * GIB, movable=0.75):
+        self.mm = PhysicalMemoryManager(total_bytes=total,
+                                        block_bytes=128 * MIB,
+                                        movable_fraction=movable)
+        self.naive = NaiveMM(total, movable)
+        self.offline = set()
+
+    def allocate(self, owner, pages, kind, mergeable):
+        ours = outcome(self.mm.allocate, owner, pages, kind, mergeable)
+        theirs = outcome(self.naive.allocate, owner, pages, kind, mergeable)
+        if isinstance(ours, list):
+            ours = [(pfn, order) for pfn, order, _kind, _merge
+                    in run_blocks(ours)]
+        assert ours == theirs
+
+    def call(self, name, *args):
+        ours = outcome(getattr(self.mm, name), *args)
+        assert ours == outcome(getattr(self.naive, name), *args)
+        return ours
+
+    def offline_block(self, index, complete):
+        if index in self.offline:
+            return
+        removed = self.call("isolate_block", index)
+        ours, theirs = list(removed), list(removed)
+        migrated = outcome(self.mm.migrate_block_out, index, ours)
+        assert migrated == outcome(self.naive.migrate_block_out, index,
+                                   theirs)
+        assert ours == theirs
+        if complete or isinstance(migrated, tuple):
+            if not isinstance(self.call("complete_offline", index), tuple):
+                self.offline.add(index)
+                return
+        self.mm.undo_isolate_block(index, ours)
+        self.naive.undo_isolate_block(index, theirs)
+
+    def online_block(self, index):
+        if index in self.offline:
+            self.offline.remove(index)
+            self.call("complete_online", index)
+
+
+OWNERS = ("a", "b", "c", "d")
+KINDS = (OwnerKind.USER, OwnerKind.USER, OwnerKind.PINNED, OwnerKind.KERNEL)
+SIZES = st.one_of(st.integers(1, 600), st.integers(1000, 40_000),
+                  st.integers(40_000, 280_000))
+OPS = st.one_of(
+    st.tuples(st.just("allocate"), st.sampled_from(OWNERS), SIZES,
+              st.sampled_from(KINDS), st.booleans()),
+    st.tuples(st.just("free_pages_of"), st.sampled_from(OWNERS), SIZES),
+    st.tuples(st.just("free_all"), st.sampled_from(OWNERS)),
+    st.tuples(st.just("offline_block"), st.integers(0, 7), st.booleans()),
+    st.tuples(st.just("online_block"), st.integers(0, 7)),
+)
+
+
+class TestOracle:
+    """The run-based memory manager against the per-block oracle."""
+
+    @given(st.lists(OPS, max_size=30), st.sampled_from((0.5, 0.75)))
+    @settings(max_examples=100, deadline=None)
+    def test_random_sequences_match(self, ops, movable):
+        pair = MMPair(movable=movable)
+        for name, *args in ops:
+            if name in ("allocate", "offline_block", "online_block"):
+                getattr(pair, name)(*args)
+            else:
+                pair.call(name, *args)
+            assert_same_state(pair.mm, pair.naive)
+
+    @pytest.mark.parametrize("spare", [3, 4, 40])
+    def test_run_migration_edges(self, spare):
+        """A 4-block run leaves block 2 with *spare* max-order blocks free
+        in ZONE_MOVABLE: one short of the run (block by block, spilling
+        into ZONE_NORMAL), exactly enough (one allocation), or plenty."""
+        pair = MMPair()
+        pair.allocate("v", 4096, OwnerKind.USER, False)
+        pair.allocate("fill", pair.mm.zones[1].allocator.free_pages
+                      - (spare << MAX_ORDER), OwnerKind.USER, False)
+        pair.offline_block(2, complete=True)
+        assert_same_state(pair.mm, pair.naive)
+        assert 2 in pair.offline
+
+    def test_run_migrates_into_fragments_in_one_allocation(self):
+        """The first zone has room for the 4-block run but only three
+        free max-order blocks; the rest comes from order-9 holes, in the
+        order one allocation per block would take them.  Block 2 then
+        spills into ZONE_NORMAL."""
+        pair = MMPair()
+        pair.allocate("v", 4096, OwnerKind.USER, False)
+        pair.allocate("pad", 28 << MAX_ORDER, OwnerKind.USER, False)
+        for i in range(8):
+            pair.allocate(f"s{i}", 512, OwnerKind.USER, False)
+        pair.allocate("fill", pair.mm.zones[1].allocator.free_pages
+                      - (3 << MAX_ORDER), OwnerKind.USER, False)
+        for i in range(0, 8, 2):
+            pair.call("free_all", f"s{i}")
+        pair.offline_block(2, complete=True)
+        assert_same_state(pair.mm, pair.naive)
+        assert 2 in pair.offline
+        assert sorted(order for _pfn, order, *_
+                      in run_blocks(pair.mm.extents_of("v"))) == [
+                          9, 9, 10, 10, 10]
+
+    def test_run_partly_migrated_then_eagain(self):
+        """Block by block, a run moves three blocks into ZONE_NORMAL and
+        then runs out: the unmoved top stays registered in place."""
+        pair = MMPair()
+        pair.allocate("v", 6 * 32768, OwnerKind.USER, False)
+        pair.allocate("k", 65536 - (3 << MAX_ORDER), OwnerKind.KERNEL,
+                      False)
+        pair.offline_block(2, complete=True)
+        assert_same_state(pair.mm, pair.naive)
+        assert 2 not in pair.offline
+        assert [run.count for run in pair.mm.block_extents(2)] == [29]
 
 
 class TestBulkFreeAll:
-    """free_all's bulk loop against extent-by-extent free_extent."""
+    """free_all's bulk loop against the oracle's block-by-block frees."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_extent_by_extent_reference(self, seed):
         rng = random.Random(seed)
-        bulk, reference = make_mm(), make_mm()
-        kinds = (OwnerKind.USER, OwnerKind.USER, OwnerKind.PINNED,
-                 OwnerKind.KERNEL)
+        pair = MMPair(total=4 * GIB)
         owners = {}
         for step in range(80):
             op = rng.random()
             if op < 0.5 or not owners:
                 owner = f"o{step}"
-                kind = rng.choice(kinds)
+                kind = rng.choice(KINDS)
                 pages = rng.choice((rng.randint(1, 300),
                                     rng.randint(1000, 9000)))
-                for mm in (bulk, reference):
-                    mm.allocate(owner, pages, kind=kind,
-                                mergeable=kind is OwnerKind.USER)
+                pair.allocate(owner, pages, kind, kind is OwnerKind.USER)
                 owners[owner] = kind
             elif op < 0.75:
                 owner = rng.choice(sorted(owners))
-                pages = rng.randint(1, bulk.owner_pages(owner))
-                for mm in (bulk, reference):
-                    mm.free_pages_of(owner, pages)
-                if not bulk.owner_pages(owner):
+                pair.call("free_pages_of", owner,
+                          rng.randint(1, pair.mm.owner_pages(owner)))
+                if not pair.mm.owner_pages(owner):
                     del owners[owner]
             else:
                 owner = rng.choice(sorted(owners))
-                pool = dict(bulk._extent_pool)
-                freed = bulk.free_all(owner)
-                expected = sum(reference.free_extent(pfn) for pfn in
-                               list(reference._owners[owner]))
-                assert freed == expected
-                assert bulk._extent_pool == pool  # no recycling
+                assert pair.call("free_all", owner) > 0
                 del owners[owner]
-            assert _mm_state(bulk) == _mm_state(reference)
+            assert_same_state(pair.mm, pair.naive)
         for owner in sorted(owners):
-            bulk.free_all(owner)
-        assert bulk.free_pages == bulk.total_pages
-        assert not bulk._owners and not bulk._owner_maxheaps
+            pair.mm.free_all(owner)
+        assert pair.mm.free_pages == pair.mm.total_pages
+        assert not pair.mm._owners and not pair.mm._extents
+
+
+def wart_setup(pair):
+    """Leave order-3 buddies 65536 and 65544 free but unmerged: "a"
+    migrates to the 8 free pages, "fill" has nowhere to go, and
+    ``undo_isolation`` re-inserts "a"'s old block without coalescing."""
+    for owner, pages in (("a", 8), ("hole", 8), ("b", 1024)):
+        pair.allocate(owner, pages, OwnerKind.USER, False)
+    pair.allocate("fill", pair.mm.free_pages, OwnerKind.USER, False)
+    pair.call("free_all", "hole")
+    pair.call("free_pages_of", "fill", 8)
+    pair.offline_block(2, complete=False)
+    assert 2 not in pair.offline
+
+
+class TestUndoIsolationWart:
+    def test_short_allocate_merges_what_undo_left_split(self):
+        """A request the zones cannot meet grabs all free memory and
+        rolls it back, and that round trip coalesces the split buddies."""
+        pair = MMPair(total=512 * MIB, movable=0.5)
+        wart_setup(pair)
+        free_sets = pair.mm.zones[1].allocator._free_sets
+        assert {65536, 65544} <= free_sets[3]
+        pair.allocate("big", pair.mm.total_pages, OwnerKind.USER, False)
+        assert_same_state(pair.mm, pair.naive)
+        assert not {65536, 65544} & free_sets[3]
+        # Later lowest-address picks see the merged block.
+        pair.allocate("c", 8, OwnerKind.USER, False)
+        pair.call("free_pages_of", "fill", 16)
+        pair.allocate("d", 16, OwnerKind.USER, False)
+        assert_same_state(pair.mm, pair.naive)
+
+    def test_restored_mm_still_merges_on_short_allocate(self):
+        pair = MMPair(total=512 * MIB, movable=0.5)
+        wart_setup(pair)
+        restored = PhysicalMemoryManager(total_bytes=512 * MIB,
+                                         block_bytes=128 * MIB,
+                                         movable_fraction=0.5)
+        restored.load_state_dict(
+            pickle.loads(pickle.dumps(pair.mm.state_dict())))
+        pair.mm = restored
+        pair.allocate("big", restored.total_pages, OwnerKind.USER, False)
+        assert_same_state(pair.mm, pair.naive)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "undo_isolation re-inserts migrated-away blocks without "
+        "coalescing; fixing it moves simulated results"))
+    def test_undo_after_partial_migration_keeps_free_lists_canonical(self):
+        pair = MMPair(total=512 * MIB, movable=0.5)
+        wart_setup(pair)
+        for zone in pair.mm.zones:
+            free_sets = zone.allocator._free_sets
+            for order in range(MAX_ORDER):
+                split = {pfn for pfn in free_sets[order]
+                         if pfn ^ (1 << order) in free_sets[order]}
+                assert not split, f"unmerged order-{order} buddies {split}"
 
 
 class TestBlockAccounting:
