@@ -17,9 +17,6 @@ fleet [--servers N] [--hours H] [--workers N] [--report FILE]
                         replay a sharded datacenter trace across servers
 report METRICS [--trace FILE] [--out FILE] [--html]
                         render a metrics JSONL into a run report
-bench [--full] [--out FILE] [--compare [--baseline FILE] [--threshold T]]
-                        time the simulation core fast vs per-epoch path
-                        (and optionally gate against the committed numbers)
 figures run|check|bless [--fast] [--only ID] [--expected-dir DIR]
                         [--report-dir DIR]
                         regenerate every figure/table, write per-figure
@@ -209,54 +206,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                            sorted(stats.as_dict().items())) or "none"
         table.add_row("injected faults", f"{stats.total} ({counts})")
     print(table.render())
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench import (
-        all_identical,
-        compare_perf_core,
-        render_compare,
-        render_perf_core,
-        run_perf_core,
-    )
-
-    baseline = None
-    if args.compare:
-        # Read the baseline before the fresh run lands: with the default
-        # paths the run overwrites the very document it is gated against.
-        import pathlib
-
-        baseline_path = pathlib.Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"error: baseline {baseline_path} not found",
-                  file=sys.stderr)
-            return 2
-        baseline = json.loads(baseline_path.read_text())
-
-    document = run_perf_core(full=args.full, out=args.out)
-    print(render_perf_core(document))
-    if args.out:
-        print(f"wrote {args.out}")
-    if args.profile:
-        from repro.bench import profile_slowest
-
-        profiled, path = profile_slowest(document, args.profile,
-                                         full=args.full)
-        print(f"profiled {profiled} (slowest scenario) -> {path}")
-    if not all_identical(document):
-        print("error: fast-forward output diverged from the per-epoch "
-              "reference path", file=sys.stderr)
-        return 1
-    if baseline is not None:
-        regressions, rows = compare_perf_core(document, baseline,
-                                              threshold=args.threshold)
-        print()
-        print(render_compare(regressions, rows, threshold=args.threshold))
-        if regressions:
-            return 1
     return 0
 
 
@@ -651,28 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--html", action="store_true",
                           help="render HTML regardless of the suffix")
     report_p.set_defaults(func=cmd_report)
-
-    bench_p = sub.add_parser(
-        "bench", help="time the simulation core, fast path vs per-epoch")
-    bench_p.add_argument("--full", action="store_true",
-                         help="run the long trace replay (quick mode "
-                              "shrinks it for CI smoke runs)")
-    bench_p.add_argument("--out", default="BENCH_perf_core.json",
-                         metavar="FILE", help="write the JSON document here")
-    bench_p.add_argument("--compare", action="store_true",
-                         help="gate the fresh numbers against a committed "
-                              "baseline document")
-    bench_p.add_argument("--baseline", default="BENCH_perf_core.json",
-                         metavar="FILE",
-                         help="baseline document for --compare")
-    bench_p.add_argument("--threshold", type=float, default=0.15,
-                         help="calibrated slowdown tolerated by --compare "
-                              "(0.15 = 15%%)")
-    bench_p.add_argument("--profile", default=None, metavar="FILE",
-                         const="bench_profile.pstats", nargs="?",
-                         help="cProfile the slowest scenario and write "
-                              "the stats dump here (for snakeviz/pstats)")
-    bench_p.set_defaults(func=cmd_bench)
 
     figures_p = sub.add_parser(
         "figures",

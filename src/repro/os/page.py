@@ -36,9 +36,8 @@ class PageExtent:
     :meth:`blocks` lists their first pfns.
 
     ``mergeable`` marks pages an application advised as KSM candidates via
-    ``madvise(MADV_MERGEABLE)``; ``ksm_shared`` marks extents whose content
-    is currently deduplicated into a stable-tree page (freed capacity is
-    accounted by the KSM substrate, not here).
+    ``madvise(MADV_MERGEABLE)``.  Whether their content is currently
+    deduplicated is the KSM substrate's business, not the extent's.
 
     Treated as immutable: relocation goes through :meth:`moved_to`.  A
     ``__slots__`` class (not a frozen dataclass) because the derived
@@ -47,18 +46,16 @@ class PageExtent:
     """
 
     __slots__ = ("pfn", "order", "owner_id", "kind", "mergeable",
-                 "ksm_shared", "count", "pages", "end_pfn", "movable")
+                 "count", "pages", "end_pfn", "movable")
 
     def __init__(self, pfn: int, order: int, owner_id: str,
                  kind: OwnerKind = OwnerKind.USER,
-                 mergeable: bool = False, ksm_shared: bool = False,
-                 count: int = 1):
+                 mergeable: bool = False, count: int = 1):
         self.pfn = pfn
         self.order = order
         self.owner_id = owner_id
         self.kind = kind
         self.mergeable = mergeable
-        self.ksm_shared = ksm_shared
         self.count = count
         pages = count << order
         #: Frame count (count * 2**order).
@@ -74,13 +71,12 @@ class PageExtent:
     def moved_to(self, new_pfn: int) -> "PageExtent":
         """The same extent relocated to *new_pfn* (after migration)."""
         return PageExtent(new_pfn, self.order, self.owner_id, self.kind,
-                          self.mergeable, self.ksm_shared, self.count)
+                          self.mergeable, self.count)
 
     def __repr__(self) -> str:
         return (f"PageExtent(pfn={self.pfn}, order={self.order}, "
                 f"owner_id={self.owner_id!r}, kind={self.kind}, "
-                f"mergeable={self.mergeable}, ksm_shared={self.ksm_shared}, "
-                f"count={self.count})")
+                f"mergeable={self.mergeable}, count={self.count})")
 
 
 @dataclass

@@ -59,7 +59,7 @@ PathLike = Union[str, pathlib.Path]
 
 #: Bump on any incompatible change to the state tree's shape.  Restore
 #: refuses versions it does not know rather than guessing.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: Named memory organizations a spec may reference (JSON carries the
 #: name, not the object).  ``fleet`` matches

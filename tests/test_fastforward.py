@@ -21,6 +21,7 @@ from repro.units import GIB, MIB
 from repro.workloads import profile_by_name
 from repro.workloads.azure import AzureTraceGenerator
 from repro.workloads.trace import FootprintTrace
+from tests.kernel_scenarios import _hexify
 
 
 def small_system(**kwargs):
@@ -169,6 +170,51 @@ class TestVMTraceEquivalence:
         assert result.samples
         assert sim.ff_stats.epochs_fast_forwarded == 0
         assert sim.ff_stats.epochs_stepped == len(result.samples)
+
+
+def _run_workload(fast):
+    sim = ServerSimulator(small_system(), seed=5, fast_forward=fast)
+    result = sim.run_workload(profile_by_name("429.mcf"), epoch_s=0.1,
+                              pinned_churn=False)
+    return sim, result, [result.overhead_fraction]
+
+
+def _run_vm_trace(fast):
+    organization = MemoryOrganization(device=DDR4_4GB_X8, channels=2,
+                                      dimms_per_channel=2, ranks_per_dimm=1)
+    system = GreenDIMMSystem(organization=organization,
+                             config=GreenDIMMConfig(block_bytes=512 * MIB),
+                             kernel_boot_bytes=2 * GIB,
+                             transient_failure_probability=0.5, seed=7)
+    trace = AzureTraceGenerator(
+        capacity_bytes=organization.total_capacity_bytes - 3 * GIB,
+        physical_cores=16, duration_s=6 * 3600.0, seed=7).generate()
+    sim = ServerSimulator(system, seed=5, fast_forward=fast)
+    return sim, sim.run_vm_trace(trace, epoch_s=0.5, pinned_churn=False), []
+
+
+def _run_mix(fast):
+    sim = ServerSimulator(small_system(), seed=5, fast_forward=fast)
+    profiles = [profile_by_name(name) for name in ("403.gcc", "429.mcf")]
+    return sim, sim.run_mix(profiles, epoch_s=0.1, pinned_churn=False), []
+
+
+@pytest.mark.parametrize("runner, engaged", [
+    (_run_workload, None),
+    (_run_vm_trace, "epochs_fast_forwarded"),
+    (_run_mix, "epochs_batched"),
+], ids=["workload", "vm_trace", "mix"])
+def test_reference_path_identical(runner, engaged):
+    """Sub-second epochs and a 6 h trace: the regimes span batching and
+    fast-forwarding exist for, compared field by field at ``.hex()``."""
+    outcomes = []
+    for fast in (False, True):
+        sim, result, extra = runner(fast)
+        outcomes.append(_hexify([result.samples, result.dram_energy_j,
+                                 result.baseline_dram_energy_j, *extra]))
+    assert outcomes[0] == outcomes[1]
+    if engaged is not None:
+        assert getattr(sim.ff_stats, engaged) > 0
 
 
 class TestFaultStormEquivalence:

@@ -306,186 +306,3 @@ class TestReport:
         assert "<td>1</td>" in html
         assert "<strong>2</strong>" in html
 
-
-class TestBenchGate:
-    def _doc(self, cal, walls, mode="quick", identical=True):
-        scenarios = {
-            name: {"wall_s_fast": fast, "wall_s_slow": slow,
-                   "identical": identical}
-            for name, (fast, slow) in walls.items()}
-        return {"benchmark": "perf_core", "mode": mode,
-                "calibration_s": cal, "scenarios": scenarios}
-
-    def test_clean_run_passes(self):
-        from repro.bench import compare_perf_core
-
-        doc = self._doc(1.0, {"vm_trace": (0.5, 2.0)})
-        regressions, rows = compare_perf_core(doc, doc)
-        assert regressions == []
-        assert all(not r["regressed"] for r in rows)
-
-    def test_real_slowdown_fails(self):
-        from repro.bench import compare_perf_core
-
-        base = self._doc(1.0, {"vm_trace": (0.5, 2.0)})
-        fresh = self._doc(1.0, {"vm_trace": (0.5, 2.6)})
-        regressions, rows = compare_perf_core(fresh, base)
-        assert any("vm_trace.wall_s_slow" in r for r in regressions)
-
-    def test_calibration_cancels_machine_speed(self):
-        from repro.bench import compare_perf_core
-
-        base = self._doc(1.0, {"vm_trace": (0.5, 2.0)})
-        # Uniformly 2x slower machine: walls and calibration both double.
-        fresh = self._doc(2.0, {"vm_trace": (1.0, 4.0)})
-        regressions, rows = compare_perf_core(fresh, base)
-        assert regressions == []
-        assert all(r["ratio"] == pytest.approx(1.0) for r in rows)
-
-    def test_noise_floor_forgives_tiny_walls(self):
-        from repro.bench import compare_perf_core
-
-        # 30% up on a 20 ms wall is scheduler noise, not a regression.
-        base = self._doc(1.0, {"workload": (0.020, 0.020)})
-        fresh = self._doc(1.0, {"workload": (0.026, 0.026)})
-        regressions, _ = compare_perf_core(fresh, base)
-        assert regressions == []
-
-    def test_mode_mismatch_is_terminal(self):
-        from repro.bench import compare_perf_core
-
-        base = self._doc(1.0, {"vm_trace": (0.5, 2.0)}, mode="full")
-        fresh = self._doc(1.0, {"vm_trace": (0.5, 2.0)}, mode="quick")
-        regressions, rows = compare_perf_core(fresh, base)
-        assert rows == []
-        assert "mode mismatch" in regressions[0]
-
-    def test_missing_scenario_and_broken_identity_fail(self):
-        from repro.bench import compare_perf_core
-
-        base = self._doc(1.0, {"vm_trace": (0.5, 2.0),
-                               "mix": (0.1, 0.1)})
-        fresh = self._doc(1.0, {"vm_trace": (0.5, 2.0)},
-                          identical=False)
-        regressions, _ = compare_perf_core(fresh, base)
-        assert any("missing" in r for r in regressions)
-        assert any("identical" in r for r in regressions)
-
-    def test_zero_fast_wall_reports_infinite_speedup(self, monkeypatch):
-        # On a fast machine in quick mode a sub-resolution wall used to
-        # serialize "speedup": 0.0 — which trend tooling reads as a
-        # catastrophic regression rather than an unmeasurably fast run.
-        import math
-
-        import repro.bench as bench
-
-        class _Stats:
-            epochs_total = 1
-            epochs_fast_forwarded = 1
-            epochs_stepped = 0
-            epochs_batched = 0
-            windows = 1
-            spans_stable = 0
-
-        class _Cache:
-            hit_rate = 1.0
-
-        class _System:
-            power_cache_stats = _Cache()
-
-        class _Sim:
-            ff_stats = _Stats()
-            system = _System()
-
-        monkeypatch.setattr(bench.time, "perf_counter", lambda: 0.0)
-        row = bench._time_scenario(lambda fast, full: (_Sim(), "same"),
-                                   full=False)
-        assert row["speedup"] == math.inf
-        # ...and the JSON writer turns it into null, never "Infinity".
-        assert bench._json_safe(row)["speedup"] is None
-        assert bench._json_safe({"a": [math.nan, 1.0]}) == {"a": [None, 1.0]}
-
-    def test_rows_carry_basis_and_render_flags_mixing(self):
-        from repro.bench import compare_perf_core, render_compare
-
-        calibrated = self._doc(1.0, {"mix": (0.5, 2.0)})
-        uncalibrated = self._doc(0.0, {"mix": (0.5, 2.0)})
-        _, rows_cal = compare_perf_core(calibrated, calibrated)
-        assert all(r["basis"] == "calibrated" for r in rows_cal)
-        _, rows_raw = compare_perf_core(calibrated, uncalibrated)
-        assert all(r["basis"] == "raw" for r in rows_raw)
-        assert "calibrated ratios" in render_compare([], rows_cal)
-        assert "raw wall-time ratios" in render_compare([], rows_raw)
-        # When rows genuinely mix bases the render says so per row
-        # instead of silently labelling everything with one basis.
-        mixed = render_compare([], rows_cal + rows_raw)
-        assert "mixed-basis ratios" in mixed
-        assert "(calibrated)" in mixed and "(raw)" in mixed
-
-    def test_fresh_only_scenario_is_visible_not_silent(self):
-        # Pre-fix blindness: compare_perf_core iterated only the
-        # baseline's scenarios, so a scenario added since the bless was
-        # invisible — no row rendered, identical never enforced.
-        from repro.bench import compare_perf_core
-
-        base = self._doc(1.0, {"mix": (0.5, 2.0)})
-        fresh = self._doc(1.0, {"mix": (0.5, 2.0),
-                                "soa_sweep": (0.3, 1.0)})
-        regressions, rows = compare_perf_core(fresh, base)
-        assert regressions == []  # presence alone is non-fatal
-        new_rows = [r for r in rows if r["basis"] == "new"]
-        assert {r["scenario"] for r in new_rows} == {"soa_sweep"}
-        assert len(new_rows) == 2  # one per gated metric
-        assert all("re-bless" in r["note"] for r in new_rows)
-        assert all(not r["regressed"] for r in new_rows)
-
-    def test_fresh_only_scenario_identical_is_enforced(self):
-        from repro.bench import compare_perf_core
-
-        base = self._doc(1.0, {"mix": (0.5, 2.0)})
-        fresh = self._doc(1.0, {"mix": (0.5, 2.0)})
-        fresh["scenarios"]["soa_sweep"] = {
-            "wall_s_fast": 0.3, "wall_s_slow": 1.0, "identical": False}
-        regressions, _ = compare_perf_core(fresh, base)
-        assert any("soa_sweep" in r and "identical" in r
-                   for r in regressions)
-
-    def test_render_compare_new_basis_rows(self):
-        from repro.bench import compare_perf_core, render_compare
-
-        base = self._doc(1.0, {"mix": (0.5, 2.0)})
-        fresh = self._doc(1.0, {"mix": (0.5, 2.0),
-                                "soa_sweep": (0.3, 1.0)})
-        regressions, rows = compare_perf_core(fresh, base)
-        rendered = render_compare(regressions, rows)
-        assert "soa_sweep" in rendered
-        assert "note: scenario 'soa_sweep' absent from baseline" in rendered
-        # New rows must not drag the header basis to "mixed".
-        assert "calibrated ratios" in rendered
-        assert "OK: no regressions" in rendered
-
-    def test_render_compare_mixed_basis_with_new_rows(self):
-        from repro.bench import compare_perf_core, render_compare
-
-        calibrated = self._doc(1.0, {"mix": (0.5, 2.0)})
-        uncalibrated = self._doc(0.0, {"mix": (0.5, 2.0)})
-        _, rows_cal = compare_perf_core(calibrated, calibrated)
-        _, rows_raw = compare_perf_core(calibrated, uncalibrated)
-        base = self._doc(1.0, {"mix": (0.5, 2.0)})
-        fresh = self._doc(1.0, {"mix": (0.5, 2.0),
-                                "soa_sweep": (0.3, 1.0)})
-        _, rows = compare_perf_core(fresh, base)
-        new_rows = [r for r in rows if r["basis"] == "new"]
-        rendered = render_compare([], rows_cal + rows_raw + new_rows)
-        assert "mixed-basis ratios" in rendered
-        assert "(calibrated)" in rendered and "(raw)" in rendered
-        assert "soa_sweep" in rendered
-
-    def test_cli_gate_exit_codes(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.chdir(tmp_path)
-        missing = main(["bench", "--compare",
-                        "--baseline", str(tmp_path / "nope.json")])
-        assert missing == 2
-        assert "not found" in capsys.readouterr().err
