@@ -5,6 +5,9 @@ the same sequence of ``should_fail`` queries (which the simulation's
 seeded determinism guarantees), it fires the same faults at the same
 attempts every run.  Rules fire first-match in plan order, each
 consuming one unit of its attempt budget (sticky rules never exhaust).
+The plan is immutable, so the injector indexes it once by
+``(op, target)``: an attempt reads only the rules of its own op — the
+untargeted ones and those aimed at its block — never the whole plan.
 
 A :class:`FaultClock` carries simulation time into the wrapped kernel
 surfaces, whose real APIs (``try_offline_block`` et al.) don't take a
@@ -16,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan, FaultRule
 
@@ -65,6 +68,13 @@ class FaultInjector:
         self.plan = plan
         self.clock = clock or FaultClock()
         self._remaining: List[int] = [rule.count for rule in plan.rules]
+        # Plan indices by (op, target), ascending; key (op, None) holds
+        # the op's untargeted rules, which match every attempt of the op.
+        index: Dict[Tuple[str, Optional[int]], List[int]] = {}
+        for position, rule in enumerate(plan.rules):
+            index.setdefault((rule.op, rule.target), []).append(position)
+        self._plan_index: Dict[Tuple[str, Optional[int]], Tuple[int, ...]] = {
+            key: tuple(positions) for key, positions in index.items()}
         self.stats = FaultStats()
         self.events: List[Dict[str, object]] = []
         # Rule-window calendar for quiescent_until(): windows whose start
@@ -92,21 +102,40 @@ class FaultInjector:
 
         A hit consumes one unit of the rule's budget (sticky rules are
         bottomless) and records the injection in ``stats``/``events``.
+        The op's untargeted rules and its rules for *target* are two
+        ascending index runs; the lower of their first live entries is
+        the first live match in plan order.
         """
         now = self.clock.now_s
-        for index, rule in enumerate(self.plan.rules):
-            if self._remaining[index] == 0:
-                continue
-            if not rule.matches(op, target, now):
-                continue
-            if self._remaining[index] > 0:
-                self._remaining[index] -= 1
-            self.stats.count(op, rule.error)
-            self.events.append({"op": op, "error": rule.error,
-                                "target": target, "time_s": now,
-                                "rule": rule.label or index})
-            return rule
-        return None
+        miss = len(self._remaining)
+        index = self._first_live((op, None), now, miss)
+        if target is not None:
+            index = self._first_live((op, target), now, index)
+        if index == miss:
+            return None
+        rule = self.plan.rules[index]
+        if self._remaining[index] > 0:
+            self._remaining[index] -= 1
+        self.stats.count(op, rule.error)
+        self.events.append({"op": op, "error": rule.error,
+                            "target": target, "time_s": now,
+                            "rule": rule.label or index})
+        return rule
+
+    def _first_live(self, key: Tuple[str, Optional[int]], now: float,
+                    bound: int) -> int:
+        """Lowest plan index below *bound* among *key*'s rules that is
+        unexhausted and whose window holds *now*; *bound* when none is."""
+        rules = self.plan.rules
+        remaining = self._remaining
+        for index in self._plan_index.get(key, ()):
+            if index >= bound:
+                break
+            if remaining[index] != 0:
+                rule = rules[index]
+                if rule.start_s <= now < rule.end_s:
+                    return index
+        return bound
 
     def quiescent_until(self, now_s: float) -> float:
         """Earliest future time a rule could start matching, or *now_s*.

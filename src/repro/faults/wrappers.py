@@ -44,6 +44,12 @@ class _FaultyDelegate:
         self.injector = injector
 
     def __getattr__(self, name: str):
+        # Only reached for names missing from the wrapper itself.  Dunder
+        # probes (copy and pickle look for __setstate__ et al.) and
+        # ``inner`` on an instance not yet initialized must fail here:
+        # forwarding them would recurse through ``self.inner``.
+        if name == "inner" or (name.startswith("__") and name.endswith("__")):
+            raise AttributeError(name)
         return getattr(self.inner, name)
 
 
@@ -58,6 +64,18 @@ class FaultyPhysicalMemoryManager(_FaultyDelegate):
     def __init__(self, inner: PhysicalMemoryManager,
                  injector: FaultInjector):
         super().__init__(inner, injector)
+
+    # The daemon and policies poll these two every epoch; bound here,
+    # they skip the failed lookup that precedes every __getattr__ forward.
+    @property
+    def free_pages(self) -> int:
+        """The inner manager's free pages."""
+        return self.inner.free_pages
+
+    @property
+    def online_pages(self) -> int:
+        """The inner manager's on-line pages."""
+        return self.inner.online_pages
 
     def allocate(self, owner_id: str, n_pages: int,
                  kind: OwnerKind = OwnerKind.USER,

@@ -79,13 +79,6 @@ class StaircasePoint:
         return (self.idle_energy_nj / self.idle_ns) if self.idle_ns else 0.0
 
 
-def _idle_state_power_w(model: DRAMPowerModel, state: PowerState) -> float:
-    """One rank's background+refresh power in *state*, watts."""
-    devices = model.organization.devices_per_rank
-    return devices * (model.device_model.background_power_w(state)
-                      + model.device_model.refresh_power_w(state))
-
-
 def run_staircase(organization: Optional[MemoryOrganization] = None,
                   config: Optional[LowPowerConfig] = None,
                   idle_sweep_ns: Tuple[float, ...] = DEFAULT_IDLE_SWEEP_NS,
@@ -94,8 +87,10 @@ def run_staircase(organization: Optional[MemoryOrganization] = None,
     organization = organization or spec_server_memory()
     config = config or LowPowerConfig()
     model = DRAMPowerModel(organization)
-    state_power = {state: _idle_state_power_w(model, state)
-                   for state in PowerState}
+    # One rank's background + refresh power in each state, watts.
+    devices = organization.devices_per_rank
+    state_power = {state: devices * power_w for state, power_w
+                   in model.device_model.static_power_w.items()}
     points: List[StaircasePoint] = []
     for idle_ns in idle_sweep_ns:
         if idle_ns <= 0:

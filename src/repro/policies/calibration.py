@@ -40,8 +40,7 @@ ESTIMATE_KERNEL_BYTES = 2 * GIB
 def static_power_w(power_model: "DRAMPowerModel",
                    state: PowerState) -> float:
     """Background + refresh power of one device parked in *state*."""
-    device = power_model.device_model
-    return device.background_power_w(state) + device.refresh_power_w(state)
+    return power_model.device_model.static_power_w[state]
 
 
 def state_mix_dpd(power_model: "DRAMPowerModel",

@@ -159,6 +159,12 @@ class DevicePowerModel:
     def __init__(self, idd: IDDValues, timing: DDR4Timing):
         self.idd = idd
         self.timing = timing
+        #: Background + refresh power of one device parked in each state.
+        #: Both inputs are frozen, so the table never goes stale; it is
+        #: derived state and stays out of any checkpoint.
+        self.static_power_w: Dict[PowerState, float] = {
+            state: self.background_power_w(state) + self.refresh_power_w(state)
+            for state in PowerState}
 
     def background_power_w(self, state: PowerState) -> float:
         """Standby power in *state*, excluding refresh."""

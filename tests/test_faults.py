@@ -1,9 +1,12 @@
 """The fault-injection layer: plans, injector, wrappers, determinism."""
 
+import copy
 import json
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import GreenDIMMConfig
 from repro.core.system import GreenDIMMSystem
@@ -17,6 +20,7 @@ from repro.errors import (
     WakeupTimeoutError,
 )
 from repro.faults import (
+    FAULT_OPS,
     STICKY,
     FaultInjector,
     FaultPlan,
@@ -211,6 +215,107 @@ class TestInjector:
                                     "rule": "boom"}]
 
 
+class NaiveInjector(FaultInjector):
+    """Reference model of ``should_fail``: a linear scan of the whole
+    plan through :meth:`FaultRule.matches`, first live match wins."""
+
+    def should_fail(self, op, target=None):
+        now = self.clock.now_s
+        for index, rule in enumerate(self.plan.rules):
+            if self._remaining[index] == 0:
+                continue
+            if not rule.matches(op, target, now):
+                continue
+            if self._remaining[index] > 0:
+                self._remaining[index] -= 1
+            self.stats.count(op, rule.error)
+            self.events.append({"op": op, "error": rule.error,
+                                "target": target, "time_s": now,
+                                "rule": rule.label or index})
+            return rule
+        return None
+
+
+#: Blocks 0-2 (or none); dense, so untargeted and targeted rules collide.
+TARGETS = st.sampled_from((None, 0, 1, 2))
+
+
+@st.composite
+def fault_rules(draw):
+    op = draw(st.sampled_from(sorted(FAULT_OPS)))
+    start = draw(st.integers(0, 12))
+    length = draw(st.one_of(st.integers(1, 10), st.just(math.inf)))
+    return FaultRule(op=op, error=draw(st.sampled_from(FAULT_OPS[op])),
+                     target=None if op == "allocate" else draw(TARGETS),
+                     start_s=float(start), end_s=start + length,
+                     count=draw(st.sampled_from((STICKY, 1, 2, 3))),
+                     label=draw(st.sampled_from(("", "named"))))
+
+
+ATTEMPTS = st.tuples(st.sampled_from(sorted(FAULT_OPS)), TARGETS,
+                     st.sampled_from((0.0, 0.25, 0.5, 1.0)))
+
+
+def assert_same_injection(ours, naive):
+    assert ours._remaining == naive._remaining
+    assert ours.stats.as_dict() == naive.stats.as_dict()
+    assert ours.events == naive.events
+
+
+def reload(injector, plan, kind):
+    """A fresh injector of *kind* resumed from *injector*'s pickled state."""
+    fresh = kind(plan)
+    fresh.load_state_dict(pickle.loads(pickle.dumps(injector.state_dict())))
+    return fresh
+
+
+class TestIndexedInjector:
+    """The (op, target)-indexed injector against the linear-scan model."""
+
+    @given(st.lists(fault_rules(), min_size=4, max_size=16),
+           st.lists(ATTEMPTS, min_size=20, max_size=60),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_streams_match(self, rules, attempts, data):
+        plan = FaultPlan(rules=tuple(rules))
+        ours, naive = FaultInjector(plan), NaiveInjector(plan)
+        jump = data.draw(st.integers(0, len(attempts) - 1))
+        restore_at = data.draw(st.integers(0, len(attempts) - 1))
+        now = 0.0
+        for step, (op, target, dt) in enumerate(attempts):
+            # Time moves forward except for one jump back (a reused
+            # injector's fresh run).
+            now = data.draw(st.floats(0.0, now)) if step == jump else now + dt
+            if step == restore_at:
+                ours = reload(ours, plan, FaultInjector)
+                naive = reload(naive, plan, NaiveInjector)
+            ours.advance(now)
+            naive.advance(now)
+            rule = ours.should_fail(op, target)
+            assert rule is naive.should_fail(op, target)
+            assert_same_injection(ours, naive)
+            assert ours.quiescent_until(now) == naive.quiescent_until(now)
+
+    @pytest.mark.parametrize("untargeted_first", [True, False])
+    def test_lower_plan_index_wins_across_buckets(self, untargeted_first):
+        untargeted = FaultRule(op="offline", error="EBUSY", count=2,
+                               label="any")
+        targeted = FaultRule(op="offline", error="EAGAIN", target=5,
+                             count=2, label="five")
+        first, second = ((untargeted, targeted) if untargeted_first
+                         else (targeted, untargeted))
+        plan = FaultPlan(rules=(first, second))
+        ours, naive = FaultInjector(plan), NaiveInjector(plan)
+        for _ in range(5):
+            assert ours.should_fail("offline", 5) is naive.should_fail(
+                "offline", 5)
+            assert_same_injection(ours, naive)
+        # The first rule fired until spent, then the second took over.
+        assert [event["rule"] for event in ours.events] == [
+            first.label, first.label, second.label, second.label]
+        assert ours.should_fail("offline", 5) is None
+
+
 class TestWrappers:
     def test_injected_ebusy_counts_and_carries_model_latency(self):
         plan = FaultPlan(rules=(
@@ -280,6 +385,19 @@ class TestWrappers:
         system = make_system(storm_plan(1, intensity=0.1))
         assert system.mm.total_pages == system.mm.inner.total_pages
         assert system.hotplug.offline_blocks() == []
+
+    def test_wrapped_mm_copies_and_pickles(self):
+        system = make_system(storm_plan(1, intensity=0.1))
+        system.mm.allocate("app", 1000)
+        clone = copy.copy(system.mm)
+        assert clone.inner is system.mm.inner
+        assert clone.free_pages == system.mm.free_pages
+        restored = pickle.loads(pickle.dumps(system.mm))
+        assert restored.inner is not system.mm.inner
+        assert restored.owner_pages("app") == 1000
+        assert (restored.free_pages, restored.online_pages) == (
+            system.mm.free_pages, system.mm.online_pages)
+        assert restored.injector.plan == system.mm.injector.plan
 
 
 class TestContext:

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.organization import spec_server_memory
+from repro.dram.organization import (
+    azure_server_memory,
+    spec_server_memory,
+)
 from repro.errors import ConfigurationError
 from repro.power.idd import AccessEnergies, IDDValues
 from repro.power.model import (
@@ -13,6 +16,7 @@ from repro.power.model import (
     uniform_profile,
 )
 from repro.power.states import PowerState
+from repro.sim.fleet import fleet_server_memory
 
 ORG = spec_server_memory()
 MODEL = DRAMPowerModel(ORG)
@@ -84,6 +88,20 @@ class TestStateOrdering:
         assert dev.refresh_power_w(PowerState.SELF_REFRESH) == 0.0
         assert dev.refresh_power_w(PowerState.DEEP_POWER_DOWN) == 0.0
         assert dev.refresh_power_w(PowerState.PRECHARGE_STANDBY) > 0.0
+
+
+class TestStaticPowerTable:
+    """The per-state table is the sum it replaces, to the last bit."""
+
+    # The spec box, the 16 GiB tournament box, and the 8 Gb-device box
+    # (which also selects the 8 Gb timing's longer refresh).
+    @pytest.mark.parametrize("organization", [
+        spec_server_memory, fleet_server_memory, azure_server_memory])
+    def test_table_is_background_plus_refresh(self, organization):
+        dev = DRAMPowerModel(organization()).device_model
+        for state in PowerState:
+            summed = dev.background_power_w(state) + dev.refresh_power_w(state)
+            assert dev.static_power_w[state].hex() == summed.hex()
 
 
 class TestDPDAccounting:
