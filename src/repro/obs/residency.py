@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Dict
 
 from repro.errors import SimulationError
 from repro.faults.context import drain_fault_counts
+from repro.faults.injector import FaultStats
 from repro.obs.tracer import drain_trace
 from repro.soa import accumulate_energy
 
@@ -166,6 +167,10 @@ class RunAccount:
     #: ``epochs_stepped``) and the stable spans that batched them.
     epochs_batched: int = 0
     stable_spans: int = 0
+    #: Injected-fault counts folded in from other processes
+    #: (:func:`absorb_account`); this process's own counts stay with its
+    #: injectors until the drain.
+    faults: FaultStats = field(default_factory=FaultStats)
 
     def record_run(self, residency: ResidencyStats, dram_energy_j: float,
                    baseline_dram_energy_j: float, duration_s: float,
@@ -215,8 +220,31 @@ def drain_account() -> Dict[str, Dict]:
     """
     global GLOBAL_ACCOUNT
     account, GLOBAL_ACCOUNT = GLOBAL_ACCOUNT, RunAccount()
-    parts = {"faults": drain_fault_counts(),
+    account.faults.merge(FaultStats(drain_fault_counts()))
+    parts = {"faults": account.faults.as_dict(),
              "perf": account.perf_dict(),
              "residency": account.residency_dict(),
              "trace": drain_trace()}
     return {key: part for key, part in parts.items() if part}
+
+
+def absorb_account(drained: Dict[str, Dict]) -> None:
+    """Fold another process's drained account into this one's.
+
+    *drained* is what :func:`drain_account` returned there; the next
+    drain here reports it.  The fault counts, perf counters and
+    residency come back; the trace does not.
+    """
+    account = GLOBAL_ACCOUNT
+    for name, value in drained.get("perf", {}).items():
+        setattr(account, name, getattr(account, name) + value)
+    residency = drained.get("residency")
+    if residency:
+        account.residency.merge(ResidencyStats(**{
+            f"{state}_s": seconds
+            for state, seconds in residency["states"].items()}))
+        account.dram_energy_j += residency["dram_energy_j"]
+        account.baseline_dram_energy_j += residency["baseline_dram_energy_j"]
+        account.duration_s += residency["duration_s"]
+        account.runs += residency["runs"]
+    account.faults.merge(FaultStats(dict(drained.get("faults", {}))))

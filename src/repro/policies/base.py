@@ -21,8 +21,8 @@ The obligations, in the order the kernel exercises them:
 
 ``monitor_is_noop()``
     True when a :meth:`step` right now would take no action and consume
-    no randomness.  :func:`~repro.sim.fastforward.quiescent_horizon`
-    refuses to open a fast-forward window unless this holds.
+    no randomness.  The kernel's span planner refuses to open a
+    fast-forward window unless this holds.
 
 ``monitor_fire_is_noop()`` (optional)
     True when a monitor fire right now would change nothing, even where

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentResult
-from repro.obs.residency import drain_account
+from repro.obs.residency import absorb_account, drain_account
 from repro.runner.cache import ResultCache
 from repro.runner.jobs import ExperimentJob, execute_job
 from repro.runner.metrics import MetricsBus
@@ -238,9 +238,10 @@ def fan_out(fn: Callable[[ItemT], ResultT], items: Sequence[ItemT],
     experiment.  *fn* must be a module-level function (or
     ``functools.partial`` of one) so it can cross the process boundary.
 
-    Without *metrics* the inline path leaves each item's account
-    loaded, so a fan-out nested in a runner job (fleet, tournament)
-    reaches that job's own drain.
+    Without *metrics* every item's account ends up in the calling
+    process's account — left loaded inline, folded back in item order
+    from pool workers — so a fan-out nested in a runner job (fleet,
+    tournament) reaches that job's own drain.
     """
     if workers < 1:
         raise ConfigurationError("need at least one worker")
@@ -250,6 +251,7 @@ def fan_out(fn: Callable[[ItemT], ResultT], items: Sequence[ItemT],
     bus = metrics or MetricsBus()
     started = time.perf_counter()
     results: List[ResultT] = [None] * len(items)  # type: ignore[list-item]
+    accounts: List[Dict[str, Dict]] = [{}] * len(items)
     try:
         if inline:
             for index, item in enumerate(items):
@@ -271,6 +273,7 @@ def fan_out(fn: Callable[[ItemT], ResultT], items: Sequence[ItemT],
                         index, item = futures[future]
                         result, wall, account = future.result()
                         results[index] = result
+                        accounts[index] = account
                         bus.job_end(label(item), wall, cached=False,
                                     account=account)
                 except KeyboardInterrupt:
@@ -281,4 +284,7 @@ def fan_out(fn: Callable[[ItemT], ResultT], items: Sequence[ItemT],
                       interrupted=True)
         raise
     bus.suite_end(workers, time.perf_counter() - started)
+    if metrics is None:
+        for account in accounts:
+            absorb_account(account)
     return results

@@ -47,6 +47,10 @@ MAX_BODY_BYTES = 256 * 1024 * 1024
 #: Most header lines accepted in one request.
 MAX_HEADERS = 100
 
+#: Seconds a client gets to send its whole request (line, headers and
+#: body); a connection that stalls past it is answered 408 and closed.
+REQUEST_READ_TIMEOUT_S = 30.0
+
 _CONTENT_LENGTH = re.compile(r"[0-9]+")
 
 _SERVER_ROUTE = re.compile(r"^/servers/(\d+)(/[a-z]+)?$")
@@ -60,8 +64,9 @@ class _HttpError(Exception):
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 413: "Payload Too Large",
-            414: "URI Too Long", 431: "Request Header Fields Too Large",
+            405: "Method Not Allowed", 408: "Request Timeout",
+            413: "Payload Too Large", 414: "URI Too Long",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error"}
 
 
@@ -194,7 +199,13 @@ class ControlPlane:
 
     async def _respond(self, reader: asyncio.StreamReader
                        ) -> Tuple[int, str, bytes]:
-        method, target, _headers, body = await self._read_request(reader)
+        # Only the read is under the deadline: route handlers and the
+        # simulation lock never are.
+        try:
+            method, target, _headers, body = await asyncio.wait_for(
+                self._read_request(reader), REQUEST_READ_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            raise _HttpError(408, "request not received in time") from None
         url = urlsplit(target)
         path = url.path.rstrip("/") or "/"
         query = parse_qs(url.query)

@@ -1,112 +1,66 @@
 """An appendable, infinite-horizon workload source for resident servers.
 
-:class:`StreamSource` is :class:`~repro.sim.kernel.TraceSource`'s
-open-ended sibling: instead of replaying a fixed, fully known event
-list, it lets a fleet daemon keep *pushing* VM arrivals and departures
-into a simulator that never finishes (``duration_s`` is infinite).  The
-service drives it in bounded slices via
-``EpochKernel.advance(state, until_s=..., exact=True)``.
+:class:`StreamSource` is the :class:`~repro.sim.kernel.TraceSource`
+that adds :meth:`~StreamSource.push`: instead of replaying a fixed,
+fully known event list, it lets a fleet daemon keep *pushing* VM
+arrivals and departures into a simulator that never finishes
+(``duration_s`` is infinite).  The service drives it in bounded slices
+via ``EpochKernel.advance(state, until_s=..., exact=True)``.
 
-The kernel's fast-forward machinery works unchanged: between events the
-source is quiescent, so the horizon is simply the next queued event's
-timestamp (or infinity while the queue is drained — the ``exact`` cap
-bounds the window).  Events must be pushed at or after the paused
-clock; the service clamps network-delivered timestamps to the server's
-current time, mirroring a scheduler that cannot place a VM in the past.
+Replay, the horizon (the next queued event, or infinity while the queue
+is drained — the ``exact`` cap bounds the window) and snapshot support
+are the trace source's own.  Events must be pushed at or after the
+paused clock; the service clamps network-delivered timestamps to the
+server's current time, mirroring a scheduler that cannot place a VM in
+the past.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List
 
 from repro.errors import SimulationError
-from repro.ksm.content import RegionContent
-from repro.units import PAGE_SIZE
+from repro.sim.kernel import TraceSource
 from repro.workloads.azure import VMEvent
 
 if TYPE_CHECKING:
     from repro.sim.server import ServerSimulator
 
 
-@dataclass
-class StreamSource:
+class StreamSource(TraceSource):
     """VM events pushed at runtime, replayed exactly like a trace."""
 
-    sim: "ServerSimulator"
-    mean_vm_bandwidth_bytes_per_s: float = 0.4e9
-    events: List[VMEvent] = field(default_factory=list)
-    cursor: int = 0
-    running: int = 0
-    #: Never finishes on its own; the service ticks it in bounded slices.
-    duration_s: float = math.inf
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Snapshot support: drop the simulator back-reference (the
-        # snapshot layer re-binds it on restore).
-        state = self.__dict__.copy()
-        state["sim"] = None
-        return state
-
-    # --- ingestion ----------------------------------------------------------
+    def __init__(self, sim: "ServerSimulator",
+                 mean_vm_bandwidth_bytes_per_s: float = 0.4e9):
+        self.sim = sim
+        self.mean_vm_bandwidth_bytes_per_s = mean_vm_bandwidth_bytes_per_s
+        self.events: List[VMEvent] = []
+        self.cursor = 0
+        self.running = 0
+        #: Never finishes on its own; the service ticks it in bounded slices.
+        self.duration_s = math.inf
 
     def push(self, event: VMEvent) -> None:
-        """Queue *event*; it must not land behind the replay cursor."""
-        if self.cursor and self.events \
-                and event.time_s < self.events[self.cursor - 1].time_s:
+        """Queue *event* behind every queued event at or before its time.
+
+        It must not land behind the replay cursor.
+        """
+        events = self.events
+        if self.cursor and event.time_s < events[self.cursor - 1].time_s:
             raise SimulationError(
                 f"event at t={event.time_s} behind the replay cursor "
-                f"(t={self.events[self.cursor - 1].time_s})")
-        bisect.insort(self.events, event, lo=self.cursor,
-                      key=lambda e: e.time_s)
+                f"(t={events[self.cursor - 1].time_s})")
+        lo, hi = self.cursor, len(events)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if event.time_s < events[mid].time_s:
+                hi = mid
+            else:
+                lo = mid + 1
+        events.insert(lo, event)
 
     @property
     def pending(self) -> int:
         """Events queued but not yet applied."""
         return len(self.events) - self.cursor
-
-    # --- WorkloadSource -----------------------------------------------------
-
-    def prepare(self) -> None:
-        pass
-
-    def apply(self, t: float) -> None:
-        sim = self.sim
-        ksm = sim.system.ksm
-        while self.cursor < len(self.events) \
-                and self.events[self.cursor].time_s <= t:
-            event = self.events[self.cursor]
-            self.cursor += 1
-            vm = event.instance
-            if event.kind == "arrive":
-                pages = vm.vm_type.memory_bytes // PAGE_SIZE
-                sim._resize_owner(vm.owner_id, pages, t, mergeable=True,
-                                  emergency=True)
-                self.running += 1
-                if ksm is not None:
-                    ksm.register(RegionContent(
-                        owner_id=vm.owner_id, total_pages=pages,
-                        image_id=vm.vm_type.image_id))
-            else:
-                if ksm is not None:
-                    ksm.unregister(vm.owner_id)
-                sim.system.mm.free_all(vm.owner_id)
-                sim.swap.release(vm.owner_id)
-                self.running = max(0, self.running - 1)
-
-    def operating_point(self, t: float) -> Tuple[float, float]:
-        return self.running * self.mean_vm_bandwidth_bytes_per_s, 0.5
-
-    def horizon(self, t: float) -> float:
-        if self.cursor < len(self.events):
-            next_event_s = self.events[self.cursor].time_s
-            return t if next_event_s <= t else next_event_s
-        return math.inf
-
-    def stable_until(self, t: float) -> float:
-        # Identical reasoning to TraceSource: between events apply() is
-        # a pure cursor peek and the operating point only moves at
-        # events.
-        return self.horizon(t)

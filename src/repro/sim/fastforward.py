@@ -2,11 +2,12 @@
 
 The :class:`~repro.sim.server.ServerSimulator` steps the whole
 OS/KSM/daemon/power stack once per epoch even when nothing can happen.
-This module supplies the pieces that let it recognize such *quiescent
-windows* — spans of epochs in which no trace event, footprint change,
-daemon threshold crossing, or fault-plan window boundary can occur — and
-advance through them in a tight loop that synthesizes the identical
-:class:`~repro.sim.server.EpochSample` stream.
+The kernel's span planner (:meth:`~repro.sim.kernel.EpochKernel._plan_span`)
+recognizes *quiescent windows* — spans of epochs in which no trace
+event, footprint change, daemon threshold crossing, or fault-plan window
+boundary can occur — and advances through them in a tight loop that
+synthesizes the identical :class:`~repro.sim.server.EpochSample` stream.
+This module holds the clock and the counters both paths share.
 
 Bit-for-bit equivalence is the contract, which shapes the design:
 
@@ -27,12 +28,8 @@ Bit-for-bit equivalence is the contract, which shapes the design:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
-
-if TYPE_CHECKING:
-    from repro.core.system import GreenDIMMSystem
+from typing import Dict
 
 
 @dataclass
@@ -96,27 +93,3 @@ class FastForwardStats:
                 "spans_stable": self.spans_stable,
                 "epochs_batched": self.epochs_batched,
                 "epochs_dynamic": self.epochs_dynamic}
-
-
-def quiescent_horizon(system: "GreenDIMMSystem", now_s: float) -> float:
-    """How far the *system side* of the simulation is steady, from *now_s*.
-
-    Returns *now_s* itself when the system is not quiescent right now:
-    the active policy's monitor would act (for the daemon: free memory
-    outside the hysteresis band), KSM has registered regions to scan (or
-    a just-completed pass that would kick the monitor), or a fault rule
-    is live.  Otherwise returns the earliest future time system activity
-    could resume — the next fault-rule start, or ``inf``.
-
-    Callers intersect this with their own workload-side horizon (next
-    trace event, end of the footprint's flat run).
-    """
-    if not system.policy.monitor_is_noop():
-        return now_s
-    ksm = system.ksm
-    if ksm is not None and (ksm.pass_just_completed or ksm.registry.regions()):
-        return now_s
-    injector = system.fault_injector
-    if injector is None:
-        return math.inf
-    return injector.quiescent_until(now_s)

@@ -50,7 +50,7 @@ from repro.obs.tracer import GLOBAL_TRACER as TRACER
 from repro.os.hotplug import HotplugStats
 from repro.power.model import PowerCacheStats
 from repro.sim.calendar import EventCalendar, intersect_horizons
-from repro.sim.fastforward import FastForwardStats, SimClock, quiescent_horizon
+from repro.sim.fastforward import FastForwardStats, SimClock
 from repro.soa import (
     accumulate_energy,
     batched_times,
@@ -191,8 +191,7 @@ class WorkloadSource(Protocol):
     return a time strictly greater than *t* only if no workload-side
     activity (event, footprint change, pending resize) can occur before
     it; return *t* itself to veto fast-forwarding this epoch.  The
-    kernel intersects the workload horizon with the system-side
-    :func:`~repro.sim.fastforward.quiescent_horizon`.
+    kernel's span planner adds the system-side vetoes.
 
     :meth:`stable_until` is the span planner's weaker contract: a bound
     before which — assuming physical memory state does not change in
@@ -202,8 +201,7 @@ class WorkloadSource(Protocol):
     side is quiescent: the daemon's monitor may be armed, so the kernel
     separately keeps every monitor fire that could act on the dynamic
     path, and ends a churn span once churn moves memory.  Any
-    valid ``horizon`` is a valid (conservative) ``stable_until``, which
-    is the fallback the kernel uses for sources that don't implement it.
+    valid ``horizon`` is a valid (conservative) ``stable_until``.
     """
 
     duration_s: float
@@ -568,7 +566,7 @@ class EpochKernel:
                                  / PEAK_DRAM_BANDWIDTH_BYTES_PER_S),
             row_miss_rate=row_miss_rate).total_w
 
-    # --- quiescence fast-forward ------------------------------------------
+    # --- span planning and replay ---------------------------------------
 
     def _fast_forward_usable(self, churn: bool, epoch_s: float) -> bool:
         """Can this run profit from the fast path at all?
@@ -584,61 +582,139 @@ class EpochKernel:
             return False
         return True
 
-    def _fast_forward_window(self, clock: SimClock, end_s: float,
-                             bandwidth: float, row_miss_rate: float,
-                             churn: bool, samples: List[EpochSample],
-                             dram_energy: float, baseline_energy: float,
-                             residency: ResidencyStats,
-                             ) -> Tuple[float, float]:
-        """Advance epochs in [clock.now_s, end_s) without stepping the stack.
+    def _plan_span(self, source: WorkloadSource, t: float, epoch_s: float,
+                   cap: float, churn: bool) -> Tuple[int, bool]:
+        """How many epochs from *t* run as one batch, and of which kind.
 
-        The caller guarantees nothing can happen before *end_s*: owner
-        footprints are flat and already resident, the daemon's monitor
-        would no-op, KSM is idle, and no fault rule is live.  Skipped
-        epochs replay one template sample with the same per-epoch float
-        ops as the slow path (:meth:`_replay_epochs`).  Pinned churn (the
-        one remaining source of activity) is replayed from one churn
-        event to the next (:meth:`_churn_epochs`), preserving the RNG
-        stream; the moment it perturbs memory the epoch is completed
-        through the normal machinery and the window closes.
+        Returns ``(n, quiescent)``; ``n == 0`` means "step this epoch".
+        The workload bounds every span: ``source.horizon(t)`` when it is
+        past *t*, else the weaker ``stable_until(t)``.  KSM activity or a
+        live fault rule vetoes both kinds, the fault injector's own
+        horizon intersects the bound, and *cap* truncates it.
+
+        A **quiescent** window needs a workload horizon past *t*, reaches
+        past the next epoch, and the monitor would no-op: nothing at all
+        can happen inside it.  Failing that, a **stable** span is the
+        weaker promise — ``apply`` no-ops and the operating point holds
+        while memory holds still, but the monitor may be armed.  It needs
+        ``span_batchable`` (unknown policies veto via getattr) and at
+        least two epochs.  A non-churn span stops strictly before the
+        epoch whose ``step`` would fire the monitor; the cap replays the
+        daemon's exact ``since += epoch_s`` float chain, so the firing
+        epoch lands on the dynamic path at the identical simulated time.
+        The cap is lifted when the policy proves the fire inert (optional
+        ``monitor_fire_is_noop``, asked lazily once the chain reaches the
+        period): free memory cannot move inside a non-churn span, so
+        every fire up to the bound is inert too.  A churn span is never
+        capped here: churn can move free memory mid-span, so its executor
+        decides each fire when it reaches it (:meth:`_churn_epochs`).
+        """
+        horizon = source.horizon(t)
+        bound = horizon if horizon > t else source.stable_until(t)
+        if bound <= t:
+            return 0, False
+        system = self.system
+        ksm = system.ksm
+        if ksm is not None and (ksm.pass_just_completed
+                                or ksm.registry.regions()):
+            return 0, False
+        injector = system.fault_injector
+        if injector is not None:
+            bound = intersect_horizons(t, bound, injector.quiescent_until(t))
+            if bound <= t:
+                return 0, False
+        policy = system.policy
+        if horizon > t and bound > t + epoch_s and policy.monitor_is_noop():
+            return epochs_before(t, epoch_s, min(bound, cap)), True
+        if not getattr(policy, "span_batchable", False):
+            return 0, False
+        bound = min(bound, cap)
+        if churn:
+            n = epochs_before(t, epoch_s, bound)
+        else:
+            period = policy.monitor_period_s
+            since = policy.monitor_timer
+            n = 0
+            now = t
+            while now < bound:
+                since += epoch_s
+                if since >= period:
+                    fire_is_noop = getattr(policy, "monitor_fire_is_noop",
+                                           None)
+                    if fire_is_noop is not None and fire_is_noop():
+                        n += epochs_before(now, epoch_s, bound)
+                    break  # an acting fire stays on the dynamic path
+                n += 1
+                now += epoch_s
+        return (n if n >= 2 else 0), False
+
+    def _stable_span_window(self, clock: SimClock, n: int, quiescent: bool,
+                            bandwidth: float, row_miss_rate: float,
+                            churn: bool, samples: List[EpochSample],
+                            dram_energy: float, baseline_energy: float,
+                            residency: ResidencyStats,
+                            ) -> Tuple[float, float]:
+        """Execute up to *n* planned epochs of one kind as one batch.
+
+        The planner proved that across these epochs ``apply`` is a
+        strict no-op, the operating point is constant, KSM is idle, and
+        no fault rule is live — so an epoch reduces to the timer tick
+        (:meth:`~repro.core.daemon.GreenDIMMDaemon.tick_quiescent`, the
+        bit-exact mirror of ``step`` when the pass does nothing), the
+        sample, and the energy sums.  Without churn the whole span is one
+        :meth:`_replay_epochs` batch.  With churn the promise only lasts
+        while memory holds still, so the span runs from one churn event
+        to the next (:meth:`_churn_epochs`) and ends early after the
+        first epoch in which churn moves free memory or a monitor fire
+        acts.
+
+        A *quiescent* window counts its epochs as fast-forwarded (but the
+        closing real step as stepped), treats every fire as inert, and
+        books residency as one closed-form span.  A stable span counts
+        its epochs as stepped *and* batched and books residency per
+        epoch.
 
         Returns the updated ``(dram_energy, baseline_energy)``.
         """
         system = self.system
-        epoch_s = clock.epoch_s
+        policy = system.policy
         stats = self.sim.ff_stats
-        stats.windows += 1
+        if quiescent:
+            stats.windows += 1
+        else:
+            stats.spans_stable += 1
         baseline_w = self._baseline_power_w(bandwidth, row_miss_rate)
         active_res = min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S)
-        # Bound unconditionally: the exit event below reads it whenever
-        # the tracer is enabled at *exit*, which need not match its state
-        # at entry (tracing can be toggled mid-run).
-        skipped_before = stats.epochs_fast_forwarded
         if TRACER.enabled:
-            TRACER.event("ff.enter", t_s=clock.now_s, end_s=end_s,
-                         churn=churn)
-        n = epochs_before(clock.now_s, epoch_s, end_s)
+            TRACER.event("ff.enter" if quiescent else "span.enter",
+                         t_s=clock.now_s, epochs=n, churn=churn)
         if churn:
-            # Every fire is inert: the monitor no-ops at entry and memory
-            # only moves in the epoch that closes the window.
-            dram_energy, baseline_energy, done, closed = self._churn_epochs(
+            fire_is_noop = getattr(policy, "monitor_fire_is_noop", None)
+            fires_inert = quiescent or (fire_is_noop is not None
+                                        and fire_is_noop())
+            dram_energy, baseline_energy, n, closed = self._churn_epochs(
                 clock, n, bandwidth, row_miss_rate, baseline_w, active_res,
-                True, samples, dram_energy, baseline_energy, residency)
-            stats.epochs_fast_forwarded += done - closed
-            stats.epochs_stepped += closed
+                fires_inert, samples, dram_energy, baseline_energy,
+                residency)
         else:
             system.advance_time(clock.now_s)
             template = self._sample(clock.now_s, bandwidth, row_miss_rate)
             dram_energy, baseline_energy = self._replay_epochs(
                 clock, n, template, baseline_w, active_res, samples,
-                dram_energy, baseline_energy, residency, per_epoch=False)
+                dram_energy, baseline_energy, residency,
+                per_epoch=not quiescent)
+            closed = 0
+        if quiescent:
+            n -= closed
             stats.epochs_fast_forwarded += n
+            stats.epochs_stepped += closed
+        else:
+            stats.epochs_stepped += n
+            stats.epochs_batched += n
         if TRACER.enabled:
-            TRACER.event("ff.exit", t_s=clock.now_s,
-                         epochs=stats.epochs_fast_forwarded - skipped_before)
+            TRACER.event("ff.exit" if quiescent else "span.exit",
+                         t_s=clock.now_s, epochs=n)
         return dram_energy, baseline_energy
-
-    # --- span replay -------------------------------------------------------
 
     def _replay_epochs(self, clock: SimClock, n: int, template: EpochSample,
                        baseline_w: float, active_res: float,
@@ -760,120 +836,6 @@ class EpochKernel:
             clock.tick()
         return dram_energy, baseline_energy, done, 0
 
-    # --- stable stepped spans ----------------------------------------------
-
-    def _plan_stable_span(self, t: float, epoch_s: float, bound: float,
-                          churn: bool) -> int:
-        """How many consecutive epochs from *t* are provably *stable*.
-
-        A stable epoch still counts as stepped — the daemon's monitor is
-        armed (free memory may sit outside the hysteresis band) — but
-        nothing that could change system state can actually run during
-        it: the caller has already proven ``apply`` is a strict no-op
-        and the operating point constant before *bound* (while memory
-        holds still); this method additionally vetoes KSM activity and
-        live fault rules (the same conditions
-        :func:`~repro.sim.fastforward.quiescent_horizon` checks),
-        intersects the fault injector's own horizon, and caps a
-        non-churn span strictly before the epoch whose ``step`` would
-        fire the monitor.  The timer cap replays the daemon's exact
-        ``since += epoch_s`` float chain, so the firing epoch lands on
-        the dynamic path at the identical simulated time either way.
-
-        The cap is lifted when the policy proves the fire inert
-        (optional ``monitor_fire_is_noop``, asked lazily once the chain
-        reaches the period): free memory cannot move inside a non-churn
-        span, so every fire up to *bound* is inert too, and the replay's
-        timer chain performs the resets.  A churn span is never capped
-        here: churn can move free memory mid-span, so its executor
-        decides each fire when it reaches it (:meth:`_churn_epochs`).
-        """
-        system = self.system
-        # A policy that cannot prove its step() reduces to the standard
-        # timer chain between monitor fires vetoes stable spans outright
-        # (correctness first, batching second): unknown policies default
-        # to the veto via getattr.
-        policy = system.policy
-        if not getattr(policy, "span_batchable", False):
-            return 0
-        ksm = system.ksm
-        if ksm is not None and (ksm.pass_just_completed
-                                or ksm.registry.regions()):
-            return 0
-        injector = system.fault_injector
-        if injector is not None:
-            bound = intersect_horizons(t, bound,
-                                       injector.quiescent_until(t))
-            if bound <= t:
-                return 0
-        if churn:
-            return epochs_before(t, epoch_s, bound)
-        period = policy.monitor_period_s
-        since = policy.monitor_timer
-        n = 0
-        now = t
-        while now < bound:
-            since += epoch_s
-            if since >= period:
-                fire_is_noop = getattr(policy, "monitor_fire_is_noop", None)
-                if fire_is_noop is not None and fire_is_noop():
-                    # Inert fires: run to the bound.
-                    return n + epochs_before(now, epoch_s, bound)
-                return n  # this epoch fires the monitor: leave it dynamic
-            n += 1
-            now += epoch_s
-        return n
-
-    def _stable_span_window(self, clock: SimClock, n: int,
-                            bandwidth: float, row_miss_rate: float,
-                            churn: bool, samples: List[EpochSample],
-                            dram_energy: float, baseline_energy: float,
-                            residency: ResidencyStats,
-                            ) -> Tuple[float, float]:
-        """Execute up to *n* stable stepped epochs as one batch.
-
-        The planner proved that across these epochs ``apply`` is a
-        strict no-op, the operating point is constant, KSM is idle, and
-        no fault rule is live — so a stepped epoch reduces to the timer
-        tick (:meth:`~repro.core.daemon.GreenDIMMDaemon.tick_quiescent`,
-        the bit-exact mirror of ``step`` when the pass does nothing), the
-        sample, and the energy sums.  Without churn every monitor fire
-        in the span is inert, and the whole span is one
-        :meth:`_replay_epochs` batch.  With churn the planner's promise
-        only lasts while memory holds still, so the span runs from one
-        churn event to the next (:meth:`_churn_epochs`) and ends early
-        after the first epoch in which churn moves free memory or a
-        monitor fire acts.
-
-        Returns the updated ``(dram_energy, baseline_energy)``.
-        """
-        system = self.system
-        policy = system.policy
-        stats = self.sim.ff_stats
-        stats.spans_stable += 1
-        baseline_w = self._baseline_power_w(bandwidth, row_miss_rate)
-        active_res = min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S)
-        if TRACER.enabled:
-            TRACER.event("span.enter", t_s=clock.now_s, epochs=n,
-                         churn=churn)
-        if churn:
-            fire_is_noop = getattr(policy, "monitor_fire_is_noop", None)
-            dram_energy, baseline_energy, n, _closed = self._churn_epochs(
-                clock, n, bandwidth, row_miss_rate, baseline_w, active_res,
-                fire_is_noop is not None and fire_is_noop(), samples,
-                dram_energy, baseline_energy, residency)
-        else:
-            system.advance_time(clock.now_s)
-            template = self._sample(clock.now_s, bandwidth, row_miss_rate)
-            dram_energy, baseline_energy = self._replay_epochs(
-                clock, n, template, baseline_w, active_res, samples,
-                dram_energy, baseline_energy, residency)
-        stats.epochs_stepped += n
-        stats.epochs_batched += n
-        if TRACER.enabled:
-            TRACER.event("span.exit", t_s=clock.now_s, epochs=n)
-        return dram_energy, baseline_energy
-
     # --- the unified run loop ---------------------------------------------
 
     def begin(self, source: WorkloadSource, epoch_s: float,
@@ -941,49 +903,23 @@ class EpochKernel:
         baseline_energy = state.baseline_energy
         residency = state.residency
         cap = min(duration, until_s) if exact else duration
-        stable_until = getattr(source, "stable_until", source.horizon)
         try:
             while clock.now_s < duration and clock.now_s < until_s:
                 t = clock.now_s
                 if use_ff:
-                    wl_horizon = source.horizon(t)
-                    if wl_horizon > t:
-                        horizon = min(wl_horizon,
-                                      quiescent_horizon(system, t))
-                        if horizon > t + epoch_s:
-                            end = min(horizon, cap)
-                            bandwidth, row_miss = source.operating_point(t)
-                            dram_energy, baseline_energy = \
-                                self._fast_forward_window(
-                                    clock, end, bandwidth, row_miss,
-                                    pinned_churn, samples, dram_energy,
-                                    baseline_energy, residency)
-                            continue
-                    # No quiescent window — the monitor is armed, or the
-                    # one ahead is too short.  Try a *stable* span: the
-                    # weaker promise that apply() no-ops and the
-                    # operating point holds while memory holds still.
                     # A churn span ends after the first epoch in which
                     # churn moves memory, so this loop re-plans (and
                     # re-checks the swap-in precondition) right there.
-                    # A horizon past t is itself a valid stable bound
-                    # (the built-in sources' stable_until returns the
-                    # same one), so only a vetoed horizon needs the
-                    # weaker check.
-                    stable = (wl_horizon if wl_horizon > t
-                              else stable_until(t))
-                    if stable > t:
-                        n = self._plan_stable_span(t, epoch_s,
-                                                   min(stable, cap),
+                    n, quiescent = self._plan_span(source, t, epoch_s, cap,
                                                    pinned_churn)
-                        if n >= 2:
-                            bandwidth, row_miss = source.operating_point(t)
-                            dram_energy, baseline_energy = \
-                                self._stable_span_window(
-                                    clock, n, bandwidth, row_miss,
-                                    pinned_churn, samples, dram_energy,
-                                    baseline_energy, residency)
-                            continue
+                    if n:
+                        bandwidth, row_miss = source.operating_point(t)
+                        dram_energy, baseline_energy = \
+                            self._stable_span_window(
+                                clock, n, quiescent, bandwidth, row_miss,
+                                pinned_churn, samples, dram_energy,
+                                baseline_energy, residency)
+                        continue
                 system.advance_time(t)
                 source.apply(t)
                 if pinned_churn:

@@ -161,10 +161,11 @@ class TestChurnSpans:
             if sim.fast_forward:
                 window = sim.kernel._stable_span_window
 
-                def recorded(clock, n, *args):
+                def recorded(clock, n, quiescent, *args):
                     start = clock.now_s
-                    result = window(clock, n, *args)
-                    spans.append((start, clock.now_s))
+                    result = window(clock, n, quiescent, *args)
+                    if not quiescent:
+                        spans.append((start, clock.now_s))
                     return result
 
                 sim.kernel._stable_span_window = recorded

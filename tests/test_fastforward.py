@@ -77,34 +77,34 @@ class TestWorkloadEquivalence:
         assert fast[1].ff_stats.epochs_fast_forwarded > 0
 
     def test_tracer_enabled_mid_window_exits_cleanly(self):
-        # Regression: the churn-path window exit reads ``skipped_before``
-        # whenever the tracer is enabled at *exit* — if the binding only
-        # happened under a tracer-enabled *entry*, toggling tracing on
-        # mid-run (here: from inside the first window's churn hook)
-        # raised NameError.
+        # Regression: the window exit event is emitted whenever the
+        # tracer is enabled at *exit*; when its count was bound only
+        # under a tracer-enabled *entry*, toggling tracing on mid-run
+        # (here: from inside the first window's churn hook) raised
+        # NameError.
         from repro.obs.tracer import GLOBAL_TRACER
 
         sim = ServerSimulator(small_system(), seed=5, fast_forward=True)
         kernel = sim.kernel
-        window = kernel._fast_forward_window
+        window = kernel._stable_span_window
         original = sim._pinned_churn
         in_window = []
 
-        def tracked_window(*args):
-            in_window.append(True)
+        def tracked_window(clock, n, quiescent, *args):
+            in_window.append(quiescent)
             try:
-                return window(*args)
+                return window(clock, n, quiescent, *args)
             finally:
                 in_window.pop()
 
         def churn_then_enable(t, epoch_s, draw=None):
             result = original(t, epoch_s, draw)
             # Toggle from inside a window's churn event epoch.
-            if in_window and not GLOBAL_TRACER.enabled:
+            if any(in_window) and not GLOBAL_TRACER.enabled:
                 GLOBAL_TRACER.enable()
             return result
 
-        kernel._fast_forward_window = tracked_window
+        kernel._stable_span_window = tracked_window
         sim._pinned_churn = churn_then_enable
         try:
             result = sim.run_workload(profile_by_name("429.mcf"),

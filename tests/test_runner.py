@@ -243,6 +243,52 @@ class TestFanOut:
         perf = job_end["perf"]
         assert perf["epochs_stepped"] + perf["epochs_fast_forwarded"] > 0
 
+    def test_nested_pool_accounts_reach_the_job(self, monkeypatch):
+        # GREENDIMM_FLEET_WORKERS=2 runs the fleet's own fan-out on a
+        # 2-process pool with no bus: each worker's drained account must
+        # fold back into the job's, exactly as the inline fan-out books it.
+        from repro.experiments.fleet import FAST_SERVERS
+
+        ends = []
+        for fleet_workers in ("1", "2"):
+            monkeypatch.setenv("GREENDIMM_FLEET_WORKERS", fleet_workers)
+            metrics = MetricsBus()
+            ParallelRunner(workers=1, metrics=metrics).run(
+                [ExperimentJob("fleet", fast=True)])
+            (job_end,) = [e for e in metrics.events
+                          if e["event"] == "job_end"]
+            ends.append(job_end)
+        inline, pooled = ends
+        assert pooled["residency"]["runs"] == FAST_SERVERS
+        assert pooled["residency"] == inline["residency"]
+        assert pooled["perf"] == inline["perf"]
+
+    def test_absorbed_accounts_add_up(self):
+        from repro.obs import drain_account
+        from repro.obs.residency import absorb_account
+
+        drain_account()  # start from an empty process account
+        worker = {
+            "faults": {"offline:EBUSY": 2},
+            "perf": {"epochs_stepped": 5, "stable_spans": 1},
+            "residency": {
+                "states": {"active_standby": 1.0, "precharge_standby": 2.0,
+                           "power_down": 0.0, "self_refresh": 0.0,
+                           "deep_power_down": 3.0},
+                "dram_energy_j": 1.5, "baseline_dram_energy_j": 2.5,
+                "duration_s": 6.0, "runs": 1}}
+        absorb_account(worker)
+        absorb_account(worker)
+        residency = worker["residency"]
+        assert drain_account() == {
+            "faults": {"offline:EBUSY": 4},
+            "perf": {"epochs_stepped": 10, "stable_spans": 2},
+            "residency": {
+                "states": {state: 2 * seconds for state, seconds
+                           in residency["states"].items()},
+                "dram_energy_j": 3.0, "baseline_dram_energy_j": 5.0,
+                "duration_s": 12.0, "runs": 2}}
+
 
 def _outcome(name, ok=True, cached=False, wall=0.1):
     result = ExperimentResult(experiment=name, description="d") if ok else None

@@ -10,8 +10,10 @@ simulation results.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import socket
 import threading
+import types
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.service import (
     FleetService,
     StreamSource,
 )
+from repro.service import http
 from repro.service.http import MAX_HEADERS
 from repro.sim.fleet import shard_assignment
 from repro.units import GIB
@@ -46,6 +49,33 @@ class TestStreamSource:
         source.events, source.cursor = source.events, 1  # consumed
         with pytest.raises(SimulationError, match="behind the replay"):
             source.push(_vm_event(2, 50.0))
+
+    def test_equal_timestamps_replay_in_push_order(self, monkeypatch):
+        # Python 3.9's bisect functions take no ``key``; hold every
+        # interpreter to that floor.
+        for name in ("bisect_left", "bisect_right", "insort_left",
+                     "insort_right", "insort"):
+            original = getattr(bisect, name)
+
+            def keyless(*args, _original=original, **kwargs):
+                if "key" in kwargs:
+                    raise TypeError("'key' is an invalid keyword argument")
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(bisect, name, keyless)
+        resized = []
+        sim = types.SimpleNamespace(
+            system=types.SimpleNamespace(ksm=None),
+            _resize_owner=lambda owner, *args, **kwargs: resized.append(
+                owner))
+        source = StreamSource(sim)
+        for vm_id, time_s in ((1, 10.0), (2, 5.0), (3, 10.0), (4, 10.0)):
+            source.push(_vm_event(vm_id, time_s))
+        source.apply(5.0)
+        source.push(_vm_event(5, 5.0))  # at the cursor's time: allowed
+        source.apply(10.0)
+        assert resized == [f"vm{i}" for i in (2, 5, 1, 3, 4)]
+        assert source.running == 5 and source.pending == 0
 
     def test_horizon_is_next_event_or_infinity(self):
         source = StreamSource(sim=None)
@@ -282,3 +312,20 @@ class TestHostileRequests:
         after = client.server(0)["dram_energy_j"]
         assert after.hex() == before.hex()
         assert client.status()["now_s"] == 120.0
+
+    def test_stalled_request_times_out(self, live_service, monkeypatch):
+        # Half a request line, then silence: the read deadline answers
+        # 408 and drops the connection; the service keeps serving.
+        monkeypatch.setattr(http, "REQUEST_READ_TIMEOUT_S", 0.2)
+        port = live_service.plane.bound_port
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10.0) as sock:
+            sock.sendall(b"GET /sta")
+            answer = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                answer += chunk
+        assert answer.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert _raw_status(port, b"GET /status HTTP/1.1\r\n\r\n") == 200

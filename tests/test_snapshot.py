@@ -42,12 +42,19 @@ from repro.workloads.azure import (
     VMType,
 )
 from repro.workloads.datacenter import DATACENTER_PROFILES
+from tests.conservation import install_conservation_checks
 
 PROFILE = "ml_linear"
 
 #: A dense failure storm covering the first 200 s of the run; pauses
 #: inside [0, 200) land mid-storm with live rules and embargo timers.
 STORM = storm_plan(seed=11, intensity=2.0, duration_s=200.0).to_dict()
+
+
+@pytest.fixture(autouse=True)
+def _conservation(monkeypatch):
+    """Every run here, paused or not, keeps the conservation laws."""
+    install_conservation_checks(monkeypatch)
 
 
 def _profile_run(spec, pause=None, churn=True):

@@ -38,6 +38,7 @@ from repro.units import GIB, MIB
 from repro.workloads.azure import AzureTrace, VMEvent, VMInstance, VMType
 from repro.workloads.profiles import Suite, WorkloadProfile
 from repro.workloads.trace import FootprintTrace
+from tests.conservation import install_conservation_checks
 
 
 def small_system(**kwargs):
@@ -202,17 +203,17 @@ class TestStableSpans:
         original = sim._pinned_churn
         in_span = []
 
-        def tracked_span(*args):
-            in_span.append(True)
+        def tracked_span(clock, n, quiescent, *args):
+            in_span.append(not quiescent)
             try:
-                return span_window(*args)
+                return span_window(clock, n, quiescent, *args)
             finally:
                 in_span.pop()
 
         def churn_then_enable(t, epoch_s, draw=None):
             result = original(t, epoch_s, draw)
             # Toggle from inside a span's churn event epoch.
-            if t > 40.0 and in_span and not GLOBAL_TRACER.enabled:
+            if t > 40.0 and any(in_span) and not GLOBAL_TRACER.enabled:
                 GLOBAL_TRACER.enable()
             return result
 
@@ -277,6 +278,31 @@ def hexed(run):
     }
 
 
+class _StableBound:
+    """A workload source that vetoes quiescence and promises stability
+    up to a fixed bound."""
+
+    def __init__(self, bound):
+        self.bound = bound
+
+    def horizon(self, t):
+        return t
+
+    def stable_until(self, t):
+        return self.bound
+
+
+def stable_plan(kernel):
+    """``kernel._plan_span`` bound to a stub source: ``plan(t, epoch_s,
+    bound, churn)`` is the stable-span length from *t* up to *bound*."""
+    def plan(t, epoch_s, bound, churn):
+        n, quiescent = kernel._plan_span(_StableBound(bound), t, epoch_s,
+                                         bound, churn)
+        assert not quiescent
+        return n
+    return plan
+
+
 class TestInertMonitorFires:
     """Monitor fires that provably change nothing no longer cut spans."""
 
@@ -335,7 +361,7 @@ class TestInertMonitorFires:
         mm = system.mm
         mm.allocate("hog", mm.free_pages - 16)
         system.policy.monitor_timer = 0.0
-        plan = sim.kernel._plan_stable_span
+        plan = stable_plan(sim.kernel)
         # Every block online, below low water: inert, so the span runs to
         # the bound.  A churn span runs to the bound either way: its
         # executor decides each fire when it reaches it.
@@ -362,11 +388,12 @@ class TestInertMonitorFires:
         assert not system.daemon.monitor_fire_is_noop()
         system.policy.monitor_timer = 0.0
         kernel = sim.kernel
-        assert kernel._plan_stable_span(0.0, 0.25, 10.0, churn=False) == 3
-        assert kernel._plan_stable_span(0.0, 0.25, 10.0, churn=True) == 40
+        plan = stable_plan(kernel)
+        assert plan(0.0, 0.25, 10.0, churn=False) == 3
+        assert plan(0.0, 0.25, 10.0, churn=True) == 40
         clock = SimClock(0.25)
         samples = []
-        kernel._stable_span_window(clock, 40, 1e9, 0.5, True, samples,
+        kernel._stable_span_window(clock, 40, False, 1e9, 0.5, True, samples,
                                    0.0, 0.0, ResidencyStats())
         # Three quiet epochs, then the fire at t=0.75 on-lines the block
         # and ends the span.
@@ -388,7 +415,8 @@ class TestRandomizedEquivalence:
     bit-for-bit identical across the two paths."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_randomized_runs_identical(self, seed):
+    def test_randomized_runs_identical(self, seed, monkeypatch):
+        install_conservation_checks(monkeypatch)
         rng = random.Random(0xC0FFEE + seed)
         levels = [(0.0, rng.uniform(3.0, 5.0))]
         t = 0.0
