@@ -27,11 +27,23 @@ class AllocationError(ReproError):
 
 
 class HotplugError(ReproError):
-    """Base class for memory on/off-lining failures."""
+    """Base class for memory on/off-lining failures.
+
+    The raiser passes the modelled time the failed attempt cost as
+    ``latency_s``.  Raise a new error directly, never through a local
+    name: a frame that holds its own in-flight exception forms a cycle
+    (exception, traceback, frame) that keeps every calling frame, and
+    with them the whole simulator, alive until a full garbage-collection
+    pass.
+    """
 
     #: errno-style short name, mirroring the Linux return codes the paper
     #: observes (Section 5.2).
     errno_name: str = "EIO"
+
+    def __init__(self, message: str = "", latency_s: float = 0.0):
+        super().__init__(message)
+        self.latency_s = latency_s
 
 
 class OfflineBusyError(HotplugError):
@@ -74,8 +86,10 @@ class WakeupTimeoutError(HotplugError):
 
     errno_name = "ETIMEDOUT"
 
-    #: Controller wait burned by the abandoned poll, set by the raiser.
-    wait_s: float = 0.0
+    def __init__(self, message: str = "", wait_s: float = 0.0):
+        super().__init__(message)
+        #: Controller wait burned by the abandoned poll.
+        self.wait_s = wait_s
 
 
 class PowerStateError(ReproError):

@@ -124,9 +124,9 @@ def _row(job: TournamentJob, system, runtime_s: float, dram_energy_j: float,
 
 def _workload_extras(result) -> Dict[str, float]:
     samples = result.samples
-    mean_dpd = (sum(s.dpd_fraction for s in samples) / len(samples)
+    mean_dpd = (sum(samples.values("dpd_fraction")) / len(samples)
                 if samples else 0.0)
-    max_offline = max((s.offline_blocks for s in samples), default=0)
+    max_offline = samples.max("offline_blocks", default=0)
     return {"mean_dpd_fraction": mean_dpd,
             "max_offline_blocks": max_offline}
 

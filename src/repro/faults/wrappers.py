@@ -106,16 +106,15 @@ class FaultyMemoryBlockManager(_FaultyDelegate):
                 latency = latency_model.failure_ebusy_s + rule.extra_latency_s
                 self.inner.stats.ebusy_failures += 1
                 self.inner.stats.record("ebusy", latency)
-                error: OfflineBusyError = OfflineBusyError(
-                    f"block {index}: injected EBUSY ({rule.label or 'fault'})")
-            else:
-                latency = latency_model.failure_eagain_s + rule.extra_latency_s
-                self.inner.stats.eagain_failures += 1
-                self.inner.stats.record("eagain", latency)
-                error = OfflineAgainError(
-                    f"block {index}: injected EAGAIN ({rule.label or 'fault'})")
-            error.latency_s = latency
-            raise error
+                raise OfflineBusyError(
+                    f"block {index}: injected EBUSY ({rule.label or 'fault'})",
+                    latency_s=latency)
+            latency = latency_model.failure_eagain_s + rule.extra_latency_s
+            self.inner.stats.eagain_failures += 1
+            self.inner.stats.record("eagain", latency)
+            raise OfflineAgainError(
+                f"block {index}: injected EAGAIN ({rule.label or 'fault'})",
+                latency_s=latency)
         result = self.inner.offline_block(index)
         stall = self.injector.should_fail("migration", index)
         if stall is not None and stall.extra_latency_s > 0:
@@ -137,11 +136,9 @@ class FaultyMemoryBlockManager(_FaultyDelegate):
     def online_block(self, index: int) -> float:
         rule = self.injector.should_fail("online", index)
         if rule is not None:
-            error = OnlineError(
+            raise OnlineError(
                 f"block {index}: injected on-lining failure "
-                f"({rule.label or 'fault'})")
-            error.latency_s = rule.extra_latency_s
-            raise error
+                f"({rule.label or 'fault'})", latency_s=rule.extra_latency_s)
         return self.inner.online_block(index)
 
     def try_online_block(self, index: int):
@@ -168,11 +165,9 @@ class FaultyPowerControl(_FaultyDelegate):
             # The abandoned poll still burned controller wait time; the
             # groups stay gated because nothing was un-gated yet.
             self.inner.wakeup_wait_s += wait_s
-            error = WakeupTimeoutError(
+            raise WakeupTimeoutError(
                 f"block {block}: wake-up ready bit never set "
-                f"({rule.label or 'fault'})")
-            error.wait_s = wait_s
-            raise error
+                f"({rule.label or 'fault'})", wait_s=wait_s)
         return self.inner.prepare_online(block, now_s)
 
 

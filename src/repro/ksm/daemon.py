@@ -54,9 +54,6 @@ class KSMStats:
     pages_unmerged_cow: int = 0
     passes_completed: int = 0
 
-    @property
-    def pages_saved(self) -> int:
-        return self.pages_merged - self.pages_unmerged_cow
 
 
 @dataclass

@@ -74,16 +74,6 @@ class ControllerStats:
         return sum(r.fraction(PowerState.SELF_REFRESH)
                    for r in self.residencies) / len(self.residencies)
 
-    def lowpower_fraction(self) -> float:
-        """Average power-down + self-refresh residency over all ranks."""
-        if not self.residencies:
-            return 0.0
-        total = 0.0
-        for r in self.residencies:
-            total += r.fraction(PowerState.SELF_REFRESH)
-            total += r.fraction(PowerState.POWER_DOWN)
-        return total / len(self.residencies)
-
     def rank_profiles(self, row_miss_rate: Optional[float] = None
                       ) -> List[RankPowerProfile]:
         """Per-rank :class:`RankPowerProfile` list for the power model."""

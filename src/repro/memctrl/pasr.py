@@ -54,8 +54,3 @@ class PASRBitVector:
         total = self.register_bits
         on = sum(bin(mask).count("1") for mask in self._masks)
         return on / total if total else 1.0
-
-    def rank_mask(self, rank: int) -> int:
-        if not 0 <= rank < self.organization.total_ranks:
-            raise ConfigurationError(f"rank {rank} out of range")
-        return self._masks[rank]

@@ -67,13 +67,6 @@ class BuddyAllocator:
         lst.insert(bisect_left(lst, pfn), pfn)
         self._free_pages += 1 << order
 
-    def _discard(self, order: int, pfn: int) -> None:
-        """Remove a specific free block."""
-        self._free_sets[order].remove(pfn)
-        lst = self._sorted[order]
-        del lst[bisect_left(lst, pfn)]
-        self._free_pages -= 1 << order
-
     def _pop_lowest(self, order: int) -> int:
         """Pop the lowest-address free block of *order*."""
         lst = self._sorted[order]
@@ -291,16 +284,6 @@ class BuddyAllocator:
             self._free_pages -= len(found) << order
             removed.extend((pfn, order) for pfn in found)
         return removed
-
-    def _free_in_range(self, order: int, start_pfn: int, count: int) -> List[int]:
-        """Free blocks of *order* lying inside a range.
-
-        The sorted list makes this a bisect-bounded slice — O(log n +
-        found) regardless of range size or list population.
-        """
-        lst = self._sorted[order]
-        i = bisect_left(lst, start_pfn)
-        return lst[i:bisect_left(lst, start_pfn + count, i)]
 
     def undo_isolation(self, removed: List[Tuple[int, int]]) -> None:
         """Return blocks taken by :meth:`isolate_range` to the free lists."""

@@ -192,9 +192,8 @@ class MemoryBlockManager:
             self.stats.record("ebusy", latency)
             if TRACER.enabled:
                 TRACER.event("hotplug.ebusy", block=index, latency_s=latency)
-            error = OfflineBusyError(f"block {index} has unmovable pages")
-            error.latency_s = latency
-            raise error
+            raise OfflineBusyError(f"block {index} has unmovable pages",
+                                   latency_s=latency)
 
         self.states[index] = MemoryBlockState.GOING_OFFLINE
         isolated = self.mm.isolate_block(index)
@@ -211,9 +210,8 @@ class MemoryBlockManager:
             self.stats.record("eagain", latency)
             if TRACER.enabled:
                 TRACER.event("hotplug.eagain", block=index, latency_s=latency)
-            error = OfflineAgainError(f"block {index}: migration failed")
-            error.latency_s = latency
-            raise error
+            raise OfflineAgainError(f"block {index}: migration failed",
+                                    latency_s=latency)
 
         self.states[index] = MemoryBlockState.OFFLINE
         self._offline_set.add(index)
@@ -256,9 +254,7 @@ class MemoryBlockManager:
         accounted by the power-control layer, not here.
         """
         if self.states[index] is not MemoryBlockState.OFFLINE:
-            error = OnlineError(f"block {index} is not offline")
-            error.latency_s = 0.0
-            raise error
+            raise OnlineError(f"block {index} is not offline")
         self.mm.complete_online(index)
         self.states[index] = MemoryBlockState.ONLINE
         self._offline_set.discard(index)

@@ -41,10 +41,6 @@ class Meminfo:
         return self.total_pages * PAGE_SIZE
 
     @property
-    def free_bytes(self) -> int:
-        return self.free_pages * PAGE_SIZE
-
-    @property
     def used_bytes(self) -> int:
         return self.used_pages * PAGE_SIZE
 

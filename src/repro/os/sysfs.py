@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from repro.errors import HotplugError
-from repro.os.hotplug import MemoryBlockManager, MemoryBlockState
+from repro.os.hotplug import MemoryBlockManager
 from repro.units import PAGE_SIZE
 
 _BLOCK_FILE = re.compile(r"^memory(\d+)/(state|removable|phys_index)$")
@@ -63,6 +63,3 @@ class SysfsMemoryInterface:
 
     def block_indices(self) -> range:
         return range(self.manager.mm.num_blocks)
-
-    def state_of(self, index: int) -> MemoryBlockState:
-        return self.manager.state(index)

@@ -27,7 +27,8 @@ class GreenDIMMPolicy:
     span_batchable = True
 
     def __init__(self, system: "GreenDIMMSystem"):
-        self.system = system
+        # The daemon is all the adapter needs; holding the system too
+        # would close a system <-> policy reference cycle.
         self.daemon: GreenDIMMDaemon = system.daemon
 
     # --- stats lifecycle --------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.power.model import DRAMPowerBreakdown
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,6 @@ class SystemPowerModel:
             raise ConfigurationError("dram power must be non-negative")
         return self.cpu.power_w(cpu_utilization) + dram_power_w + self.platform_rest_w
 
-    def power_from_breakdown(self, cpu_utilization: float,
-                             dram: DRAMPowerBreakdown) -> float:
-        return self.power_w(cpu_utilization, dram.total_w)
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def _greendimm_mean_dpd(profile: WorkloadProfile,
     system = GreenDIMMSystem(organization=organization, seed=seed)
     simulator = ServerSimulator(system, seed=seed)
     result = simulator.run_workload(profile, n_copies=n_copies)
-    mean_dpd = (sum(s.dpd_fraction for s in result.samples)
+    mean_dpd = (sum(result.samples.values("dpd_fraction"))
                 / max(1, len(result.samples)))
     return mean_dpd, result.offline_events, result.online_events
 

@@ -52,9 +52,8 @@ from repro.power.model import PowerCacheStats
 from repro.sim.calendar import EventCalendar, intersect_horizons
 from repro.sim.fastforward import FastForwardStats, SimClock
 from repro.soa import (
+    SampleLog,
     accumulate_energy,
-    batched_times,
-    emit_replicated,
     epochs_before,
     monitor_timer_after,
 )
@@ -142,7 +141,7 @@ class KernelRunState:
     duration_s: float
     clock: SimClock
     swap_stall_before: float
-    samples: List[EpochSample] = field(default_factory=list)
+    samples: SampleLog = field(default_factory=SampleLog)
     dram_energy: float = 0.0
     baseline_energy: float = 0.0
     residency: ResidencyStats = field(default_factory=ResidencyStats)
@@ -168,7 +167,7 @@ class KernelRun:
     convention); the raw sums here are exactly what the loop integrated.
     """
 
-    samples: List[EpochSample]
+    samples: SampleLog
     dram_energy_j: float
     baseline_dram_energy_j: float
     swap_stall_s: float
@@ -650,7 +649,7 @@ class EpochKernel:
 
     def _stable_span_window(self, clock: SimClock, n: int, quiescent: bool,
                             bandwidth: float, row_miss_rate: float,
-                            churn: bool, samples: List[EpochSample],
+                            churn: bool, samples: SampleLog,
                             dram_energy: float, baseline_energy: float,
                             residency: ResidencyStats,
                             ) -> Tuple[float, float]:
@@ -718,15 +717,16 @@ class EpochKernel:
 
     def _replay_epochs(self, clock: SimClock, n: int, template: EpochSample,
                        baseline_w: float, active_res: float,
-                       samples: List[EpochSample], dram_energy: float,
+                       samples: SampleLog, dram_energy: float,
                        baseline_energy: float, residency: ResidencyStats,
                        per_epoch: bool = True) -> Tuple[float, float]:
         """Replay *n* epochs in which nothing but the clock and the
         monitor timer moves.
 
         Each epoch's sample is *template* at its timestamp and its
-        energy the template's, so the whole run collapses to the batched
-        ``repro.soa`` chains (scalar below their crossover): timestamps,
+        energy the template's, so the whole run collapses to one
+        :class:`~repro.soa.SampleLog` run record and the batched
+        ``repro.soa`` chains (scalar below their crossover): the clock,
         both energy sums, and the carried monitor timer come out
         bit-identical to stepping.  A policy that does not promise the
         standard timer chain (``span_batchable`` unset) ticks its own
@@ -738,8 +738,10 @@ class EpochKernel:
         """
         policy = self.system.policy
         epoch_s = clock.epoch_s
-        times, clock.now_s = batched_times(clock.now_s, epoch_s, n)
-        emit_replicated(samples, times, template)
+        samples.append_run(clock.now_s, epoch_s, n, template)
+        # The clock's final value: the same n sequential additions the
+        # log's timestamps expand through.
+        clock.now_s = accumulate_energy(clock.now_s, epoch_s, n)
         dram_energy = accumulate_energy(
             dram_energy, template.dram_power_w * epoch_s, n)
         baseline_energy = accumulate_energy(
@@ -761,7 +763,7 @@ class EpochKernel:
     def _churn_epochs(self, clock: SimClock, n: int, bandwidth: float,
                       row_miss_rate: float, baseline_w: float,
                       active_res: float, fires_inert: bool,
-                      samples: List[EpochSample], dram_energy: float,
+                      samples: SampleLog, dram_energy: float,
                       baseline_energy: float, residency: ResidencyStats,
                       ) -> Tuple[float, float, int, int]:
         """Execute up to *n* epochs under pinned churn, from one churn

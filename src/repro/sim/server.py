@@ -39,6 +39,7 @@ from repro.sim.kernel import (
     fast_forward_default,
 )
 from repro.sim.perfmodel import PerformanceModel
+from repro.soa import SampleLog
 from repro.workloads.azure import AzureTrace
 from repro.workloads.profiles import WorkloadProfile
 
@@ -60,7 +61,7 @@ class WorkloadRunResult:
 
     profile_name: str
     elapsed_s: float
-    samples: List[EpochSample]
+    samples: SampleLog
     offline_events: int
     online_events: int
     ebusy_failures: int
@@ -82,11 +83,7 @@ class WorkloadRunResult:
     def mean_offline_blocks(self) -> float:
         if not self.samples:
             return 0.0
-        return sum(s.offline_blocks for s in self.samples) / len(self.samples)
-
-    def mean_offlined_bytes(self, block_bytes: int) -> float:
-        """Mean off-lined capacity over the run (Figure 6's metric)."""
-        return self.mean_offline_blocks * block_bytes
+        return self.samples.int_sum("offline_blocks") / len(self.samples)
 
     @property
     def dram_energy_saving(self) -> float:
@@ -99,7 +96,7 @@ class WorkloadRunResult:
 class VMTraceRunResult:
     """Outcome of an Azure-trace replay (Figures 1, 12, 13)."""
 
-    samples: List[EpochSample]
+    samples: SampleLog
     total_blocks: int
     dram_energy_j: float
     baseline_dram_energy_j: float
@@ -112,21 +109,21 @@ class VMTraceRunResult:
     def mean_offline_blocks(self) -> float:
         if not self.samples:
             return 0.0
-        return sum(s.offline_blocks for s in self.samples) / len(self.samples)
+        return self.samples.int_sum("offline_blocks") / len(self.samples)
 
     @property
     def max_offline_blocks(self) -> int:
-        return max((s.offline_blocks for s in self.samples), default=0)
+        return self.samples.max("offline_blocks", default=0)
 
     @property
     def min_offline_blocks(self) -> int:
-        return min((s.offline_blocks for s in self.samples), default=0)
+        return self.samples.min("offline_blocks", default=0)
 
     @property
     def mean_dpd_fraction(self) -> float:
         if not self.samples:
             return 0.0
-        return sum(s.dpd_fraction for s in self.samples) / len(self.samples)
+        return sum(self.samples.values("dpd_fraction")) / len(self.samples)
 
     @property
     def background_power_reduction(self) -> float:
@@ -154,7 +151,7 @@ class MixRunResult:
 
     profile_names: List[str]
     elapsed_s: float
-    samples: List[EpochSample]
+    samples: SampleLog
     offline_events: int
     online_events: int
     dram_energy_j: float
@@ -213,8 +210,16 @@ class ServerSimulator:
                              else fast_forward)
         #: Fast-forward accounting of the most recent ``run_*`` call.
         self.ff_stats = FastForwardStats()
-        #: The unified run-loop driver every ``run_*`` method goes through.
-        self.kernel = EpochKernel(self)
+
+    @property
+    def kernel(self) -> EpochKernel:
+        """The unified run-loop driver every ``run_*`` method goes through.
+
+        The kernel keeps no state of its own, so each access builds one:
+        a stored kernel would point back here and put the simulator in a
+        reference cycle, freed only by a full garbage-collection pass.
+        """
+        return EpochKernel(self)
 
     # --- shared plumbing ------------------------------------------------------
 

@@ -37,15 +37,23 @@ pause point and continued elsewhere replays the *identical* float
 stream — energies, samples, and residency match an uninterrupted run
 bit for bit.  ``tests/test_snapshot.py`` pins that contract for every
 registered policy, mid-fault-storm and under pinned churn.
+
+Restore unpickles with the stdlib "Restricting Globals" recipe: a blob
+may name only the classes and functions in :data:`SNAPSHOT_GLOBALS`, so
+a crafted body sent to a service's restore route cannot make unpickling
+call arbitrary code.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import pathlib
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core.config import GreenDIMMConfig, SelectionPolicy
 from repro.core.system import GreenDIMMSystem
@@ -59,7 +67,85 @@ PathLike = Union[str, pathlib.Path]
 
 #: Bump on any incompatible change to the state tree's shape.  Restore
 #: refuses versions it does not know rather than guessing.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
+
+
+def _numpy_globals() -> FrozenSet[Tuple[str, str]]:
+    """The globals numpy pickles an array through.
+
+    Protocol 5, which :func:`capture` writes, rebuilds an array from its
+    buffer; protocols 2 to 4 rebuild it from ``ndarray`` and a state
+    tuple.  numpy 2 moved the helpers from ``numpy.core`` to
+    ``numpy._core``, so numpy itself names them here.
+    """
+    array = np.zeros(1)
+    from_buffer = array.__reduce_ex__(5)[0]
+    reconstruct, (subtype, *_) = array.__reduce_ex__(4)[:2]
+    dtype = array.dtype.__reduce__()[0]
+    return frozenset((obj.__module__, obj.__qualname__)
+                     for obj in (from_buffer, reconstruct, subtype, dtype))
+
+
+#: Every global a capture references, and all that :func:`restore` will
+#: load.  ``tests/test_snapshot.py`` collects the globals of real
+#: captures of every source kind and asserts they equal this set, so a
+#: new class in the state tree fails there instead of at restore.
+SNAPSHOT_GLOBALS: FrozenSet[Tuple[str, str]] = _numpy_globals() | {
+    ("collections", "deque"),
+    ("repro.core.config", "GreenDIMMConfig"),
+    ("repro.core.config", "SelectionPolicy"),
+    ("repro.core.daemon", "DaemonEvent"),
+    ("repro.core.daemon", "DaemonStats"),
+    ("repro.faults.injector", "FaultStats"),
+    ("repro.faults.plan", "FaultPlan"),
+    ("repro.faults.plan", "FaultRule"),
+    ("repro.ksm.content", "RegionContent"),
+    ("repro.ksm.daemon", "KSMStats"),
+    ("repro.ksm.daemon", "_OwnerShare"),
+    ("repro.ksm.trees", "SharedPage"),
+    ("repro.ksm.trees", "_Node"),
+    ("repro.memctrl.moderegister", "RankModeState"),
+    ("repro.obs.residency", "ResidencyStats"),
+    ("repro.os.hotplug", "HotplugStats"),
+    ("repro.os.hotplug", "MemoryBlockState"),
+    ("repro.os.page", "BlockAccounting"),
+    ("repro.os.page", "OwnerKind"),
+    ("repro.os.page", "PageExtent"),
+    ("repro.os.swap", "SwapStats"),
+    ("repro.power.model", "DRAMPowerBreakdown"),
+    ("repro.power.model", "PowerCacheStats"),
+    ("repro.service.stream", "StreamSource"),
+    ("repro.sim.calendar", "EventCalendar"),
+    ("repro.sim.fastforward", "FastForwardStats"),
+    ("repro.sim.fastforward", "SimClock"),
+    ("repro.sim.kernel", "EpochSample"),
+    ("repro.sim.kernel", "KernelRunState"),
+    ("repro.sim.kernel", "MixSource"),
+    ("repro.sim.kernel", "ProfileSource"),
+    ("repro.sim.kernel", "TraceSource"),
+    ("repro.sim.server", "_PinnedExtent"),
+    ("repro.soa", "SampleLog"),
+    ("repro.soa", "SampleRun"),
+    ("repro.workloads.azure", "AzureTrace"),
+    ("repro.workloads.azure", "UtilizationSample"),
+    ("repro.workloads.azure", "VMEvent"),
+    ("repro.workloads.azure", "VMInstance"),
+    ("repro.workloads.azure", "VMType"),
+    ("repro.workloads.profiles", "Suite"),
+    ("repro.workloads.profiles", "WorkloadProfile"),
+    ("repro.workloads.trace", "FootprintTrace"),
+}
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Loads only :data:`SNAPSHOT_GLOBALS`; any other global is refused
+    before it is imported."""
+
+    def find_class(self, module: str, name: str) -> object:
+        if (module, name) not in SNAPSHOT_GLOBALS:
+            raise pickle.UnpicklingError(
+                f"global {module}.{name} is not allowed in a snapshot")
+        return super().find_class(module, name)
 
 #: Named memory organizations a spec may reference (JSON carries the
 #: name, not the object).  ``fleet`` matches
@@ -210,10 +296,11 @@ def restore(data: bytes,
     Without *sim*, the embedded spec is built into a fresh simulator
     first; state is then loaded in place and the paused run's source is
     re-bound to the restored simulator.  Continuing the run from here
-    is bit-for-bit identical to never having paused.
+    is bit-for-bit identical to never having paused.  A blob naming a
+    global outside :data:`SNAPSHOT_GLOBALS` raises :class:`SnapshotError`.
     """
     try:
-        payload = pickle.loads(data)
+        payload = _SnapshotUnpickler(io.BytesIO(data)).load()
     except Exception as err:
         raise SnapshotError(f"undecodable snapshot: {err}") from err
     if not isinstance(payload, dict) or "version" not in payload:

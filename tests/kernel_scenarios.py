@@ -26,6 +26,7 @@ from repro.core.system import GreenDIMMSystem
 from repro.dram.organization import DDR4_4GB_X8, MemoryOrganization
 from repro.faults.plan import storm_plan
 from repro.sim.server import ServerSimulator
+from repro.soa import SampleLog
 from repro.units import GIB, MIB
 from repro.workloads.registry import profile_by_name
 from repro.workloads.azure import AzureTraceGenerator
@@ -65,7 +66,7 @@ def _hexify(value: Any) -> Any:
         return value.hex()
     if isinstance(value, dict):
         return {k: _hexify(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, SampleLog)):
         return [_hexify(v) for v in value]
     return value
 

@@ -17,7 +17,7 @@ import math
 import random
 
 from repro.os.page import OwnerKind
-from repro.sim.kernel import SWAP_IN_RESERVE_PAGES
+from repro.sim.kernel import SWAP_IN_RESERVE_PAGES, EpochKernel
 from repro.sim.server import ServerSimulator, _PinnedExtent
 from repro.units import GIB, MIB
 from repro.workloads.profiles import Suite, WorkloadProfile
@@ -138,7 +138,7 @@ class TestChurnSpans:
                 if draw is not None and now_s + k * epoch_s == arrival_s]
         assert last and last[0][1] == last[0][0] - 1
 
-    def test_acting_fire_inside_a_churn_span(self):
+    def test_acting_fire_inside_a_churn_span(self, monkeypatch):
         # One block offline, free memory below low water: the first fire
         # must on-line the block.  The churn span is planned through that
         # fire; its executor runs the fire for real and ends there.
@@ -156,19 +156,19 @@ class TestChurnSpans:
             blocks.append(block)
 
         spans = []
+        window = EpochKernel._stable_span_window
+
+        def recorded(kernel, clock, n, quiescent, *args):
+            start = clock.now_s
+            result = window(kernel, clock, n, quiescent, *args)
+            if not quiescent:
+                spans.append((start, clock.now_s))
+            return result
+
+        # Only the fast-forwarded run of the pair reaches the executor.
+        monkeypatch.setattr(EpochKernel, "_stable_span_window", recorded)
 
         def run(sim):
-            if sim.fast_forward:
-                window = sim.kernel._stable_span_window
-
-                def recorded(clock, n, quiescent, *args):
-                    start = clock.now_s
-                    result = window(clock, n, quiescent, *args)
-                    if not quiescent:
-                        spans.append((start, clock.now_s))
-                    return result
-
-                sim.kernel._stable_span_window = recorded
             return sim.run_vm_trace(vm_trace([(30.0, math.inf, 64 * MIB)]),
                                     epoch_s=0.25)
 

@@ -16,6 +16,7 @@ from repro.core.system import GreenDIMMSystem
 from repro.dram.organization import DDR4_4GB_X8, MemoryOrganization
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule, storm_plan
+from repro.sim.kernel import EpochKernel
 from repro.sim.server import ServerSimulator
 from repro.units import GIB, MIB
 from repro.workloads import profile_by_name
@@ -76,7 +77,7 @@ class TestWorkloadEquivalence:
         assert_workload_identical(slow, fast)
         assert fast[1].ff_stats.epochs_fast_forwarded > 0
 
-    def test_tracer_enabled_mid_window_exits_cleanly(self):
+    def test_tracer_enabled_mid_window_exits_cleanly(self, monkeypatch):
         # Regression: the window exit event is emitted whenever the
         # tracer is enabled at *exit*; when its count was bound only
         # under a tracer-enabled *entry*, toggling tracing on mid-run
@@ -85,15 +86,14 @@ class TestWorkloadEquivalence:
         from repro.obs.tracer import GLOBAL_TRACER
 
         sim = ServerSimulator(small_system(), seed=5, fast_forward=True)
-        kernel = sim.kernel
-        window = kernel._stable_span_window
+        window = EpochKernel._stable_span_window
         original = sim._pinned_churn
         in_window = []
 
-        def tracked_window(clock, n, quiescent, *args):
+        def tracked_window(kernel, clock, n, quiescent, *args):
             in_window.append(quiescent)
             try:
-                return window(clock, n, quiescent, *args)
+                return window(kernel, clock, n, quiescent, *args)
             finally:
                 in_window.pop()
 
@@ -104,7 +104,8 @@ class TestWorkloadEquivalence:
                 GLOBAL_TRACER.enable()
             return result
 
-        kernel._stable_span_window = tracked_window
+        monkeypatch.setattr(EpochKernel, "_stable_span_window",
+                            tracked_window)
         sim._pinned_churn = churn_then_enable
         try:
             result = sim.run_workload(profile_by_name("429.mcf"),

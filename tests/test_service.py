@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import collections
+import pickle
 import socket
 import threading
 import types
@@ -28,8 +30,10 @@ from repro.service import (
 from repro.service import http
 from repro.service.http import MAX_HEADERS
 from repro.sim.fleet import shard_assignment
+from repro.sim.snapshot import SNAPSHOT_VERSION
 from repro.units import GIB
 from repro.workloads.azure import VMEvent, VMInstance, VMType
+from tests.test_snapshot import FIRED, SideEffect
 
 
 def _vm_event(vm_id: int, time_s: float, kind: str = "arrive",
@@ -123,6 +127,17 @@ class TestFleetService:
                     status["residency_s"])
 
         assert drive(restore_at=300.0) == drive()
+
+    def test_idle_snapshot_stops_growing(self):
+        # One idle VM: the idle stretch replays as one quiescent window,
+        # logged as one run however long it lasts.
+        sizes = []
+        for hours in (1, 72):
+            service = FleetService(num_servers=1, num_workers=1)
+            service.ingest(vm_id=1, memory_bytes=2 * GIB, time_s=0.0)
+            service.advance(until_s=hours * 3600.0)
+            sizes.append(len(service.snapshot(0)))
+        assert sizes[1] - sizes[0] <= 2048, sizes
 
     def test_migrate_and_reshard_preserve_state(self):
         service = FleetService(num_servers=3, num_workers=1)
@@ -270,6 +285,20 @@ class TestControlPlane:
             client.restore(0, b"")
         with pytest.raises(ReproError):
             client.restore(0, b"garbage bytes")
+
+    def test_restore_refuses_code(self, live_service):
+        client = live_service.client
+        client.advance(until_s=60.0)
+        before = client.server(0)
+        payload = {"version": SNAPSHOT_VERSION, "spec": None, "run": None}
+        for server in (SideEffect(), collections.OrderedDict()):
+            payload["server"] = server
+            with pytest.raises(ReproError, match="HTTP 400: .*not allowed"):
+                client.restore(0, pickle.dumps(payload))
+        assert FIRED == []
+        after = client.server(0)
+        assert after["dram_energy_j"].hex() == before["dram_energy_j"].hex()
+        assert after["now_s"] == 60.0
 
 
 def _raw_status(port: int, request: bytes) -> int:

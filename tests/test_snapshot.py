@@ -12,8 +12,11 @@ running and mid-fault-storm.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
+import pickle
+import pickletools
 import random
 import subprocess
 import sys
@@ -24,8 +27,10 @@ import pytest
 from repro.errors import SnapshotError
 from repro.faults.plan import storm_plan
 from repro.policies.registry import policy_names
-from repro.sim.kernel import ProfileSource, TraceSource
+from repro.service import FleetService
+from repro.sim.kernel import MixSource, ProfileSource, TraceSource
 from repro.sim.snapshot import (
+    SNAPSHOT_GLOBALS,
     SNAPSHOT_VERSION,
     ServerSpec,
     capture,
@@ -34,6 +39,7 @@ from repro.sim.snapshot import (
     save,
 )
 from repro.units import GIB
+from repro.workloads import profile_by_name
 from repro.workloads.azure import (
     AzureTrace,
     AzureTraceGenerator,
@@ -243,8 +249,6 @@ class TestFormat:
         spec = ServerSpec()
         sim = spec.build()
         blob = capture(sim, spec=spec)
-        import pickle
-
         payload = pickle.loads(blob)
         payload["version"] = SNAPSHOT_VERSION + 1
         with pytest.raises(SnapshotError, match="version"):
@@ -254,8 +258,6 @@ class TestFormat:
         with pytest.raises(SnapshotError):
             restore(b"not a snapshot")
         with pytest.raises(SnapshotError, match="not a simulator snapshot"):
-            import pickle
-
             restore(pickle.dumps({"spam": 1}))
 
     def test_specless_snapshot_needs_a_simulator(self):
@@ -301,3 +303,117 @@ class TestFormat:
         restored.sim.kernel.advance(restored.run_state)
         run = restored.sim.kernel.finish(restored.run_state)
         assert run.duration_s == DATACENTER_PROFILES[PROFILE].duration_s
+
+
+def _referenced_globals(blob):
+    """Every ``(module, name)`` a pickle loads, read off its opcodes.
+
+    ``STACK_GLOBAL`` pops its module and name, which were pushed as
+    strings or fetched from the memo, so the walk keeps what each opcode
+    pushed and what each memo slot holds.
+    """
+    found, memo, pushed = set(), {}, []
+    for op, arg, _ in pickletools.genops(blob):
+        name = op.name
+        if name in ("PROTO", "FRAME", "STOP"):
+            continue
+        if name == "MEMOIZE":
+            memo[len(memo)] = pushed[-1]
+        elif name in ("PUT", "BINPUT", "LONG_BINPUT"):
+            memo[arg] = pushed[-1]
+        elif name in ("GET", "BINGET", "LONG_BINGET"):
+            pushed.append(memo[arg])
+        elif name == "GLOBAL":
+            found.add(tuple(arg.split(" ", 1)))
+            pushed.append(None)
+        elif name == "STACK_GLOBAL":
+            found.add((pushed[-2], pushed[-1]))
+            pushed.append(None)
+        else:
+            pushed.append(arg if isinstance(arg, str) else None)
+    return found
+
+
+def _paused_captures(plan):
+    """Mid-run captures of every source kind, with *plan* armed."""
+    spec = ServerSpec(policy="greendimm", fault_plan=plan)
+    sim = spec.build()
+    source = ProfileSource(sim, DATACENTER_PROFILES[PROFILE], n_copies=3)
+    state = sim.kernel.begin(source, epoch_s=1.0, warmup_s=5.0)
+    sim.kernel.advance(state, until_s=60.0)
+    yield capture(sim, run_state=state, spec=spec)
+
+    sim = spec.build()
+    source = MixSource(sim, [profile_by_name(name)
+                             for name in ("403.gcc", "429.mcf")])
+    state = sim.kernel.begin(source, epoch_s=0.5)
+    sim.kernel.advance(state, until_s=30.0)
+    yield capture(sim, run_state=state, spec=spec)
+
+    spec = ServerSpec(policy="greendimm", enable_ksm=True,
+                      organization="azure", kernel_boot_bytes=3 * GIB,
+                      fault_plan=plan)
+    sim = spec.build()
+    trace = AzureTraceGenerator(
+        capacity_bytes=sim.system.mm.total_pages * 4096 - 3 * GIB,
+        physical_cores=16, duration_s=900.0, seed=3).generate()
+    state = sim.kernel.begin(TraceSource(sim, trace), epoch_s=5.0,
+                             pinned_churn=False)
+    sim.kernel.advance(state, until_s=400.0)
+    yield capture(sim, run_state=state, spec=spec)
+
+    for ksm in (False, True):
+        service = FleetService(num_servers=1, num_workers=1,
+                               enable_ksm=ksm)
+        if plan is not None:
+            service.inject_fault_plan(0, plan)
+        service.ingest(vm_id=1, memory_bytes=2 * GIB, time_s=0.0,
+                       lifetime_s=300.0)
+        service.advance(until_s=600.0)
+        yield service.snapshot(0)
+
+
+class TestRestrictedRestore:
+    def test_allowlist_is_what_captures_reference(self):
+        referenced = set()
+        for plan in (None, STORM):
+            for blob in _paused_captures(plan):
+                referenced |= _referenced_globals(blob)
+                # A payload re-pickled at the default protocol (as the
+                # version test below does) rebuilds arrays another way.
+                referenced |= _referenced_globals(
+                    pickle.dumps(pickle.loads(blob)))
+        for policy in policy_names():
+            spec = ServerSpec(policy=policy, fault_plan=STORM)
+            sim = spec.build()
+            source = ProfileSource(sim, DATACENTER_PROFILES[PROFILE])
+            state = sim.kernel.begin(source, epoch_s=1.0, warmup_s=5.0)
+            sim.kernel.advance(state, until_s=60.0)
+            referenced |= _referenced_globals(
+                capture(sim, run_state=state, spec=spec))
+        assert referenced == SNAPSHOT_GLOBALS
+
+    def test_off_list_globals_are_refused_before_loading(self):
+        payload = {"version": SNAPSHOT_VERSION, "spec": None,
+                   "server": SideEffect(), "run": None}
+        with pytest.raises(SnapshotError, match="not allowed"):
+            restore(pickle.dumps(payload))
+        assert FIRED == []
+        payload["server"] = collections.OrderedDict()
+        with pytest.raises(SnapshotError, match="collections.OrderedDict"):
+            restore(pickle.dumps(payload))
+
+
+#: Appended to whenever a pickled :class:`SideEffect` is loaded.
+FIRED = []
+
+
+def _fire(tag):
+    FIRED.append(tag)
+
+
+class SideEffect:
+    """Pickles as a call to :func:`_fire`: loading it has a side effect."""
+
+    def __reduce__(self):
+        return _fire, ("unpickled",)

@@ -27,8 +27,10 @@ from repro.faults.plan import FaultPlan, FaultRule, storm_plan
 from repro.obs import drain_account
 from repro.obs.residency import ResidencyStats
 from repro.sim.fastforward import SimClock
+from repro.sim.kernel import EpochKernel
 from repro.sim.server import ServerSimulator
 from repro.soa import (
+    SampleLog,
     accumulate_energy,
     batched_times,
     monitor_timer_after,
@@ -194,19 +196,18 @@ class TestStableSpans:
         assert fast[1].ff_stats.epochs_batched > 0
         assert fast[1].system.fault_injector.stats.total > 0
 
-    def test_tracer_toggled_mid_run_emits_span_events(self):
+    def test_tracer_toggled_mid_run_emits_span_events(self, monkeypatch):
         from repro.obs.tracer import GLOBAL_TRACER
 
         sim = ServerSimulator(small_system(), seed=5, fast_forward=True)
-        kernel = sim.kernel
-        span_window = kernel._stable_span_window
+        span_window = EpochKernel._stable_span_window
         original = sim._pinned_churn
         in_span = []
 
-        def tracked_span(clock, n, quiescent, *args):
+        def tracked_span(kernel, clock, n, quiescent, *args):
             in_span.append(not quiescent)
             try:
-                return span_window(clock, n, quiescent, *args)
+                return span_window(kernel, clock, n, quiescent, *args)
             finally:
                 in_span.pop()
 
@@ -217,7 +218,7 @@ class TestStableSpans:
                 GLOBAL_TRACER.enable()
             return result
 
-        kernel._stable_span_window = tracked_span
+        monkeypatch.setattr(EpochKernel, "_stable_span_window", tracked_span)
         sim._pinned_churn = churn_then_enable
         try:
             result = sim.run_workload(staircase_profile(), epoch_s=0.2,
@@ -392,7 +393,7 @@ class TestInertMonitorFires:
         assert plan(0.0, 0.25, 10.0, churn=False) == 3
         assert plan(0.0, 0.25, 10.0, churn=True) == 40
         clock = SimClock(0.25)
-        samples = []
+        samples = SampleLog()
         kernel._stable_span_window(clock, 40, False, 1e9, 0.5, True, samples,
                                    0.0, 0.0, ResidencyStats())
         # Three quiet epochs, then the fire at t=0.75 on-lines the block
