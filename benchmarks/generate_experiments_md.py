@@ -14,8 +14,8 @@ from repro.experiments.registry import runners
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
-Generated by ``benchmarks/generate_experiments_md.py`` from the same
-experiment modules the pytest-benchmark harness runs.  Paper values come
+Generated by ``benchmarks/generate_experiments_md.py`` from full-length
+runs of the experiments ``repro figures`` pins.  Paper values come
 from the published text and (approximately) from reading its figures.
 Absolute watts/latencies are anchored where the paper reports
 measurements; elsewhere the claim is the *shape* — who wins, by roughly
@@ -57,9 +57,12 @@ python -m repro figures bless --fast    # re-pin after an intentional change
 ``reports/figures/<id>/REPORT.md`` (rendered tables plus an
 expected-vs-measured diff), and exits non-zero when any cell drifts, when
 an experiment has no expectation, or when a committed expectation is
-*stale* (no registered experiment behind it).  CI runs this next to the
-bench gate, so a refactor that shifts an energy-saving percentage fails
-the build instead of silently redefining the reproduction.
+*stale* (no registered experiment behind it).  CI runs this gate, so a
+refactor that shifts an energy-saving percentage fails the build instead
+of silently redefining the reproduction.  A pin only says "unchanged":
+the paper's claims are thresholds in ``tests/test_experiments.py``,
+which tier-1 applies to every committed pin, so a re-bless that breaks
+a claim fails too.
 
 **Tolerance policy.** Numeric cells compare at a per-cell *relative*
 tolerance — the file-level ``tolerance`` (default ``1e-4``), overridable
@@ -88,6 +91,12 @@ _TITLES = {
     "fleet": "Fleet study (extension beyond the paper)",
     "gem5-staircase": "gem5 power-down staircase (independent validation)",
     "tournament": "Policy tournament (extension beyond the paper)",
+    "ablation-off-thr": "Ablation: off_thr reserve (Sec. 4.2)",
+    "ablation-monitor-period": "Ablation: monitoring period (Sec. 4.2)",
+    "ablation-movablecore": "Ablation: movablecore split (Sec. 5.2)",
+    "ablation-pair-gating": "Ablation: sense-amp pair gating (Sec. 6.1)",
+    "colocation": "Colocation study (extension beyond the paper)",
+    "suite-sweep": "Whole-catalog sweep (extension beyond the paper)",
 }
 
 RUNNERS = [(_TITLES[name], runner)

@@ -7,7 +7,7 @@ controller with rank low-power states, an OS physical-memory substrate
 with buddy allocation and memory hot-plug, KSM, the GreenDIMM daemon and
 sub-array deep power-down, the rank-level policies it is compared
 against (self-refresh, RAMZzz, PASR), and
-the benchmark harness regenerating every table and figure of the paper's
+the figure suite regenerating every table and figure of the paper's
 evaluation.
 
 Quick start::

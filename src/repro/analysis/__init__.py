@@ -1,8 +1,8 @@
 """Result rendering, paper-reference data, and suite aggregation.
 
-``report`` renders text tables/series the way the benchmark harness
-prints them; ``paper`` holds the published numbers for every table and
-figure so each bench can print paper-vs-measured side by side;
+``report`` renders text tables/series the way the experiments print
+them; ``paper`` holds the published numbers for every table and figure
+so each experiment can print paper-vs-measured side by side;
 ``aggregate`` folds the parallel runner's out-of-order job outcomes
 into a canonical suite summary.
 """

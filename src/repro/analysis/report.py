@@ -1,4 +1,4 @@
-"""Plain-text tables and series for the benchmark harness output."""
+"""Plain-text tables and series for the experiments' output."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ def fmt_w(value: float, digits: int = 1) -> str:
 
 @dataclass
 class Table:
-    """A fixed-width text table, the harness's figure/table medium."""
+    """A fixed-width text table, the experiments' figure/table medium."""
 
     title: str
     headers: Sequence[str]

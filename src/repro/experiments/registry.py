@@ -1,8 +1,8 @@
 """One place that knows every experiment's name and runner.
 
-The CLI, the benchmark harness, and the EXPERIMENTS.md generator all
-resolve experiments through this table, so adding a module here makes it
-available everywhere at once.
+The CLI, the ``repro figures`` suite, and the EXPERIMENTS.md generator
+all resolve experiments through this table, so adding a module here
+makes it available everywhere at once.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from repro.experiments.common import ExperimentResult
 def runners() -> Dict[str, Callable[..., ExperimentResult]]:
     """Name -> ``run(fast=...)`` callable for every experiment."""
     from repro.experiments import (
+        colocation,
         daemon_overhead,
         fig01_utilization,
         fig02_idle_busy,
@@ -26,10 +27,17 @@ def runners() -> Dict[str, Callable[..., ExperimentResult]]:
         fig12_offlined_blocks,
         fig13_capacity_scaling,
         gem5_staircase,
+        suite_sweep,
         tab01_power_vs_util,
         tab03_latency,
         tail_latency,
         tournament,
+    )
+    from repro.experiments.ablations import (
+        run_monitor_period,
+        run_movablecore,
+        run_off_thr,
+        run_pair_gating,
     )
     from repro.experiments.fig06_07_tab02_blocksize import (
         run_fig06,
@@ -63,6 +71,12 @@ def runners() -> Dict[str, Callable[..., ExperimentResult]]:
         "fleet": fleet.run,
         "gem5-staircase": gem5_staircase.run,
         "tournament": tournament.run,
+        "ablation-off-thr": run_off_thr,
+        "ablation-monitor-period": run_monitor_period,
+        "ablation-movablecore": run_movablecore,
+        "ablation-pair-gating": run_pair_gating,
+        "colocation": colocation.run,
+        "suite-sweep": suite_sweep.run,
     }
 
 

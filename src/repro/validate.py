@@ -3,8 +3,9 @@
 ``python -m repro validate`` runs these after an install or a local
 change: each check is cheap (< a second), compares one calibrated model
 output against the paper's measured anchor, and reports pass/fail with
-the two numbers side by side.  The full audit lives in the benchmark
-harness; this is the smoke-test version.
+the two numbers side by side.  The full audit is ``repro figures
+check`` plus the claims in ``tests/test_experiments.py``; this is the
+smoke-test version.
 """
 
 from __future__ import annotations
