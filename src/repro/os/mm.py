@@ -2,7 +2,8 @@
 
 This is the substrate's equivalent of the Linux mm core that GreenDIMM's
 daemon talks to: it satisfies allocations from the zone buddy allocators,
-keeps the ``mem_map`` (one record per run of buddy blocks), maintains
+keeps the ``mem_map`` (one record per canonical run of frames, grown and
+shrunk in place), maintains
 per-memory-block usage counters that back the sysfs ``removable`` flag,
 migrates pages out of blocks being off-lined, and renders
 ``/proc/meminfo``-style snapshots.
@@ -10,13 +11,14 @@ migrates pages out of blocks being off-lined, and renders
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.errors import AllocationError, ConfigurationError
 from repro.os.buddy import MAX_ORDER, BuddyAllocator
-from repro.os.page import BlockAccounting, OwnerKind, PageExtent
+from repro.os.page import (MAX_BLOCK_PAGES, TAIL_MASK, BlockAccounting,
+                           OwnerKind, PageExtent, buddy_blocks)
 from repro.os.zones import Zone, ZoneKind, ZoneLayout
 from repro.soa import BlockStateStore
 from repro.units import DEFAULT_MEMORY_BLOCK_SIZE, PAGE_SIZE
@@ -59,15 +61,34 @@ class Meminfo:
                 f"MemOffline:     {kb(self.offlined_pages):>12} kB\n")
 
 
+def _room(pages: int) -> int:
+    """The largest order of block a canonical run of *pages* can take
+    right after it and stay canonical.
+
+    That is one below the run's smallest block, or ``MAX_ORDER`` while
+    the run is all max-order blocks.
+    """
+    tail = pages & TAIL_MASK
+    return (tail & -tail).bit_length() - 2 if tail else MAX_ORDER
+
+
+#: ``_room`` of a run whose smallest block has order ``o``.
+_ROOM_AFTER = [_room(1 << order) for order in range(MAX_ORDER + 1)]
+
+
 class PhysicalMemoryManager:
     """Owns the frame space: allocation, freeing, migration, accounting.
 
-    The unit of ownership is a *run* (:class:`PageExtent`): ``count``
-    consecutive buddy blocks of one order, where ``count > 1`` only for
-    ``MAX_ORDER`` blocks inside one memory block.  Runs are indexed three
-    ways — by start pfn, by owner (an ascending list of run starts), and
-    by memory block — and the buddy allocators below still see one
-    ``(pfn, order)`` block at a time.
+    The unit of ownership is a *run* (:class:`PageExtent`): a canonical
+    ``pfn``/``pages`` span inside one memory block whose buddy blocks are
+    derived arithmetically (max-order blocks, then one block per set bit
+    of the remainder, largest first).  Allocation extends an owner's run
+    in place when a block lands right after it and freeing shortens the
+    top run in place, so a resize touches a run's counters rather than
+    re-registering its pieces.  Runs are indexed three ways — by start
+    pfn, by owner (an ascending list of run starts), and by memory block
+    — and the buddy allocators below still see one ``(pfn, order)`` block
+    at a time.
 
     Parameters
     ----------
@@ -105,6 +126,8 @@ class PhysicalMemoryManager:
         movable = [z for z in self.zones if z.kind is ZoneKind.MOVABLE]
         self._kernel_zones: List[Zone] = normal
         self._user_zones: List[Zone] = movable + normal
+        self._allocators: List[BuddyAllocator] = [
+            z.allocator for z in self.zones]
         #: Run start pfn -> run.
         self._extents: Dict[int, PageExtent] = {}
         #: Owner -> ascending run start pfns; freeing walks from the end.
@@ -149,44 +172,75 @@ class PhysicalMemoryManager:
 
     def _register(self, owner_id: str, kind: OwnerKind, mergeable: bool,
                   blocks: List[Tuple[int, int]]) -> List[PageExtent]:
-        """Coalesce buddy blocks into runs and index them for *owner_id*.
+        """Index buddy blocks for *owner_id*; returns the runs holding them.
 
-        Consecutive ``MAX_ORDER`` blocks join one run unless the next one
-        starts a new memory block.
+        A block extends a run in place when it lands right after it, in
+        the same memory block, with the same kind and ``mergeable``, and
+        the run stays canonical: the block is smaller than the run's
+        smallest block, or both are max-order (see :func:`_room`).  The
+        run is the one this call is building, or else the owner's run
+        that ends at the block.  Any other block starts a new run.
         """
         block_pages = self.block_pages
-        spans: List[List[int]] = []
-        end = -1
+        extents = self._extents
+        owned = self._owners.get(owner_id)
+        fresh: List[int] = []
+        #: Touched run -> its page count before this call.
+        before: Dict[PageExtent, int] = {}
+        run = None
+        # The current run spans [run.pfn, end), may grow up to ``stop``
+        # (its memory block's end) and take a block of order <= ``room``.
+        end = stop = room = -1
         for pfn, order in blocks:
-            if (pfn == end and order == MAX_ORDER and pfn % block_pages
-                    and span[1] == MAX_ORDER):
-                span[2] += 1
-            else:
-                span = [pfn, order, 1]
-                spans.append(span)
+            if pfn == end < stop and order <= room:
+                end += 1 << order
+                room = _ROOM_AFTER[order]
+                continue
+            if run is not None:
+                run.pages = end - run.pfn
+            run = None
+            if owned and pfn % block_pages:
+                i = bisect_left(owned, pfn)
+                if i:
+                    prev = extents[owned[i - 1]]
+                    if (prev.pfn + prev.pages == pfn and prev.kind is kind
+                            and prev.mergeable == mergeable
+                            and order <= _room(prev.pages)):
+                        run = prev
+            if run is None:
+                run = PageExtent(pfn, 0, owner_id, kind, mergeable)
+                extents[pfn] = run
+                fresh.append(pfn)
+            before.setdefault(run, run.pages)
             end = pfn + (1 << order)
-        runs = [PageExtent(pfn, order, owner_id, kind, mergeable, count=count)
-                for pfn, order, count in spans]
-        pfns = [run.pfn for run in runs]
-        self._extents.update(zip(pfns, runs))
-        owned = self._owners.setdefault(owner_id, [])
-        owned += pfns
-        owned.sort()
-        block_list = self._blocks
+            stop = run.pfn - run.pfn % block_pages + block_pages
+            room = _ROOM_AFTER[order]
+        if run is not None:
+            run.pages = end - run.pfn
+        if owned is None:
+            fresh.sort()
+            self._owners[owner_id] = fresh
+        else:
+            for pfn in fresh:
+                insort(owned, pfn)
+        accts = self._blocks
         mark_dirty = self.soa.mark_dirty
+        unmovable = kind is not OwnerKind.USER
         added = 0
-        for run in runs:
+        for run, pages in before.items():
+            grown = run.pages - pages
             block = run.pfn // block_pages
-            acct = block_list[block]
-            acct.used_pages += run.pages
-            if not run.movable:
-                acct.unmovable_pages += run.pages
-            acct.extents.add(run.pfn)
+            acct = accts[block]
+            acct.used_pages += grown
+            if unmovable:
+                acct.unmovable_pages += grown
+            if not pages:
+                acct.extents.add(run.pfn)
             mark_dirty(block)
-            added += run.pages
+            added += grown
         self._owner_pages[owner_id] = (
             self._owner_pages.get(owner_id, 0) + added)
-        return runs
+        return list(before)
 
     def _unregister(self, run: PageExtent) -> None:
         del self._extents[run.pfn]
@@ -211,7 +265,9 @@ class PhysicalMemoryManager:
     def allocate(self, owner_id: str, n_pages: int,
                  kind: OwnerKind = OwnerKind.USER,
                  mergeable: bool = False) -> List[PageExtent]:
-        """Allocate *n_pages* for *owner_id* as a list of runs.
+        """Allocate *n_pages* for *owner_id*; returns the runs holding them.
+
+        Those are new runs and existing runs of the owner grown in place.
 
         All-or-nothing across zones; raises :class:`AllocationError`
         without allocating when the online free memory of the kind's zones
@@ -283,7 +339,8 @@ class PhysicalMemoryManager:
         return self._free_top(owner_id, self.owner_pages(owner_id))
 
     def _free_top(self, owner_id: str, n_pages: int) -> int:
-        """Free the owner's highest *n_pages*, whole runs first.
+        """Free the owner's highest *n_pages*: whole runs from the top,
+        then the next run shortened in place.
 
         Max-order blocks never coalesce, so their frees commute with
         everything else and are batched into one ``free_max_order_blocks``
@@ -298,65 +355,95 @@ class PhysicalMemoryManager:
             run = self._extents[pfn]
             if freed + run.pages > n_pages:
                 self._release(runs)
-                return freed + self._free_partial(run, n_pages - freed)
+                self._shorten(run, n_pages - freed)
+                return n_pages
             runs.append(run)
             freed += run.pages
         self._release(runs)
         return freed
 
     def _release(self, runs: List[PageExtent]) -> None:
-        """Unregister *runs* and give their blocks back, in list order."""
+        """Unregister *runs* and give their blocks back: each run's tail
+        blocks top first, then every max-order prefix in one batch per
+        zone."""
         pending: Dict[BuddyAllocator, List[int]] = {}
         for run in runs:
             self._unregister(run)
             allocator = self._zone_of(run.pfn).allocator
-            if run.order == MAX_ORDER:
-                pending.setdefault(allocator, []).extend(run.blocks())
-            else:
-                allocator.free_block(run.pfn, run.order)
+            pfn, pages = run.pfn, run.pages
+            prefix = pages & ~TAIL_MASK
+            end = pfn + pages
+            tail = pages & TAIL_MASK
+            while tail:
+                size = tail & -tail
+                end -= size
+                tail -= size
+                allocator.free_block(end, size.bit_length() - 1)
+            if prefix:
+                pending.setdefault(allocator, []).extend(
+                    range(pfn, end, MAX_BLOCK_PAGES))
         for allocator, pfns in pending.items():
             allocator.free_max_order_blocks(pfns)
 
-    def _free_partial(self, run: PageExtent, n_pages: int) -> int:
-        """Free the top *n_pages* of one run.
+    def _shorten(self, run: PageExtent, n_pages: int) -> None:
+        """Free the top *n_pages* of *run* in place.
 
-        Caller guarantees ``0 < n_pages < run.pages``.  Whole top blocks
-        go back at once and the run shortens by them; a remainder smaller
-        than one block splits the next block down, keeping its low pieces
-        registered to the owner.
+        Caller guarantees ``0 < n_pages < run.pages``.  Tail blocks above
+        the new end go back whole, then whole top max-order blocks; a
+        remainder smaller than the next block down splits that block,
+        keeping its low pieces.  What is kept is the canonical run of the
+        remaining pages from the same pfn, so nothing is re-registered.
         """
         allocator = self._zone_of(run.pfn).allocator
-        self._unregister(run)
-        whole, remaining = divmod(n_pages, 1 << run.order)
-        blocks = run.blocks()
-        if whole:
-            allocator.free_max_order_blocks(list(blocks[run.count - whole:]))
-        keep = run.count - whole - (1 if remaining else 0)
-        kept = [(pfn, run.order) for pfn in blocks[:keep]]
-        if remaining:
-            pfn, order = blocks[keep], run.order
-            # The loop keeps ``remaining < 2**order`` and always ends
-            # with a kept low piece.
-            while remaining > 0:
-                allocator.split_allocated(pfn, order)
-                order -= 1
-                half_pages = 1 << order
-                if remaining >= half_pages:
-                    allocator.free_block(pfn + half_pages, order)
-                    remaining -= half_pages
-                else:
-                    kept.append((pfn, order))
-                    pfn += half_pages
-            kept.append((pfn, order))
-        if kept:
-            self._register(run.owner_id, run.kind, run.mergeable, kept)
-        return n_pages
+        pages = run.pages
+        keep = pages - n_pages
+        end = run.pfn + pages
+        tail = pages & TAIL_MASK
+        size = tail & -tail
+        while tail and pages - size >= keep:
+            end -= size
+            pages -= size
+            tail -= size
+            allocator.free_block(end, size.bit_length() - 1)
+            size = tail & -tail
+        if not tail:
+            size = MAX_BLOCK_PAGES
+            whole = (pages - keep) & ~TAIL_MASK
+            if whole:
+                allocator.free_max_order_blocks(
+                    range(end - whole, end, MAX_BLOCK_PAGES))
+                end -= whole
+                pages -= whole
+        # The split loop keeps ``remaining < 2**order``; each step frees
+        # the top half or keeps the low one.
+        remaining = pages - keep
+        pfn, order = end - size, size.bit_length() - 1
+        while remaining > 0:
+            allocator.split_allocated(pfn, order)
+            order -= 1
+            half_pages = 1 << order
+            if remaining >= half_pages:
+                allocator.free_block(pfn + half_pages, order)
+                remaining -= half_pages
+            else:
+                pfn += half_pages
+        run.pages = keep
+        block = run.pfn // self.block_pages
+        acct = self._blocks[block]
+        acct.used_pages -= n_pages
+        if not run.movable:
+            acct.unmovable_pages -= n_pages
+        self.soa.mark_dirty(block)
+        self._owner_pages[run.owner_id] -= n_pages
 
     # --- queries -----------------------------------------------------------
 
     @property
     def free_pages(self) -> int:
-        return sum(z.allocator.free_pages for z in self.zones)
+        total = 0
+        for allocator in self._allocators:
+            total += allocator.free_pages
+        return total
 
     @property
     def online_pages(self) -> int:
@@ -428,9 +515,10 @@ class PhysicalMemoryManager:
         isolation with the accumulated list.
 
         A run's blocks move one at a time, each trying the zones in
-        order — in one allocation when the first zone can hold the whole
-        run, since a buddy allocator that has the pages hands out the same
-        blocks, in the same order, to one call as to one call per block.
+        order — its max-order prefix in one allocation when the first zone
+        can hold the whole prefix, since a buddy allocator that has the
+        pages hands out the same blocks, in the same order, to one call as
+        to one call per block.
         """
         migrated = 0
         source = self._zone_of(self.block_range(index)[0]).allocator
@@ -439,38 +527,39 @@ class PhysicalMemoryManager:
                 raise AllocationError(
                     f"block {index} has unmovable extent at {run.pfn}")
             zones = self._zones_for(run.kind)
-            blocks = run.blocks()
+            pfn, pages = run.pfn, run.pages
+            prefix = pages & ~TAIL_MASK
             first = zones[0].allocator
-            if first.free_pages >= run.pages:
-                new_blocks = first.alloc_pages(run.pages)
-                moved = run.count
+            if prefix and first.free_pages >= prefix:
+                new_blocks = first.alloc_pages(prefix)
+                moved = prefix
             else:
                 new_blocks = []
                 moved = 0
-                for _ in blocks:
-                    for zone in zones:
-                        try:
-                            new_blocks += zone.allocator.alloc_pages(
-                                1 << run.order)
-                            break
-                        except AllocationError:
-                            continue
-                    else:
+            for _pfn, order in buddy_blocks(pfn + moved, pages - moved):
+                for zone in zones:
+                    try:
+                        new_blocks += zone.allocator.alloc_pages(1 << order)
                         break
-                    moved += 1
+                    except AllocationError:
+                        continue
+                else:
+                    break
+                moved += 1 << order
             if moved:
                 self._unregister(run)
-                for pfn in blocks[:moved]:
-                    source.remove_allocated(pfn, run.order)
-                    isolated.append((pfn, run.order))
+                moved_blocks = list(buddy_blocks(pfn, moved))
+                for block_pfn, order in moved_blocks:
+                    source.remove_allocated(block_pfn, order)
+                isolated += moved_blocks
                 # An unmoved top of the run stays where it is.
                 self._register(run.owner_id, run.kind, run.mergeable,
-                               new_blocks + [(pfn, run.order)
-                                             for pfn in blocks[moved:]])
-            if moved < run.count:
+                               new_blocks + list(buddy_blocks(
+                                   pfn + moved, pages - moved)))
+            if moved < pages:
                 raise AllocationError(
                     f"no destination frames to migrate block {index}")
-            migrated += run.pages
+            migrated += pages
         return migrated
 
     # --- offline bookkeeping (driven by MemoryBlockManager) -------------------

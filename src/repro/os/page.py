@@ -2,18 +2,57 @@
 
 Real kernels keep a ``struct page`` per frame; simulating tens of millions
 of those in Python would drown the experiments, so the substrate tracks
-*runs*: one metadata record per ``count`` consecutive buddy blocks of one
-order with uniform ownership.  Only ``MAX_ORDER`` blocks form runs longer
-than one, and a run never crosses a memory block, so a multi-GiB VM costs
-a few records per 128 MiB block rather than one per 4 MiB buddy block,
-and per-block accounting (used/unmovable page counts, the ``removable``
-flag) stays exact.
+*runs*: one metadata record per ``pages`` consecutive frames with uniform
+ownership, inside one memory block.  A run is *canonical*: its buddy
+blocks follow from ``pfn`` and ``pages`` alone (see
+:func:`buddy_blocks`), so a run grows and shrinks in place instead of
+being split into new records.  A multi-GiB VM costs a few records per
+128 MiB block rather than one per 4 MiB buddy block, and per-block
+accounting (used/unmovable page counts, the ``removable`` flag) stays
+exact.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import Iterator, List, Tuple
+
+from repro.os.buddy import MAX_ORDER
+
+#: Pages in one max-order buddy block.
+MAX_BLOCK_PAGES = 1 << MAX_ORDER
+#: Low bits of a run's page count that its sub-max-order tail covers.
+TAIL_MASK = MAX_BLOCK_PAGES - 1
+
+
+def _tail_blocks(pfn: int, pages: int) -> List[Tuple[int, int]]:
+    """(pfn, order) of the run tail ``[pfn, pfn + pages)``, ascending.
+
+    *pages* is below ``2**MAX_ORDER``; the tail holds one block per set
+    bit of it, largest first.
+    """
+    blocks = []
+    while pages:
+        order = pages.bit_length() - 1
+        blocks.append((pfn, order))
+        pfn += 1 << order
+        pages -= 1 << order
+    return blocks
+
+
+def buddy_blocks(pfn: int, pages: int) -> Iterator[Tuple[int, int]]:
+    """(pfn, order) of the canonical run ``[pfn, pfn + pages)``, ascending.
+
+    ``pages >> MAX_ORDER`` max-order blocks come first, then one block per
+    set bit of the remainder, largest first.  The max-order prefix is a
+    C-level ``range``, so a multi-GiB run is not walked in Python.
+    """
+    prefix = pages & ~TAIL_MASK
+    return chain(zip(range(pfn, pfn + prefix, MAX_BLOCK_PAGES),
+                     repeat(MAX_ORDER)),
+                 _tail_blocks(pfn + prefix, pages & TAIL_MASK))
 
 
 class OwnerKind(enum.Enum):
@@ -28,55 +67,44 @@ class OwnerKind(enum.Enum):
 
 
 class PageExtent:
-    """A run of ``count`` buddy blocks of 2**order frames, one owner.
+    """A canonical run of ``pages`` frames from ``pfn``, one owner.
 
-    The blocks are consecutive and share every attribute below.
-    ``count`` exceeds one only for ``MAX_ORDER`` blocks inside one memory
-    block.  The buddy allocator still holds each block separately;
-    :meth:`blocks` lists their first pfns.
+    The run lies inside one memory block and its frames share every
+    attribute below.  The buddy allocator still holds each block
+    separately; :meth:`blocks` derives them from ``pfn`` and ``pages``.
+    The memory manager grows and shrinks ``pages`` in place, keeping the
+    run canonical; ``pfn`` (the run's index key) never changes.
 
     ``mergeable`` marks pages an application advised as KSM candidates via
     ``madvise(MADV_MERGEABLE)``.  Whether their content is currently
     deduplicated is the KSM substrate's business, not the extent's.
-
-    Treated as immutable: relocation goes through :meth:`moved_to`.  A
-    ``__slots__`` class (not a frozen dataclass) because the derived
-    fields (``pages``, ``movable``) are read several times per extent by
-    the accounting code.
     """
 
-    __slots__ = ("pfn", "order", "owner_id", "kind", "mergeable",
-                 "count", "pages", "end_pfn", "movable")
+    __slots__ = ("pfn", "pages", "owner_id", "kind", "mergeable", "movable")
 
-    def __init__(self, pfn: int, order: int, owner_id: str,
-                 kind: OwnerKind = OwnerKind.USER,
-                 mergeable: bool = False, count: int = 1):
+    def __init__(self, pfn: int, pages: int, owner_id: str,
+                 kind: OwnerKind = OwnerKind.USER, mergeable: bool = False):
         self.pfn = pfn
-        self.order = order
+        self.pages = pages
         self.owner_id = owner_id
         self.kind = kind
         self.mergeable = mergeable
-        self.count = count
-        pages = count << order
-        #: Frame count (count * 2**order).
-        self.pages = pages
-        self.end_pfn = pfn + pages
         #: Whether page migration can relocate this extent.
         self.movable = kind is OwnerKind.USER
 
-    def blocks(self) -> range:
-        """First pfns of the run's buddy blocks, ascending."""
-        return range(self.pfn, self.end_pfn, 1 << self.order)
+    @property
+    def end_pfn(self) -> int:
+        """One past the run's last frame."""
+        return self.pfn + self.pages
 
-    def moved_to(self, new_pfn: int) -> "PageExtent":
-        """The same extent relocated to *new_pfn* (after migration)."""
-        return PageExtent(new_pfn, self.order, self.owner_id, self.kind,
-                          self.mergeable, self.count)
+    def blocks(self) -> Iterator[Tuple[int, int]]:
+        """(pfn, order) of the run's buddy blocks, ascending."""
+        return buddy_blocks(self.pfn, self.pages)
 
     def __repr__(self) -> str:
-        return (f"PageExtent(pfn={self.pfn}, order={self.order}, "
+        return (f"PageExtent(pfn={self.pfn}, pages={self.pages}, "
                 f"owner_id={self.owner_id!r}, kind={self.kind}, "
-                f"mergeable={self.mergeable}, count={self.count})")
+                f"mergeable={self.mergeable})")
 
 
 @dataclass

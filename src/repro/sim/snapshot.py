@@ -67,7 +67,7 @@ PathLike = Union[str, pathlib.Path]
 
 #: Bump on any incompatible change to the state tree's shape.  Restore
 #: refuses versions it does not know rather than guessing.
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 
 def _numpy_globals() -> FrozenSet[Tuple[str, str]]:

@@ -8,12 +8,18 @@ run to the laws directly:
   is also the sum of the per-block ``used_pages``;
 * blocks: ``online_pages`` plus the offline blocks' pages is the
   installed ``total_pages``;
+* runs tile the used pages: every run lies inside one memory block and
+  is listed in that block's ``extents``; an owner's runs ascend without
+  overlapping; each block's runs sum to its used and unmovable pages;
+  and the buddy blocks the runs derive are the zones' allocated blocks,
+  each at its order;
 * every sample's ``dpd_fraction`` lies in [0, 1];
 * neither energy sum ever decreases;
 * the residency buckets sum to the executed epochs times ``epoch_s``.
 
-:func:`install_conservation_checks` asserts them after every span
-executor call and every ``advance`` of every kernel, for one test.
+:func:`install_conservation_checks` asserts them after every
+``advance`` of every kernel, and all but the run-tiling law after every
+span executor call, for one test.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ import pytest
 from repro.sim.kernel import EpochKernel
 
 
-def check_memory(system) -> None:
-    """The page and block conservation laws of *system*, right now."""
+def check_memory(system, runs: bool = True) -> None:
+    """The page and block conservation laws of *system*, right now, and
+    with *runs* the run-tiling law too."""
     mm = system.mm
     used = mm.online_pages - mm.free_pages
     assert sum(mm.owner_pages(owner) for owner in mm.owners()) == used
@@ -33,11 +40,48 @@ def check_memory(system) -> None:
     hotplug = getattr(system.hotplug, "inner", system.hotplug)
     assert (mm.online_pages + hotplug.offline_count * mm.block_pages
             == mm.total_pages)
+    if runs:
+        check_runs(mm)
 
 
-def check_run(system, samples, first, epoch_s, residency) -> None:
+def check_runs(mm) -> None:
+    """The run-tiling law of the memory manager *mm*, right now.
+
+    Between kernel calls no off-lining is in flight, so the runs'
+    derived buddy blocks are exactly the zones' allocated blocks.
+    """
+    block_pages = mm.block_pages
+    used = [0] * mm.num_blocks
+    unmovable = [0] * mm.num_blocks
+    starts = [set() for _ in range(mm.num_blocks)]
+    derived = {}
+    for owner in mm.owners():
+        end = 0
+        for run in mm.extents_of(owner):
+            pfn, pages = run.pfn, run.pages
+            block = pfn // block_pages
+            assert end <= pfn and pages > 0
+            assert (pfn + pages - 1) // block_pages == block
+            end = pfn + pages
+            used[block] += pages
+            if not run.movable:
+                unmovable[block] += pages
+            starts[block].add(pfn)
+            derived.update(run.blocks())
+    allocated = {}
+    for zone in mm.zones:
+        allocated.update(zone.allocator._allocated)
+    assert derived == allocated
+    accounts = [mm.block_accounting(block) for block in range(mm.num_blocks)]
+    assert [acct.used_pages for acct in accounts] == used
+    assert [acct.unmovable_pages for acct in accounts] == unmovable
+    assert [acct.extents for acct in accounts] == starts
+
+
+def check_run(system, samples, first, epoch_s, residency,
+              runs: bool = True) -> None:
     """The laws after a kernel call that appended ``samples[first:]``."""
-    check_memory(system)
+    check_memory(system, runs)
     assert all(0.0 <= sample.dpd_fraction <= 1.0
                for sample in samples[first:])
     assert residency.total_s == pytest.approx(len(samples) * epoch_s,
@@ -46,7 +90,12 @@ def check_run(system, samples, first, epoch_s, residency) -> None:
 
 def install_conservation_checks(monkeypatch) -> None:
     """Check the laws after every ``EpochKernel._stable_span_window``
-    and ``EpochKernel.advance`` call until the test ends."""
+    and ``EpochKernel.advance`` call until the test ends.
+
+    The run-tiling law walks every run and buddy block, so it is checked
+    after each ``advance`` only: runs are persistent state, and a broken
+    one is still broken when the call returns.
+    """
     executor = EpochKernel._stable_span_window
     advance = EpochKernel.advance
 
@@ -59,7 +108,8 @@ def install_conservation_checks(monkeypatch) -> None:
                             baseline_energy, residency)
         assert energies[0] >= dram_energy
         assert energies[1] >= baseline_energy
-        check_run(self.system, samples, first, clock.epoch_s, residency)
+        check_run(self.system, samples, first, clock.epoch_s, residency,
+                  runs=False)
         return energies
 
     def checked_advance(self, state, *args, **kwargs):

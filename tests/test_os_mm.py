@@ -21,8 +21,8 @@ def make_mm(total=4 * GIB, movable=0.75) -> PhysicalMemoryManager:
 
 def run_blocks(runs):
     """Runs expanded to (pfn, order, kind, mergeable) buddy blocks."""
-    return sorted((pfn, run.order, run.kind, run.mergeable)
-                  for run in runs for pfn in run.blocks())
+    return sorted((pfn, order, run.kind, run.mergeable)
+                  for run in runs for pfn, order in run.blocks())
 
 
 class TestConstruction:
@@ -295,10 +295,12 @@ def assert_same_state(mm, naive):
         assert (acct.used_pages, acct.unmovable_pages) == counts
         assert (soa.used_pages[index], soa.unmovable_pages[index]) == counts
         for run in mm.block_extents(index):
-            # A run stays inside its memory block; only max-order
-            # blocks form runs longer than one.
+            # A canonical run stays inside its memory block, and the
+            # buddy holds each of its derived blocks at that order.
             assert (run.end_pfn - 1) // mm.block_pages == index
-            assert run.count == 1 or run.order == MAX_ORDER
+            allocated = mm._zone_of(run.pfn).allocator._allocated
+            assert all(allocated.get(pfn) == order
+                       for pfn, order in run.blocks())
 
 
 def outcome(call, *args):
@@ -320,11 +322,16 @@ class MMPair:
         self.offline = set()
 
     def allocate(self, owner, pages, kind, mergeable):
+        held = set(run_blocks(self.mm.extents_of(owner)))
         ours = outcome(self.mm.allocate, owner, pages, kind, mergeable)
         theirs = outcome(self.naive.allocate, owner, pages, kind, mergeable)
         if isinstance(ours, list):
+            # The returned runs hold the new blocks, and may also hold
+            # blocks of the owner's runs they grew.
+            blocks = set(run_blocks(ours))
+            assert blocks <= set(run_blocks(self.mm.extents_of(owner)))
             ours = [(pfn, order) for pfn, order, _kind, _merge
-                    in run_blocks(ours)]
+                    in sorted(blocks - held)]
         assert ours == theirs
 
     def call(self, name, *args):
@@ -426,7 +433,54 @@ class TestOracle:
         pair.offline_block(2, complete=True)
         assert_same_state(pair.mm, pair.naive)
         assert 2 not in pair.offline
-        assert [run.count for run in pair.mm.block_extents(2)] == [29]
+        assert [run.pages for run in pair.mm.block_extents(2)] == [
+            29 << MAX_ORDER]
+
+
+class TestRampOracle:
+    """Ramp-shaped resizes against the per-block oracle.
+
+    Two or three owners take turns growing and shrinking by small,
+    non-power-of-two steps (mostly up for the first half, mostly down
+    for the second), so allocations extend runs in place and frees
+    shorten them, many times over on the same runs.  With *fragmented*,
+    ZONE_MOVABLE is first filled in small pieces by two owners and one
+    of them is freed, so the ramp draws many same-order blocks from the
+    holes and its runs meet blocks they must not absorb.
+    """
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((2, 3)),
+           st.booleans())
+    @settings(max_examples=8, deadline=None)
+    def test_ramp_matches(self, seed, n_owners, fragmented):
+        rng = random.Random(seed)
+        pair = MMPair()
+        if fragmented:
+            movable = pair.mm.zones[1].allocator
+            while movable.free_pages > 3000:
+                pair.allocate(rng.choice(("fill", "hole")),
+                              rng.randrange(3, 3000), OwnerKind.USER, False)
+            pair.call("free_all", "hole")
+        owners = [f"r{i}" for i in range(n_owners)]
+        grown = shortened = 0
+        for step in range(300):
+            owner = owners[step % n_owners]
+            delta = rng.randrange(3, 3000)
+            if not delta & (delta - 1):
+                delta += 1
+            held = {run.pfn: run.pages for run in pair.mm.extents_of(owner)}
+            if rng.random() < (0.7 if step < 150 else 0.3):
+                pair.allocate(owner, delta, OwnerKind.USER, False)
+            else:
+                pair.call("free_pages_of", owner, delta)
+            after = {run.pfn: run.pages for run in pair.mm.extents_of(owner)}
+            grown += any(pages > held[pfn] for pfn, pages in after.items()
+                         if pfn in held)
+            shortened += any(pages < held[pfn] for pfn, pages in after.items()
+                             if pfn in held)
+            if step % 10 == 9:
+                assert_same_state(pair.mm, pair.naive)
+        assert grown and shortened
 
 
 class TestBulkFreeAll:

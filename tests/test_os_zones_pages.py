@@ -9,21 +9,23 @@ from repro.os.zones import ZoneKind, ZoneLayout
 
 class TestPageExtent:
     def test_derived_fields(self):
-        extent = PageExtent(pfn=64, order=3, owner_id="a")
-        assert extent.pages == 8
+        extent = PageExtent(pfn=64, pages=8, owner_id="a")
         assert extent.end_pfn == 72
         assert extent.movable
 
     def test_kernel_and_pinned_unmovable(self):
-        assert not PageExtent(0, 0, "k", kind=OwnerKind.KERNEL).movable
-        assert not PageExtent(0, 0, "d", kind=OwnerKind.PINNED).movable
+        assert not PageExtent(0, 1, "k", kind=OwnerKind.KERNEL).movable
+        assert not PageExtent(0, 1, "d", kind=OwnerKind.PINNED).movable
 
-    def test_moved_to(self):
-        extent = PageExtent(pfn=64, order=3, owner_id="a", mergeable=True)
-        moved = extent.moved_to(128)
-        assert moved.pfn == 128
-        assert moved.order == 3 and moved.mergeable
-        assert extent.pfn == 64  # original untouched (frozen)
+    def test_canonical_blocks(self):
+        """Max-order blocks first, then one block per set bit of the
+        remainder, largest first."""
+        extent = PageExtent(pfn=2048, pages=2 * 1024 + 256 + 8 + 1,
+                            owner_id="a")
+        assert list(extent.blocks()) == [
+            (2048, 10), (3072, 10), (4096, 8), (4352, 3), (4360, 0)]
+        assert list(PageExtent(64, 16 + 4, "a").blocks()) == [
+            (64, 4), (80, 2)]
 
 
 class TestBlockAccounting:
