@@ -5,7 +5,7 @@ The :class:`~repro.policies.base.PowerPolicy` protocol names the surface
 names to their classes, resolved lazily by ``"module:Class"`` path.  The
 rank-level classes (srf_only, ramzzz, pasr) also give the closed-form
 ``estimate`` the paper's figures use.  See ``docs/ARCHITECTURE.md`` for
-the protocol obligations and the span-planner veto contract.
+the protocol obligations and the timer replay contract.
 """
 
 from repro.policies.base import PeriodicPolicy, PowerPolicy

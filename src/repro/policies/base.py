@@ -24,28 +24,22 @@ The obligations, in the order the kernel exercises them:
     no randomness.  The kernel's span planner refuses to open a
     fast-forward window unless this holds.
 
-``monitor_fire_is_noop()`` (optional)
+``monitor_fire_is_noop()``
     True when a monitor fire right now would change nothing, even where
     :meth:`monitor_is_noop` is false — for the daemon, free memory below
     the low-water mark with no offline block to bring back.  The span
     planner asks it when a non-churn span reaches a fire; if it holds,
     the span runs past the fire (and every later one, since free memory
     cannot move inside the span).  A churn span's executor asks it once
-    at entry: if it holds, fires replay until churn moves memory.  A
-    policy without it keeps every fire on the dynamic path.
+    at entry: if it holds, fires replay until churn moves memory.
+    ``False`` keeps every fire on the dynamic path.
 
 ``monitor_timer`` / ``monitor_period_s``
-    The replay surface: batched fast-forward advances the timer with
+    The replay surface: batched spans advance the timer with
     :func:`repro.soa.monitor_timer_after`, which assumes the standard
-    ``since += dt; if since >= period: since = 0.0`` chain.  A policy
-    whose timer does not follow that chain must clear
-    :attr:`span_batchable` (see below).
-
-``span_batchable``
-    Declares that (a) the timer follows the standard replay chain and
-    (b) between monitor fires :meth:`step` is pure timer arithmetic.
-    The span planner treats a missing/false flag as a veto: spans are
-    left on the dynamic path — correctness first, batching second.
+    ``since += dt; if since >= period: since = 0.0`` chain, and that
+    between monitor fires :meth:`step` is pure timer arithmetic.  Every
+    policy must follow it.
 
 ``dpd_fraction()``
     The policy's whole power-relevant state projected onto one float in
@@ -91,8 +85,6 @@ class PowerPolicy(Protocol):
 
     name: str
     stats: DaemonStats
-    #: Timer follows the standard replay chain; see the module docstring.
-    span_batchable: bool
 
     def reset_stats(self) -> None: ...
 
@@ -101,6 +93,8 @@ class PowerPolicy(Protocol):
     def tick_quiescent(self, dt_s: float) -> None: ...
 
     def monitor_is_noop(self) -> bool: ...
+
+    def monitor_fire_is_noop(self) -> bool: ...
 
     @property
     def monitor_period_s(self) -> float: ...
@@ -134,8 +128,7 @@ class PeriodicPolicy:
     ``monitor_timer`` by ``dt_s`` and calls :meth:`monitor_once` when the
     period elapses; between fires ``step`` is pure timer arithmetic, so
     the batched replay (:func:`repro.soa.monitor_timer_after`) and the
-    span planner's timer cap both stay valid — ``span_batchable`` holds
-    by construction.
+    span planner's timer cap both stay valid by construction.
 
     Subclasses implement :meth:`monitor_once` (recompute the power
     posture from live system state) and :meth:`monitor_is_noop` (would a
@@ -143,7 +136,6 @@ class PeriodicPolicy:
     """
 
     name = "periodic"
-    span_batchable = True
 
     def __init__(self, system: "GreenDIMMSystem"):
         self.system = system
@@ -176,6 +168,10 @@ class PeriodicPolicy:
 
     def monitor_is_noop(self) -> bool:
         raise NotImplementedError
+
+    def monitor_fire_is_noop(self) -> bool:
+        """No proof that a fire is inert: every fire stays dynamic."""
+        return False
 
     # --- replay surface ---------------------------------------------------
 

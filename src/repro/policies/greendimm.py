@@ -24,7 +24,6 @@ class GreenDIMMPolicy:
     """Adapter wrapping the threshold-offlining daemon."""
 
     name = "greendimm"
-    span_batchable = True
 
     def __init__(self, system: "GreenDIMMSystem"):
         # The daemon is all the adapter needs; holding the system too

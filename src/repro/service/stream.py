@@ -7,9 +7,9 @@ arrivals and departures into a simulator that never finishes
 (``duration_s`` is infinite).  The service drives it in bounded slices
 via ``EpochKernel.advance(state, until_s=..., exact=True)``.
 
-Replay, the horizon (the next queued event, or infinity while the queue
-is drained — the ``exact`` cap bounds the window) and snapshot support
-are the trace source's own.  Events must be pushed at or after the
+Replay, the stability bound (the next queued event, or infinity while
+the queue is drained — the ``exact`` cap bounds the window) and snapshot
+support are the trace source's own.  Events must be pushed at or after the
 paused clock; the service clamps network-delivered timestamps to the
 server's current time, mirroring a scheduler that cannot place a VM in
 the past.

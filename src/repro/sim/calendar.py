@@ -38,14 +38,6 @@ class EventCalendar:
         self._heap = list(self._events)
         self._last_query_s = -math.inf
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, time_s: float) -> None:
-        """Add one event (events scheduled in the past are inert)."""
-        self._events = tuple(sorted(self._events + (time_s,)))
-        heapq.heappush(self._heap, time_s)
-
     def next_after(self, now_s: float) -> float:
         """Earliest event strictly after *now_s* (``inf`` when none).
 

@@ -8,8 +8,8 @@ once (the mix energy-convention bug) and each had to re-implement
 quiescence gating separately.  The kernel extracts the loop once:
 
 * :class:`WorkloadSource` is what a run *is* — the operating point at
-  ``t``, the discrete events to apply at ``t``, and a ``horizon(t)``
-  bound promising nothing workload-side happens before it;
+  ``t``, the discrete events to apply at ``t``, and a
+  ``stable_until(t)`` bound before which applying them changes nothing;
 * :class:`EpochKernel` is how a run *executes* — it owns the
   :class:`~repro.sim.fastforward.SimClock`, the warmup spin-up, the
   quiescence fast-forward gating, per-epoch sampling, energy/overhead
@@ -127,8 +127,8 @@ class KernelRunState:
     references — so a state (together with the simulator it belongs to)
     is exactly what a checkpoint must capture.  The one indirect
     reference is :attr:`source`, and the concrete sources drop their
-    ``sim`` back-reference when pickled (``__getstate__``); the snapshot
-    layer re-binds it on restore.
+    ``sim`` back-reference when pickled (:class:`_SimBound`); the
+    snapshot layer re-binds it on restore.
 
     Produced by :meth:`EpochKernel.begin`, advanced in place by
     :meth:`EpochKernel.advance`, consumed by :meth:`EpochKernel.finish`.
@@ -186,21 +186,16 @@ class WorkloadSource(Protocol):
     ``duration_s`` bounds the run.  Each epoch the kernel calls
     :meth:`apply` (discrete events, footprint resizes) before stepping
     the system, then :meth:`operating_point` for the epoch's bandwidth
-    and row-miss rate.  :meth:`horizon` is the fast-forward contract:
-    return a time strictly greater than *t* only if no workload-side
-    activity (event, footprint change, pending resize) can occur before
-    it; return *t* itself to veto fast-forwarding this epoch.  The
-    kernel's span planner adds the system-side vetoes.
+    and row-miss rate.
 
-    :meth:`stable_until` is the span planner's weaker contract: a bound
-    before which — assuming physical memory state does not change in
-    ``[t, bound)`` — every :meth:`apply` call is a strict no-op (no
-    allocation, free, swap, or RNG draw) and :meth:`operating_point` is
-    constant.  Unlike :meth:`horizon` it does *not* promise the system
-    side is quiescent: the daemon's monitor may be armed, so the kernel
-    separately keeps every monitor fire that could act on the dynamic
-    path, and ends a churn span once churn moves memory.  Any
-    valid ``horizon`` is a valid (conservative) ``stable_until``.
+    :meth:`stable_until` is the span planner's one workload-side bound:
+    a time before which — assuming physical memory state does not
+    change in ``[t, bound)`` — every :meth:`apply` call is a strict
+    no-op (no allocation, free, swap, or RNG draw) and
+    :meth:`operating_point` is constant; *t* itself vetoes batching this
+    epoch.  It promises nothing about the system side: the kernel adds
+    the KSM, fault and monitor vetoes, and ends a churn span once churn
+    moves memory.
     """
 
     duration_s: float
@@ -214,9 +209,6 @@ class WorkloadSource(Protocol):
     def operating_point(self, t: float) -> Tuple[float, float]:
         """``(bandwidth_bytes_per_s, row_miss_rate)`` at time *t*."""
 
-    def horizon(self, t: float) -> float:
-        """Earliest future workload-side activity (*t* itself: none now)."""
-
     def stable_until(self, t: float) -> float:
         """Bound before which :meth:`apply` is provably a strict no-op
         and the operating point constant (*t* itself: not provable now),
@@ -226,8 +218,19 @@ class WorkloadSource(Protocol):
 # --- concrete sources --------------------------------------------------------
 
 
+class _SimBound:
+    """Snapshot support for a source: the simulator back-reference would
+    drag the whole system into the pickle, so it is dropped here and the
+    snapshot layer re-binds it on restore."""
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state["sim"] = None
+        return state
+
+
 @dataclass
-class ProfileSource:
+class ProfileSource(_SimBound):
     """``n_copies`` of one profile with a time-varying footprint."""
 
     sim: "ServerSimulator"
@@ -235,7 +238,7 @@ class ProfileSource:
     n_copies: int = 1
     owner: str = "app"
     shortfall_pages: int = field(default=0, init=False)
-    #: One-entry memo of ``footprint.at``: apply/horizon/stable_until all
+    #: One-entry memo of ``footprint.at``: stable_until and apply both
     #: ask for the target at the same epoch time (``at`` is pure in t).
     _target_cache: Tuple[float, int] = field(default=(math.nan, 0),
                                              init=False, repr=False)
@@ -252,13 +255,6 @@ class ProfileSource:
         # the steadiness/ramp vetoes below don't fire).
         self._flat_calendar = EventCalendar(
             self.profile.footprint.flat_run_ends())
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Snapshot support: the simulator back-reference would drag the
-        # whole system into the pickle; the snapshot layer re-binds it.
-        state = self.__dict__.copy()
-        state["sim"] = None
-        return state
 
     def _target_pages(self, t: float) -> int:
         cached_t, cached = self._target_cache
@@ -279,13 +275,6 @@ class ProfileSource:
 
     def operating_point(self, t: float) -> Tuple[float, float]:
         return self._bandwidth, self._row_miss
-
-    def horizon(self, t: float) -> float:
-        if not self.sim._owner_steady(self.owner, self._target_pages(t)):
-            return t
-        if self.profile.footprint.ramping_at(t):
-            return t
-        return self._flat_calendar.next_after(t)
 
     def stable_until(self, t: float) -> float:
         # apply() resolves to _resize_owner(owner, target, t); that is a
@@ -308,12 +297,12 @@ class ProfileSource:
 
 
 @dataclass
-class TraceSource:
+class TraceSource(_SimBound):
     """An Azure-like VM arrival/departure trace replay.
 
-    VMs only move at trace events, so the workload-side horizon is
-    simply the next event's timestamp.  The run extends 300 s past the
-    last event so the daemon's tail behavior is observable.
+    VMs only move at trace events, so the stability bound is simply the
+    next event's timestamp.  The run extends 300 s past the last event
+    so the daemon's tail behavior is observable.
     """
 
     sim: "ServerSimulator"
@@ -326,13 +315,6 @@ class TraceSource:
         self.running = 0
         self.duration_s = max((e.time_s for e in self.events),
                               default=0.0) + 300.0
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Snapshot support: drop the simulator back-reference (the
-        # snapshot layer re-binds it on restore).
-        state = self.__dict__.copy()
-        state["sim"] = None
-        return state
 
     def prepare(self) -> None:
         pass
@@ -364,25 +346,20 @@ class TraceSource:
     def operating_point(self, t: float) -> Tuple[float, float]:
         return self.running * self.mean_vm_bandwidth_bytes_per_s, 0.5
 
-    def horizon(self, t: float) -> float:
-        # The sorted event list plus apply()'s cursor already *is* an
-        # event calendar: the next timestamp is an O(1) peek.  A heap
-        # would only re-derive what the cursor tracks for free.
+    def stable_until(self, t: float) -> float:
+        # Between events apply() is a pure cursor peek — a strict no-op
+        # no matter what memory does — and the running-VM count (hence
+        # the operating point) only moves at events.  The sorted event
+        # list plus the cursor already *is* an event calendar: the next
+        # timestamp is an O(1) peek.
         if self.cursor < len(self.events):
             next_event_s = self.events[self.cursor].time_s
             return t if next_event_s <= t else next_event_s
         return math.inf
 
-    def stable_until(self, t: float) -> float:
-        # Between events apply() is a pure cursor peek — a strict no-op
-        # no matter what memory does — and running-VM count (hence the
-        # operating point) only moves at events, so the stability bound
-        # *is* the horizon.
-        return self.horizon(t)
-
 
 @dataclass
-class MixSource:
+class MixSource(_SimBound):
     """Several profiles co-located in one physical memory."""
 
     sim: "ServerSimulator"
@@ -403,23 +380,16 @@ class MixSource:
         # One merged calendar of every owner's flat-run ends, pre-filtered
         # to runs ending before that owner's duration (a flat run reaching
         # duration_s keeps the clamped value constant beyond it, so it
-        # never bounds the horizon).  min over owners of "next run end
+        # never bounds the span).  min over owners of "next run end
         # after t" equals "next event after t" in the merged heap, so the
         # calendar pop returns the same float the per-owner scan did.
         self._flat_calendar = EventCalendar(
             end for p in self.profiles
             for end in p.footprint.flat_run_ends(p.duration_s))
         #: One-entry memo of every owner's target at t (aligned with the
-        #: ``owners`` iteration order): apply/horizon/stable_until all
-        #: read the same epoch time and ``at`` is pure in t.
+        #: ``owners`` iteration order): stable_until and apply both read
+        #: the same epoch time and ``at`` is pure in t.
         self._target_cache: Tuple[float, List[int]] = (math.nan, [])
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Snapshot support: drop the simulator back-reference (the
-        # snapshot layer re-binds it on restore).
-        state = self.__dict__.copy()
-        state["sim"] = None
-        return state
 
     def _targets(self, t: float) -> List[int]:
         cached_t, targets = self._target_cache
@@ -443,27 +413,14 @@ class MixSource:
     def operating_point(self, t: float) -> Tuple[float, float]:
         return self._bandwidth, self._row_miss
 
-    def horizon(self, t: float) -> float:
-        # The vetoes stay per-owner (steadiness and ramp state are
-        # dynamic); every veto path returns exactly t, so check order
-        # cannot change the value.  The surviving bound comes from the
-        # precomputed merged calendar.
-        targets = self._targets(t)
-        for (owner, profile), target in zip(self.owners.items(), targets):
-            if not self.sim._owner_steady(owner, target):
-                return t
-            if t >= profile.duration_s:
-                continue  # clamped at its final footprint forever
-            if profile.footprint.ramping_at(t):
-                return t
-        return self._flat_calendar.next_after(t)
-
     def stable_until(self, t: float) -> float:
         # Per-owner mirror of ProfileSource.stable_until: each resize is
         # a strict no-op when the target matches resident + held and the
         # swap-in fault path cannot fire (nothing held, or free at/below
         # the reserve — free is read once, it cannot change mid-check,
         # nor inside the span: a churn span ends once churn moves it).
+        # Every veto returns exactly t, so check order cannot change the
+        # value; the surviving bound comes from the merged calendar.
         sim = self.sim
         mm = sim.system.mm
         free = mm.free_pages
@@ -586,30 +543,29 @@ class EpochKernel:
         """How many epochs from *t* run as one batch, and of which kind.
 
         Returns ``(n, quiescent)``; ``n == 0`` means "step this epoch".
-        The workload bounds every span: ``source.horizon(t)`` when it is
-        past *t*, else the weaker ``stable_until(t)``.  KSM activity or a
-        live fault rule vetoes both kinds, the fault injector's own
-        horizon intersects the bound, and *cap* truncates it.
+        The workload bounds every span with ``source.stable_until(t)``:
+        ``apply`` no-ops and the operating point holds before it while
+        memory holds still.  KSM activity or a live fault rule vetoes
+        both kinds, the fault injector's own horizon intersects the
+        bound, and *cap* truncates it.
 
-        A **quiescent** window needs a workload horizon past *t*, reaches
-        past the next epoch, and the monitor would no-op: nothing at all
-        can happen inside it.  Failing that, a **stable** span is the
-        weaker promise — ``apply`` no-ops and the operating point holds
-        while memory holds still, but the monitor may be armed.  It needs
-        ``span_batchable`` (unknown policies veto via getattr) and at
-        least two epochs.  A non-churn span stops strictly before the
-        epoch whose ``step`` would fire the monitor; the cap replays the
-        daemon's exact ``since += epoch_s`` float chain, so the firing
-        epoch lands on the dynamic path at the identical simulated time.
-        The cap is lifted when the policy proves the fire inert (optional
-        ``monitor_fire_is_noop``, asked lazily once the chain reaches the
-        period): free memory cannot move inside a non-churn span, so
-        every fire up to the bound is inert too.  A churn span is never
-        capped here: churn can move free memory mid-span, so its executor
-        decides each fire when it reaches it (:meth:`_churn_epochs`).
+        A **quiescent** window reaches past the next epoch while the
+        monitor would no-op, so nothing at all can happen inside it (a
+        churn window still ends after the first epoch in which churn
+        moves memory).  Failing that, a **stable** span keeps the monitor
+        armed and needs at least two epochs.  A non-churn span stops
+        strictly before the epoch whose ``step`` would fire the monitor;
+        the cap replays the daemon's exact ``since += epoch_s`` float
+        chain, so the firing epoch lands on the dynamic path at the
+        identical simulated time.  The cap is lifted when
+        ``monitor_fire_is_noop`` proves the fire inert (asked lazily once
+        the chain reaches the period): free memory cannot move inside a
+        non-churn span, so every fire up to the bound is inert too.  A
+        churn span is never capped here: churn can move free memory
+        mid-span, so its executor decides each fire when it reaches it
+        (:meth:`_churn_epochs`).
         """
-        horizon = source.horizon(t)
-        bound = horizon if horizon > t else source.stable_until(t)
+        bound = source.stable_until(t)
         if bound <= t:
             return 0, False
         system = self.system
@@ -623,10 +579,8 @@ class EpochKernel:
             if bound <= t:
                 return 0, False
         policy = system.policy
-        if horizon > t and bound > t + epoch_s and policy.monitor_is_noop():
+        if bound > t + epoch_s and policy.monitor_is_noop():
             return epochs_before(t, epoch_s, min(bound, cap)), True
-        if not getattr(policy, "span_batchable", False):
-            return 0, False
         bound = min(bound, cap)
         if churn:
             n = epochs_before(t, epoch_s, bound)
@@ -638,9 +592,7 @@ class EpochKernel:
             while now < bound:
                 since += epoch_s
                 if since >= period:
-                    fire_is_noop = getattr(policy, "monitor_fire_is_noop",
-                                           None)
-                    if fire_is_noop is not None and fire_is_noop():
+                    if policy.monitor_fire_is_noop():
                         n += epochs_before(now, epoch_s, bound)
                     break  # an acting fire stays on the dynamic path
                 n += 1
@@ -688,9 +640,7 @@ class EpochKernel:
             TRACER.event("ff.enter" if quiescent else "span.enter",
                          t_s=clock.now_s, epochs=n, churn=churn)
         if churn:
-            fire_is_noop = getattr(policy, "monitor_fire_is_noop", None)
-            fires_inert = quiescent or (fire_is_noop is not None
-                                        and fire_is_noop())
+            fires_inert = quiescent or policy.monitor_fire_is_noop()
             dram_energy, baseline_energy, n, closed = self._churn_epochs(
                 clock, n, bandwidth, row_miss_rate, baseline_w, active_res,
                 fires_inert, samples, dram_energy, baseline_energy,
@@ -728,9 +678,7 @@ class EpochKernel:
         :class:`~repro.soa.SampleLog` run record and the batched
         ``repro.soa`` chains (scalar below their crossover): the clock,
         both energy sums, and the carried monitor timer come out
-        bit-identical to stepping.  A policy that does not promise the
-        standard timer chain (``span_batchable`` unset) ticks its own
-        timer once per epoch instead.  Residency is booked per epoch
+        bit-identical to stepping.  Residency is booked per epoch
         (bit-exact) or, with ``per_epoch=False``, as one closed-form span
         — the quiescent window's convention, equal up to float rounding.
 
@@ -746,12 +694,8 @@ class EpochKernel:
             dram_energy, template.dram_power_w * epoch_s, n)
         baseline_energy = accumulate_energy(
             baseline_energy, baseline_w * epoch_s, n)
-        if getattr(policy, "span_batchable", False):
-            policy.monitor_timer = monitor_timer_after(
-                policy.monitor_timer, epoch_s, policy.monitor_period_s, n)
-        else:
-            for _ in range(n):
-                policy.tick_quiescent(epoch_s)
+        policy.monitor_timer = monitor_timer_after(
+            policy.monitor_timer, epoch_s, policy.monitor_period_s, n)
         if per_epoch:
             residency.add_epochs(epoch_s, active_res,
                                  template.dpd_fraction, n)

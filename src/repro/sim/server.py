@@ -372,11 +372,6 @@ class ServerSimulator:
             now_s += dt_s
         return k, None
 
-    def _owner_steady(self, owner: str, target_pages: int) -> bool:
-        """Would resizing *owner* to *target_pages* be a strict no-op?"""
-        return (self.swap.held_for(owner) == 0
-                and target_pages == self.system.mm.owner_pages(owner))
-
     def reset_stats(self) -> None:
         """Zero the per-run counters (kernel-owned; see
         :meth:`repro.sim.kernel.EpochKernel.reset_stats`)."""

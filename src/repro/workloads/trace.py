@@ -105,7 +105,7 @@ class FootprintTrace:
         consecutive run ends the footprint either ramps (vetoed by
         :meth:`ramping_at`) or stays constant.  Sources feed them into an
         :class:`~repro.sim.calendar.EventCalendar` so the per-epoch
-        horizon query is one heap peek instead of a trace scan.
+        ``stable_until`` query is one heap peek instead of a trace scan.
         """
         run_ends: Tuple[float, ...] = self._run_ends  # type: ignore[attr-defined]
         return tuple(t for t in run_ends if t < before_s)

@@ -39,6 +39,8 @@ from repro.power.states import PowerState
 from repro.sim.server import ServerSimulator
 from repro.units import GIB, MIB
 from repro.workloads.registry import profile_by_name
+from tests.kernel_scenarios import small_system as scenario_system
+from tests.test_churn_replay import flat_profile
 
 
 def small_system(policy=None, **kwargs) -> GreenDIMMSystem:
@@ -55,6 +57,22 @@ def small_system(policy=None, **kwargs) -> GreenDIMMSystem:
 
 def short_profile(name="429.mcf", duration_s=60.0):
     return dataclasses.replace(profile_by_name(name), duration_s=duration_s)
+
+
+def exact_observables(result, sim):
+    """A run's samples, energies, policy stats and daemon events with
+    every float rendered exactly."""
+    def hexed(value):
+        return value.hex() if isinstance(value, float) else value
+
+    stats = dataclasses.asdict(sim.system.policy.stats)
+    return {
+        "samples": [[hexed(v) for v in s] for s in result.samples],
+        "dram_energy": result.dram_energy_j.hex(),
+        "baseline": result.baseline_dram_energy_j.hex(),
+        "stats": {k: hexed(v) for k, v in stats.items()},
+        "events": list(sim.system.daemon.event_log),
+    }
 
 
 class TestRegistry:
@@ -173,6 +191,26 @@ class TestInKernelPolicies:
                     [s.dpd_fraction for s in result.samples])
 
         assert energy(True) == energy(False)
+
+        # 9 GiB of demand on the 8 GiB box: both owners hold swap with
+        # free memory at the swap-in reserve, where apply() is a strict
+        # no-op.  A policy whose monitor no-ops there batches the run as
+        # quiescent windows, whose residency is booked in closed form.
+        profiles = [flat_profile(5.0, name="a"), flat_profile(4.0, name="b")]
+        for churn in (False, True):
+            runs = []
+            for fast_forward in (False, True):
+                sim = ServerSimulator(scenario_system(policy=name), seed=5,
+                                      fast_forward=fast_forward)
+                result = sim.run_mix(profiles, epoch_s=0.1,
+                                     pinned_churn=churn)
+                runs.append((exact_observables(result, sim),
+                             result.residency.as_dict(), sim.ff_stats))
+            (slow, slow_residency, _), (fast, fast_residency, ff) = runs
+            assert fast == slow, churn
+            assert fast_residency == pytest.approx(slow_residency), churn
+            if name != "greendimm":
+                assert ff.windows >= 1, churn
 
     def test_rank_policies_save_energy_when_ranks_idle(self):
         for name in ("srf_only", "ramzzz", "pasr"):

@@ -81,12 +81,12 @@ class TestStreamSource:
         assert resized == [f"vm{i}" for i in (2, 5, 1, 3, 4)]
         assert source.running == 5 and source.pending == 0
 
-    def test_horizon_is_next_event_or_infinity(self):
+    def test_stable_until_is_next_event_or_infinity(self):
         source = StreamSource(sim=None)
-        assert source.horizon(0.0) == float("inf")
+        assert source.stable_until(0.0) == float("inf")
         source.push(_vm_event(1, 30.0))
-        assert source.horizon(0.0) == 30.0
-        assert source.horizon(30.0) == 30.0  # due now: veto
+        assert source.stable_until(0.0) == 30.0
+        assert source.stable_until(30.0) == 30.0  # due now: veto
         assert source.pending == 1
 
 

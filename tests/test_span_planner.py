@@ -280,14 +280,10 @@ def hexed(run):
 
 
 class _StableBound:
-    """A workload source that vetoes quiescence and promises stability
-    up to a fixed bound."""
+    """A workload source that promises stability up to a fixed bound."""
 
     def __init__(self, bound):
         self.bound = bound
-
-    def horizon(self, t):
-        return t
 
     def stable_until(self, t):
         return self.bound
@@ -368,10 +364,12 @@ class TestInertMonitorFires:
         # executor decides each fire when it reaches it.
         assert plan(0.0, 0.25, 10.0, churn=False) == 40
         assert plan(0.0, 0.25, 10.0, churn=True) == 40
-        # Free memory inside the hysteresis band is inert as well.
+        # Free memory inside the hysteresis band: the monitor itself
+        # no-ops, so the same bound plans a quiescent window.
         mm.free_pages_of("hog", system.daemon.low_water_pages)
         assert system.daemon.monitor_is_noop()
-        assert plan(0.0, 0.25, 10.0, churn=False) == 40
+        assert sim.kernel._plan_span(_StableBound(10.0), 0.0, 0.25, 10.0,
+                                     False) == (40, True)
 
     def test_churn_span_closes_on_an_acting_fire(self):
         # One block offline and free memory below low water: the first
