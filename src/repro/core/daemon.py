@@ -62,7 +62,14 @@ class DaemonStats:
 
 
 class GreenDIMMDaemon:
-    """Implements ``memory_usage_monitor()`` + ``block_selector()``."""
+    """Implements ``memory_usage_monitor()`` + ``block_selector()``.
+
+    The daemon is also the ``greendimm`` power policy: it implements
+    :class:`~repro.policies.base.PowerPolicy` itself, and a system
+    running the default policy steps ``system.daemon`` directly.
+    """
+
+    name = "greendimm"
 
     def __init__(self, mm: PhysicalMemoryManager,
                  hotplug: MemoryBlockManager,
@@ -81,15 +88,7 @@ class GreenDIMMDaemon:
         self.selector = BlockSelector(hotplug, self.config.selection,
                                       rng or random.Random(29))
         self.stats = DaemonStats()
-        if self.config.on_thr_fraction >= self.config.off_thr_fraction:
-            raise ConfigurationError(
-                "on_thr must stay below off_thr for hysteresis")
-        if self.low_water_pages >= self.reserve_pages:
-            raise ConfigurationError(
-                f"on_thr and off_thr collapse to the same page count "
-                f"({self.low_water_pages} >= {self.reserve_pages}) on this "
-                f"{self.mm.total_pages}-page platform; widen the hysteresis "
-                f"band or use a larger capacity")
+        self.check_band(self.config)
         #: Bounded event history; oldest entries are dropped.
         self.event_log: Deque[DaemonEvent] = collections.deque(maxlen=20_000)
         self._since_monitor_s = math.inf  # fire on the first step
@@ -126,6 +125,48 @@ class GreenDIMMDaemon:
         """Free-page level that triggers on-lining (on_thr x installed)."""
         return round(self.config.on_thr_fraction * self.mm.total_pages)
 
+    def check_band(self, config: GreenDIMMConfig) -> None:
+        """Refuse *config* if its two thresholds round to one page count.
+
+        The config itself enforces ``on_thr < off_thr``; on a small
+        platform both can still land on the same page, and the
+        hysteresis band would vanish.
+        """
+        total = self.mm.total_pages
+        low = round(config.on_thr_fraction * total)
+        reserve = round(config.off_thr_fraction * total)
+        if low >= reserve:
+            raise ConfigurationError(
+                f"on_thr and off_thr collapse to the same page count "
+                f"({low} >= {reserve}) on this {total}-page platform; "
+                f"widen the hysteresis band or use a larger capacity")
+
+    # --- the PowerPolicy surface ------------------------------------------
+
+    def reset_stats(self) -> None:
+        self.stats = DaemonStats()
+
+    @property
+    def monitor_period_s(self) -> float:
+        return self.config.monitor_period_s
+
+    @property
+    def monitor_timer(self) -> float:
+        return self._since_monitor_s
+
+    @monitor_timer.setter
+    def monitor_timer(self, value: float) -> None:
+        self._since_monitor_s = value
+
+    def extra_power_w(self) -> float:
+        return 0.0
+
+    def runtime_overhead_fraction(self) -> float:
+        return 0.0
+
+    def policy_metrics(self) -> Dict[str, float]:
+        return {}
+
     # --- public stepping ---------------------------------------------------
 
     def step(self, now_s: float, dt_s: float) -> None:
@@ -137,20 +178,6 @@ class GreenDIMMDaemon:
             return
         self._since_monitor_s = 0.0
         self.monitor_once(now_s)
-
-    def tick_quiescent(self, dt_s: float) -> None:
-        """Advance the monitor timer through an epoch known to be a no-op.
-
-        A bit-exact mirror of :meth:`step`'s timer arithmetic for epochs
-        where ``monitor_once`` would read free memory inside the
-        hysteresis band and do nothing; the fast-forward layer calls this
-        instead of :meth:`step` so a later slow epoch fires the monitor
-        at exactly the same simulated time either way.
-        """
-        self._since_monitor_s += dt_s
-        if self._since_monitor_s < self.config.monitor_period_s:
-            return
-        self._since_monitor_s = 0.0
 
     def monitor_is_noop(self) -> bool:
         """True when a monitor pass right now would take no action.

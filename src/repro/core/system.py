@@ -126,20 +126,12 @@ class GreenDIMMSystem:
     def retune(self, **overrides) -> GreenDIMMConfig:
         """Replace config fields (e.g. daemon thresholds) without restart.
 
-        ``dataclasses.replace`` re-runs the config's own validation; the
-        daemon's hysteresis invariants are re-checked here the same way
-        its constructor checks them.  Returns the new config.
+        ``dataclasses.replace`` re-runs the config's own validation, and
+        the daemon re-checks the page-count band as its constructor does.
+        Returns the new config.
         """
-        from repro.errors import ConfigurationError
         config = dataclasses.replace(self.config, **overrides)
-        if config.on_thr_fraction >= config.off_thr_fraction:
-            raise ConfigurationError(
-                "on_thr must stay below off_thr for hysteresis")
-        core_mm = getattr(self.mm, "inner", self.mm)
-        if (round(config.on_thr_fraction * core_mm.total_pages)
-                >= round(config.off_thr_fraction * core_mm.total_pages)):
-            raise ConfigurationError(
-                "on_thr and off_thr collapse to the same page count")
+        self.daemon.check_band(config)
         self.config = config
         self.daemon.config = config
         return config
@@ -159,7 +151,9 @@ class GreenDIMMSystem:
             "hotplug": core_hotplug.state_dict(),
             "power_control": core_power_control.state_dict(),
             "daemon": self.daemon.state_dict(),
-            "policy": self.policy.state_dict(),
+            # Under ``greendimm`` the policy is the daemon, stored above.
+            "policy": (None if self.policy is self.daemon
+                       else self.policy.state_dict()),
             "ksm": self.ksm.state_dict() if self.ksm is not None else None,
             "fault_plan": self.fault_plan,
             "fault_injector": (self.fault_injector.state_dict()
@@ -189,7 +183,8 @@ class GreenDIMMSystem:
                 self.install_fault_plan(state["fault_plan"])
             self.fault_injector.load_state_dict(state["fault_injector"])
         self.daemon.load_state_dict(state["daemon"])
-        self.policy.load_state_dict(state["policy"])
+        if self.policy is not self.daemon:
+            self.policy.load_state_dict(state["policy"])
         if self.ksm is not None and state["ksm"] is not None:
             self.ksm.load_state_dict(state["ksm"])
         self.power_model.load_state_dict(state["power_model"])

@@ -3,8 +3,9 @@
 :class:`~repro.sim.kernel.EpochKernel` and the span planner were written
 against :class:`~repro.core.daemon.GreenDIMMDaemon`'s surface.  This
 module names that surface explicitly so any power-management scheme —
-the GreenDIMM daemon itself, rank-level baselines, or page-migration
-policies from the literature — can plug into the same run loop.
+rank-level baselines or page-migration policies from the literature —
+can plug into the same run loop.  The daemon implements the protocol
+itself: it *is* the ``greendimm`` policy.
 
 The obligations, in the order the kernel exercises them:
 
@@ -12,12 +13,6 @@ The obligations, in the order the kernel exercises them:
     Advance the policy by one dynamic epoch.  May touch memory, move
     pages, or change the power state; this is the only entry point that
     is allowed side effects on the system.
-
-``tick_quiescent(dt_s)``
-    Advance internal timers through an epoch the caller has *proven* to
-    be a no-op.  Must be a bit-exact mirror of :meth:`step`'s timer
-    arithmetic so a later dynamic epoch fires at the identical simulated
-    time either way.
 
 ``monitor_is_noop()``
     True when a :meth:`step` right now would take no action and consume
@@ -35,7 +30,8 @@ The obligations, in the order the kernel exercises them:
     ``False`` keeps every fire on the dynamic path.
 
 ``monitor_timer`` / ``monitor_period_s``
-    The replay surface: batched spans advance the timer with
+    The replay surface: every epoch the caller has *proven* to be a
+    no-op, batched or single, advances the timer with
     :func:`repro.soa.monitor_timer_after`, which assumes the standard
     ``since += dt; if since >= period: since = 0.0`` chain, and that
     between monitor fires :meth:`step` is pure timer arithmetic.  Every
@@ -63,17 +59,10 @@ The obligations, in the order the kernel exercises them:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict
+import weakref
+from typing import TYPE_CHECKING, Dict, Protocol, runtime_checkable
 
 from repro.core.daemon import DaemonStats
-
-try:  # pragma: no cover - Protocol exists on every supported python
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 if TYPE_CHECKING:
     from repro.core.system import GreenDIMMSystem
@@ -89,8 +78,6 @@ class PowerPolicy(Protocol):
     def reset_stats(self) -> None: ...
 
     def step(self, now_s: float, dt_s: float) -> None: ...
-
-    def tick_quiescent(self, dt_s: float) -> None: ...
 
     def monitor_is_noop(self) -> bool: ...
 
@@ -133,14 +120,23 @@ class PeriodicPolicy:
     Subclasses implement :meth:`monitor_once` (recompute the power
     posture from live system state) and :meth:`monitor_is_noop` (would a
     recomputation right now change anything?).
+
+    The system holds its policy, so the policy holds the system only
+    weakly: a finished simulator is freed without a GC pass.  Read
+    ``mm`` and ``config`` through :attr:`system` each time; a fault plan
+    re-wraps the one and ``retune`` replaces the other.
     """
 
     name = "periodic"
 
     def __init__(self, system: "GreenDIMMSystem"):
-        self.system = system
+        self._system = weakref.ref(system)
         self.stats = DaemonStats()
         self._since_monitor_s = math.inf  # fire on the first step
+
+    @property
+    def system(self) -> "GreenDIMMSystem":
+        return self._system()
 
     # --- stats lifecycle --------------------------------------------------
 
@@ -155,13 +151,6 @@ class PeriodicPolicy:
             return
         self._since_monitor_s = 0.0
         self.monitor_once(now_s)
-
-    def tick_quiescent(self, dt_s: float) -> None:
-        """Bit-exact mirror of :meth:`step` below the period."""
-        self._since_monitor_s += dt_s
-        if self._since_monitor_s < self.monitor_period_s:
-            return
-        self._since_monitor_s = 0.0
 
     def monitor_once(self, now_s: float) -> None:
         raise NotImplementedError

@@ -49,7 +49,7 @@ _SPECS = (
     PolicySpec("pasr", "partial-array self-refresh bank masking",
                "repro.policies.pasr:PASRKernelPolicy", True),
     PolicySpec("greendimm", "sub-array power-down daemon (the paper)",
-               "repro.policies.greendimm:GreenDIMMPolicy"),
+               "repro.core.daemon:GreenDIMMDaemon"),
     PolicySpec("rank-migration",
                "hot-page concentration with migration accounting "
                "(Lu et al.)",
@@ -88,5 +88,11 @@ def policy_class(name: str) -> Type["PowerPolicy"]:
 
 
 def create_policy(name: str, system: "GreenDIMMSystem") -> "PowerPolicy":
-    """Instantiate the in-kernel policy *name* for *system*."""
+    """Instantiate the in-kernel policy *name* for *system*.
+
+    ``greendimm`` is the daemon every system already runs, so it is
+    returned rather than built.
+    """
+    if name == "greendimm":
+        return system.daemon
     return policy_class(name)(system)

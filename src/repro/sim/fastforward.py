@@ -15,9 +15,9 @@ Bit-for-bit equivalence is the contract, which shapes the design:
   closed-form ``power * epoch_s * n`` would re-associate the float sum);
 * the simulated clock advances through :class:`SimClock` with the same
   ``now_s += epoch_s`` op sequence in both paths;
-* the daemon's monitor timer ticks via
-  :meth:`~repro.core.daemon.GreenDIMMDaemon.tick_quiescent`, a bit-exact
-  mirror of its ``step`` arithmetic;
+* the policy's monitor timer ticks via
+  :func:`~repro.soa.monitor_timer_after`, a bit-exact mirror of its
+  ``step`` arithmetic;
 * pinned churn keeps its RNG stream: quiet epochs consume exactly their
   one arrival draw (the simulator's quiet-run scan), churn runs for
   real at its events, and the window closes the moment churn perturbs

@@ -502,7 +502,7 @@ class EpochKernel:
         power_w = power.total_w
         # Costs outside the dpd projection (migration traffic): added
         # only when nonzero, so policies without them — the GreenDIMM
-        # adapter included — leave the float stream untouched.
+        # daemon included — leave the float stream untouched.
         extra_w = policy.extra_power_w()
         if extra_w:
             power_w += extra_w
@@ -609,10 +609,10 @@ class EpochKernel:
 
         The planner proved that across these epochs ``apply`` is a
         strict no-op, the operating point is constant, KSM is idle, and
-        no fault rule is live — so an epoch reduces to the timer tick
-        (:meth:`~repro.core.daemon.GreenDIMMDaemon.tick_quiescent`, the
-        bit-exact mirror of ``step`` when the pass does nothing), the
-        sample, and the energy sums.  Without churn the whole span is one
+        no fault rule is live — so an epoch reduces to the monitor-timer
+        tick (:func:`~repro.soa.monitor_timer_after`, the bit-exact mirror
+        of ``step`` when the pass does nothing), the sample, and the
+        energy sums.  Without churn the whole span is one
         :meth:`_replay_epochs` batch.  With churn the promise only lasts
         while memory holds still, so the span runs from one churn event
         to the next (:meth:`_churn_epochs`) and ends early after the
@@ -774,12 +774,9 @@ class EpochKernel:
                 return dram_energy, baseline_energy, done, 1
             if template is None:
                 template = self._sample(t, bandwidth, row_miss_rate)
-            policy.tick_quiescent(epoch_s)
-            samples.append(template._replace(time_s=t))
-            dram_energy += template.dram_power_w * epoch_s
-            baseline_energy += baseline_w * epoch_s
-            residency.add_span(epoch_s, active_res, template.dpd_fraction)
-            clock.tick()
+            dram_energy, baseline_energy = self._replay_epochs(
+                clock, 1, template, baseline_w, active_res, samples,
+                dram_energy, baseline_energy, residency)
         return dram_energy, baseline_energy, done, 0
 
     # --- the unified run loop ---------------------------------------------

@@ -12,10 +12,11 @@ A snapshot is two halves:
 
 The one-pickle rule is what makes restore exact: components share
 objects across their state dicts (KSM region content is shared with
-the trace source; the daemon and the GreenDIMM policy share one
-``DaemonStats``).  Every ``state_dict()`` therefore returns **live
+the trace source).  Every ``state_dict()`` therefore returns **live
 references**, the snapshot layer assembles the whole tree, and a
-single immediate ``pickle.dumps`` preserves the shared identities.  Restore is the
+single immediate ``pickle.dumps`` preserves the shared identities.
+Under the ``greendimm`` policy the policy *is* the daemon, so its state
+is stored once, under ``"daemon"``.  Restore is the
 mirror image: ``load_state_dict()`` assigns state *onto the existing
 component instances* — never replacing the components themselves — so
 all cross-wiring (daemon -> selector, sysfs -> hot-plug, policy ->
@@ -67,7 +68,7 @@ PathLike = Union[str, pathlib.Path]
 
 #: Bump on any incompatible change to the state tree's shape.  Restore
 #: refuses versions it does not know rather than guessing.
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 
 def _numpy_globals() -> FrozenSet[Tuple[str, str]]:

@@ -89,6 +89,14 @@ class TestConfig:
             make_system(config=GreenDIMMConfig(
                 block_bytes=64 * MIB, off_thr_fraction=0.0000020,
                 on_thr_fraction=0.0000019))
+        # A live retune runs the same check and keeps the old config.
+        system = make_system()
+        before = system.config
+        with pytest.raises(ConfigurationError, match="collapse"):
+            system.retune(off_thr_fraction=0.0000020,
+                          on_thr_fraction=0.0000019)
+        assert system.config is before
+        assert system.daemon.config is before
 
 
 class TestOfflineBehaviour:

@@ -1,10 +1,12 @@
-"""The PowerPolicy plug-in layer: registry, adapter, schema, tournament,
-and the closed-form estimates of the rank-level comparison policies
-(srf-only, RAMZzz, PASR): each policy class's ``estimate``."""
+"""The PowerPolicy plug-in layer: registry, the daemon as policy, schema,
+tournament, and the closed-form estimates of the rank-level comparison
+policies (srf-only, RAMZzz, PASR): each policy class's ``estimate``."""
 
 import dataclasses
+import gc
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -125,23 +127,51 @@ class TestRegistry:
             assert policy.name == name
 
 
-class TestGreenDIMMAdapter:
+class TestGreenDIMMPolicy:
+    def test_the_policy_is_the_daemon(self):
+        system = small_system()
+        assert system.policy is system.daemon
+        assert create_policy("greendimm", system) is system.daemon
+
     def test_stats_surface_is_the_daemons(self):
         system = small_system(policy="greendimm")
-        assert system.policy.stats is system.daemon.stats
+        before = system.daemon.stats
         system.policy.reset_stats()
+        assert system.daemon.stats is not before
         assert system.policy.stats is system.daemon.stats
 
     def test_monitor_timer_wraps_the_daemon_field(self):
         system = small_system(policy="greendimm")
-        system.policy.monitor_timer = 1.5
+        system.daemon.monitor_timer = 1.5
         assert system.daemon._since_monitor_s == 1.5
-        assert system.policy.monitor_timer == 1.5
+        assert system.daemon.monitor_timer == 1.5
+        assert (system.daemon.monitor_period_s
+                == system.config.monitor_period_s)
 
-    def test_adapter_adds_no_power_terms(self):
+    def test_daemon_adds_no_power_terms(self):
         system = small_system(policy="greendimm")
-        assert system.policy.extra_power_w() == 0.0
-        assert system.policy.runtime_overhead_fraction() == 0.0
+        assert system.daemon.extra_power_w() == 0.0
+        assert system.daemon.runtime_overhead_fraction() == 0.0
+        assert system.daemon.policy_metrics() == {}
+
+
+@pytest.mark.parametrize("name", policy_names())
+def test_finished_simulator_freed_without_gc(name):
+    # The system holds its policy; a policy that held the system back
+    # would keep a finished simulator alive until a full GC pass.
+    gc.collect()
+    gc.disable()
+    try:
+        system = small_system(policy=name)
+        simulator = ServerSimulator(system, seed=5)
+        simulator.run_mix([short_profile(duration_s=2.0)], warmup_s=0.0)
+        system_ref = weakref.ref(system)
+        simulator_ref = weakref.ref(simulator)
+        del system, simulator
+        assert system_ref() is None
+        assert simulator_ref() is None
+    finally:
+        gc.enable()
 
 
 class TestPolicySelection:
