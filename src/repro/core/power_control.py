@@ -18,20 +18,19 @@ from repro.core.mapping import PowerBlockMap
 from repro.memctrl.moderegister import ModeRegisterFile
 from repro.obs.tracer import GLOBAL_TRACER as TRACER
 from repro.memctrl.registers import GreenDIMMControlRegister
-from repro.soa import GroupGateStore
 
 
 class GreenDIMMPowerControl:
     """Keeps the gating register consistent with the offline block set.
 
-    Gate eligibility is tracked incrementally in a
-    :class:`~repro.soa.GroupGateStore`: each offline/online event bumps
-    the coverage count of the groups the block overlaps, and the
-    fully-offline / pair-satisfied check is a vectorized compare —
-    replacing the per-event rescan that re-derived every group's block
-    range through the address-mapping layer.  The produced group lists
-    are identical (ascending order, same membership) to the reference
-    :meth:`~repro.core.mapping.PowerBlockMap.gateable_groups` rescan.
+    The register is the whole gating state.  Eligibility is tracked
+    incrementally: each offline/online event bumps ``_cover``, the count
+    of off-lined blocks in each group the block overlaps, and ``_full``
+    holds the groups whose count reached ``blocks_per_group``.  The
+    eligible list (:meth:`_eligible`) is identical — ascending, same
+    membership — to the reference
+    :meth:`~repro.core.mapping.PowerBlockMap.gateable_groups` rescan,
+    without re-deriving every group's block range per event.
     """
 
     def __init__(self, block_map: PowerBlockMap,
@@ -46,13 +45,10 @@ class GreenDIMMPowerControl:
             total_ranks=block_map.mapping.organization.total_ranks,
             mask_bits=max(64, block_map.num_groups))
         self._offline_blocks: Set[int] = set()
-        self.soa = GroupGateStore(
-            num_blocks=block_map.num_blocks,
-            num_groups=block_map.num_groups,
-            blocks_per_group=block_map.blocks_per_group,
-            groups_of_block=[block_map.groups_of_block(b)
-                             for b in range(block_map.num_blocks)],
-            pair_gating=pair_gating)
+        #: Per group, how many of its covering blocks are off-lined.
+        self._cover: List[int] = [0] * block_map.num_groups
+        #: Groups every covering block of which is off-lined.
+        self._full: Set[int] = set()
         self.wakeup_wait_s = 0.0
         self.mrs_time_ns = 0.0
 
@@ -61,20 +57,40 @@ class GreenDIMMPowerControl:
         self.mrs_time_ns += self.mode_registers.broadcast_gate_mask(
             self.register.raw_value())
 
+    def _eligible(self) -> List[int]:
+        """Groups that may be gated now, ascending.
+
+        A group qualifies when every covering block is off-lined; with
+        pair gating its sense-amp partner (``g ^ 1``) must qualify too.
+        """
+        full = self._full
+        if self.pair_gating:
+            return sorted(g for g in full if g ^ 1 in full)
+        return sorted(full)
+
     # --- events from the daemon ------------------------------------------
 
     def block_offlined(self, block: int, now_s: float = 0.0) -> List[int]:
         """Record an off-lining; gate any newly eligible groups.
 
-        Returns the groups gated by this event.
+        Returns the groups gated by this event.  A block already offline
+        leaves the coverage counts as they are.
         """
-        self._offline_blocks.add(block)
-        self.soa.block_offlined(block, now_s)
-        newly = [g for g in self.soa.gate_candidates()
-                 if self.register.is_ready(g, now_s * 1e9)]
+        if block not in self._offline_blocks:
+            self._offline_blocks.add(block)
+            cover = self._cover
+            full = self.block_map.blocks_per_group
+            for group in self.block_map.groups_of_block(block):
+                cover[group] += 1
+                if cover[group] == full:
+                    self._full.add(group)
+        register = self.register
+        gated = register.raw_value()
+        now_ns = now_s * 1e9
+        newly = [g for g in self._eligible()
+                 if not gated >> g & 1 and register.is_ready(g, now_ns)]
         for group in newly:
-            self.register.gate(group)
-            self.soa.group_gated(group, now_s)
+            register.gate(group)
         if newly:
             self._sync_mode_registers()
             if TRACER.enabled:
@@ -95,7 +111,6 @@ class GreenDIMMPowerControl:
             if self.register.is_gated(group):
                 ready_ns = max(ready_ns,
                                self.register.ungate(group, now_ns))
-                self.soa.group_ungated(group, now_s)
                 ungated_any = True
         if ungated_any:
             self._sync_mode_registers()
@@ -111,15 +126,22 @@ class GreenDIMMPowerControl:
         On-lining one block may break the pairing constraint for a
         neighbouring gated group; those groups are woken too (they are
         still fully offline but can no longer be held gated).  Returns
-        the groups that had to be un-gated.
+        the groups that had to be un-gated.  A block already online
+        leaves the coverage counts as they are.
         """
-        self._offline_blocks.discard(block)
-        self.soa.block_onlined(block, now_s)
+        if block in self._offline_blocks:
+            self._offline_blocks.remove(block)
+            cover = self._cover
+            for group in self.block_map.groups_of_block(block):
+                cover[group] -= 1
+                self._full.discard(group)
         now_ns = now_s * 1e9
-        broken = self.soa.broken_gated_groups()
+        gated = self.register.raw_value()
+        eligible = set(self._eligible())
+        broken = [g for g in range(gated.bit_length())
+                  if gated >> g & 1 and g not in eligible]
         for group in broken:
             self.register.ungate(group, now_ns)
-            self.soa.group_ungated(group, now_s)
         if broken:
             self._sync_mode_registers()
             if TRACER.enabled:
@@ -133,7 +155,8 @@ class GreenDIMMPowerControl:
         return {"register": self.register.state_dict(),
                 "mode_registers": self.mode_registers.state_dict(),
                 "offline_blocks": self._offline_blocks,
-                "soa": self.soa.state_dict(),
+                "cover": self._cover,
+                "full": self._full,
                 "wakeup_wait_s": self.wakeup_wait_s,
                 "mrs_time_ns": self.mrs_time_ns}
 
@@ -141,7 +164,8 @@ class GreenDIMMPowerControl:
         self.register.load_state_dict(state["register"])
         self.mode_registers.load_state_dict(state["mode_registers"])
         self._offline_blocks = state["offline_blocks"]
-        self.soa.load_state_dict(state["soa"])
+        self._cover = state["cover"]
+        self._full = state["full"]
         self.wakeup_wait_s = state["wakeup_wait_s"]
         self.mrs_time_ns = state["mrs_time_ns"]
 

@@ -55,19 +55,19 @@ class BlockSelector:
     def _observe(self) -> dict:
         """One sysfs reading pass over the movable online blocks.
 
-        The free/removable flags come from the memory manager's SoA
-        mirror: two vectorized compares instead of per-block accounting
-        reads.
+        The free/removable flags are read off the memory manager's
+        per-block counters.
         """
         pool = self._movable_online_blocks()
-        soa = self.hotplug.mm.soa_view()
-        free_mask = soa.free_mask
-        removable_mask = soa.removable_mask
-        return {
-            "pool": pool,
-            "free": {b for b in pool if free_mask[b]},
-            "removable": {b for b in pool if removable_mask[b]},
-        }
+        accounting = self.hotplug.mm.block_accounting
+        free, removable = set(), set()
+        for b in pool:
+            acct = accounting(b)
+            if not acct.used_pages:
+                free.add(b)
+            if not acct.unmovable_pages:
+                removable.add(b)
+        return {"pool": pool, "free": free, "removable": removable}
 
     # --- checkpoint/restore --------------------------------------------------
 

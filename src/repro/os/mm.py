@@ -20,7 +20,6 @@ from repro.os.buddy import MAX_ORDER, BuddyAllocator
 from repro.os.page import (MAX_BLOCK_PAGES, TAIL_MASK, BlockAccounting,
                            OwnerKind, PageExtent, buddy_blocks)
 from repro.os.zones import Zone, ZoneKind, ZoneLayout
-from repro.soa import BlockStateStore
 from repro.units import DEFAULT_MEMORY_BLOCK_SIZE, PAGE_SIZE
 
 
@@ -138,10 +137,6 @@ class PhysicalMemoryManager:
         self._owner_pages: Dict[str, int] = {}
         self._blocks: List[BlockAccounting] = [
             BlockAccounting() for _ in range(self.num_blocks)]
-        #: Write-back numpy mirror of the per-block counters; the
-        #: registration path only marks blocks dirty, scans call
-        #: ``soa_view()``.
-        self.soa = BlockStateStore(self.num_blocks)
         self._offlined_pages = 0
         self._isolated_blocks: Set[int] = set()
         #: Start pfns of zones whose free lists may hold unmerged free
@@ -224,19 +219,16 @@ class PhysicalMemoryManager:
             for pfn in fresh:
                 insort(owned, pfn)
         accts = self._blocks
-        mark_dirty = self.soa.mark_dirty
         unmovable = kind is not OwnerKind.USER
         added = 0
         for run, pages in before.items():
             grown = run.pages - pages
-            block = run.pfn // block_pages
-            acct = accts[block]
+            acct = accts[run.pfn // block_pages]
             acct.used_pages += grown
             if unmovable:
                 acct.unmovable_pages += grown
             if not pages:
                 acct.extents.add(run.pfn)
-            mark_dirty(block)
             added += grown
         self._owner_pages[owner_id] = (
             self._owner_pages.get(owner_id, 0) + added)
@@ -252,13 +244,11 @@ class PhysicalMemoryManager:
         else:
             del self._owners[owner_id]
             del self._owner_pages[owner_id]
-        block = run.pfn // self.block_pages
-        acct = self._blocks[block]
+        acct = self._blocks[run.pfn // self.block_pages]
         acct.used_pages -= run.pages
         if not run.movable:
             acct.unmovable_pages -= run.pages
         acct.extents.remove(run.pfn)
-        self.soa.mark_dirty(block)
 
     # --- allocation / freeing -------------------------------------------------
 
@@ -309,14 +299,6 @@ class PhysicalMemoryManager:
                 for pfn, order in allocator.alloc_pages(allocator.free_pages):
                     allocator.free_block(pfn, order)
             self._uncoalesced.discard(zone.start_pfn)
-
-    def free_extent(self, pfn: int) -> int:
-        """Free one run by its first pfn; returns pages freed."""
-        run = self._extents.get(pfn)
-        if run is None:
-            raise AllocationError(f"no extent at pfn {pfn}")
-        self._release([run])
-        return run.pages
 
     def free_pages_of(self, owner_id: str, n_pages: int) -> int:
         """Free *n_pages* of *owner_id*'s memory, highest addresses first.
@@ -428,12 +410,10 @@ class PhysicalMemoryManager:
             else:
                 pfn += half_pages
         run.pages = keep
-        block = run.pfn // self.block_pages
-        acct = self._blocks[block]
+        acct = self._blocks[run.pfn // self.block_pages]
         acct.used_pages -= n_pages
         if not run.movable:
             acct.unmovable_pages -= n_pages
-        self.soa.mark_dirty(block)
         self._owner_pages[run.owner_id] -= n_pages
 
     # --- queries -----------------------------------------------------------
@@ -462,10 +442,6 @@ class PhysicalMemoryManager:
     def extents_of(self, owner_id: str) -> List[PageExtent]:
         """The owner's runs, ascending."""
         return [self._extents[p] for p in self._owners.get(owner_id, ())]
-
-    def soa_view(self) -> BlockStateStore:
-        """The per-block SoA mirror, with dirty counters flushed."""
-        return self.soa.sync(self._blocks)
 
     def meminfo(self) -> Meminfo:
         return Meminfo(total_pages=self.online_pages,
@@ -586,14 +562,12 @@ class PhysicalMemoryManager:
             raise AllocationError(f"block {index} still has used pages")
         self._isolated_blocks.remove(index)
         self._offlined_pages += self.block_pages
-        self.soa.mark_offline(index)
 
     def complete_online(self, index: int) -> None:
         """Give an off-lined block's frames back to its zone's allocator."""
         start, count = self.block_range(index)
         self._zone_of(start).allocator.add_range(start, count)
         self._offlined_pages -= self.block_pages
-        self.soa.mark_online(index)
 
     # --- checkpoint/restore ---------------------------------------------------
 
@@ -612,7 +586,6 @@ class PhysicalMemoryManager:
             "owners": self._owners,
             "owner_pages": self._owner_pages,
             "blocks": self._blocks,
-            "soa": self.soa.state_dict(),
             "offlined_pages": self._offlined_pages,
             "isolated_blocks": self._isolated_blocks,
             "uncoalesced": self._uncoalesced,
@@ -628,7 +601,6 @@ class PhysicalMemoryManager:
         self._owners = state["owners"]
         self._owner_pages = state["owner_pages"]
         self._blocks = state["blocks"]
-        self.soa.load_state_dict(state["soa"])
         self._offlined_pages = state["offlined_pages"]
         self._isolated_blocks = state["isolated_blocks"]
         self._uncoalesced = state["uncoalesced"]

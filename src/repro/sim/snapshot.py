@@ -54,8 +54,6 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.core.config import GreenDIMMConfig, SelectionPolicy
 from repro.core.system import GreenDIMMSystem
 from repro.dram.organization import spec_server_memory
@@ -68,30 +66,14 @@ PathLike = Union[str, pathlib.Path]
 
 #: Bump on any incompatible change to the state tree's shape.  Restore
 #: refuses versions it does not know rather than guessing.
-SNAPSHOT_VERSION = 6
-
-
-def _numpy_globals() -> FrozenSet[Tuple[str, str]]:
-    """The globals numpy pickles an array through.
-
-    Protocol 5, which :func:`capture` writes, rebuilds an array from its
-    buffer; protocols 2 to 4 rebuild it from ``ndarray`` and a state
-    tuple.  numpy 2 moved the helpers from ``numpy.core`` to
-    ``numpy._core``, so numpy itself names them here.
-    """
-    array = np.zeros(1)
-    from_buffer = array.__reduce_ex__(5)[0]
-    reconstruct, (subtype, *_) = array.__reduce_ex__(4)[:2]
-    dtype = array.dtype.__reduce__()[0]
-    return frozenset((obj.__module__, obj.__qualname__)
-                     for obj in (from_buffer, reconstruct, subtype, dtype))
+SNAPSHOT_VERSION = 7
 
 
 #: Every global a capture references, and all that :func:`restore` will
 #: load.  ``tests/test_snapshot.py`` collects the globals of real
 #: captures of every source kind and asserts they equal this set, so a
 #: new class in the state tree fails there instead of at restore.
-SNAPSHOT_GLOBALS: FrozenSet[Tuple[str, str]] = _numpy_globals() | {
+SNAPSHOT_GLOBALS: FrozenSet[Tuple[str, str]] = frozenset({
     ("collections", "deque"),
     ("repro.core.config", "GreenDIMMConfig"),
     ("repro.core.config", "SelectionPolicy"),
@@ -135,7 +117,7 @@ SNAPSHOT_GLOBALS: FrozenSet[Tuple[str, str]] = _numpy_globals() | {
     ("repro.workloads.profiles", "Suite"),
     ("repro.workloads.profiles", "WorkloadProfile"),
     ("repro.workloads.trace", "FootprintTrace"),
-}
+})
 
 
 class _SnapshotUnpickler(pickle.Unpickler):

@@ -1,34 +1,11 @@
-"""Structure-of-arrays state stores for the hot simulation paths.
+"""Batched epoch chains and the run-length sample log.
 
-The epoch-stepped simulator keeps its authoritative state in small
-Python objects — :class:`~repro.os.page.BlockAccounting` counters in the
-memory manager, the offline set in the hot-plug manager, the gating
-bitmask in the controller register.  Those objects are cheap to *update*
-(a Python attribute add is ~4x faster than a numpy scalar store) but
-expensive to *scan*: every monitor pass used to rebuild the
-fully-offline group set by walking the whole block <-> group topology
-through the address-mapping property chain.
-
-This module holds the numpy mirrors that make the scans cheap:
-
-* :class:`BlockStateStore` — per-memory-block footprint and offline
-  status as ``int64``/``bool`` arrays.  The memory manager marks blocks
-  dirty on the extent hot path (a set add) and flushes them in bulk at
-  observation points (:meth:`BlockStateStore.sync`), so the arrays are
-  a write-back mirror of the per-block accounting objects.
-* :class:`GroupGateStore` — per-sub-array-group coverage counts, gate
-  flags, and offline/gated residency clocks, updated *incrementally* at
-  block offline/online events.  Gate-eligibility queries become O(groups)
-  vectorized compares instead of O(groups x blocks) address-layer
-  traversals per event.
-
-Both stores are mirrors, never the source of truth; the property tests
-in ``tests/test_soa.py`` replay randomized daemon/hot-plug/fault
-sequences and assert the arrays match the objects exactly.
-
-The batched-chain helpers below let the kernel replay a run of
-constant-state epochs in one step, and :class:`SampleLog` records such a
-run as one ``(t0, epoch_s, n, template)`` entry instead of *n* samples.
+The span planner (:mod:`repro.sim.kernel`) replays a run of
+constant-state epochs in one step.  The helpers here evaluate that run's
+float chains — the clock, energy accumulators and the daemon's monitor
+timer — with the same left-to-right additions as per-epoch stepping,
+and :class:`SampleLog` records such a run as one ``(t0, epoch_s, n,
+template)`` entry instead of *n* samples.
 """
 
 from __future__ import annotations
@@ -36,13 +13,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import chain, repeat, starmap
 from operator import attrgetter, eq
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
 __all__ = [
-    "BlockStateStore",
-    "GroupGateStore",
     "SampleLog",
     "SampleRun",
     "accumulate_energy",
@@ -50,238 +25,6 @@ __all__ = [
     "epochs_before",
     "monitor_timer_after",
 ]
-
-
-class BlockStateStore:
-    """numpy mirror of the per-memory-block footprint and offline state.
-
-    Owned by :class:`~repro.os.mm.PhysicalMemoryManager`.  The extent
-    register/unregister hot path only records the touched block index in
-    ``_dirty`` (cheap); :meth:`sync` flushes the dirty counters into the
-    arrays.  Offline transitions are rare daemon events and update the
-    ``offline`` array directly.
-    """
-
-    def __init__(self, num_blocks: int):
-        self.num_blocks = num_blocks
-        self.used_pages = np.zeros(num_blocks, dtype=np.int64)
-        self.unmovable_pages = np.zeros(num_blocks, dtype=np.int64)
-        self.offline = np.zeros(num_blocks, dtype=bool)
-        self._dirty: "set[int]" = set()
-
-    # --- hot-path hooks ---------------------------------------------------
-
-    def mark_dirty(self, block: int) -> None:
-        """Record that *block*'s counters changed (flushed by :meth:`sync`)."""
-        self._dirty.add(block)
-
-    def mark_offline(self, block: int) -> None:
-        self.offline[block] = True
-
-    def mark_online(self, block: int) -> None:
-        self.offline[block] = False
-
-    # --- synchronization --------------------------------------------------
-
-    def sync(self, accounting: Sequence) -> "BlockStateStore":
-        """Flush dirty per-block counters from *accounting* into the arrays.
-
-        *accounting* is the memory manager's ``BlockAccounting`` list; only
-        blocks touched since the last sync are re-read.
-        """
-        if self._dirty:
-            used = self.used_pages
-            unmovable = self.unmovable_pages
-            for block in self._dirty:
-                acct = accounting[block]
-                used[block] = acct.used_pages
-                unmovable[block] = acct.unmovable_pages
-            self._dirty.clear()
-        return self
-
-    # --- checkpoint/restore -----------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Mutable mirror state (arrays + pending dirty set)."""
-        return {"used_pages": self.used_pages,
-                "unmovable_pages": self.unmovable_pages,
-                "offline": self.offline,
-                "dirty": self._dirty}
-
-    def load_state_dict(self, state: dict) -> None:
-        # In-place copies: external code may hold views of the arrays.
-        self.used_pages[:] = state["used_pages"]
-        self.unmovable_pages[:] = state["unmovable_pages"]
-        self.offline[:] = state["offline"]
-        self._dirty = set(state["dirty"])
-
-    # --- vectorized views -------------------------------------------------
-
-    @property
-    def free_mask(self) -> np.ndarray:
-        """Blocks with no allocated pages (callers must :meth:`sync` first)."""
-        return self.used_pages == 0
-
-    @property
-    def removable_mask(self) -> np.ndarray:
-        """Blocks with no unmovable pages (the sysfs ``removable`` flag)."""
-        return self.unmovable_pages == 0
-
-
-class GroupGateStore:
-    """numpy mirror of sub-array-group coverage, gating, and residency.
-
-    Owned by :class:`~repro.core.power_control.GreenDIMMPowerControl`.
-    ``cover[g]`` counts how many of group *g*'s covering blocks are
-    off-lined; a group is *fully offline* when ``cover[g]`` reaches
-    ``blocks_per_group``.  With pair gating, eligibility additionally
-    requires the sense-amp partner (``g ^ 1``) to be fully offline; the
-    partner check is one vectorized gather over the XOR-reindexed mask.
-
-    The store also keeps the per-block and per-group power residency
-    clocks (time spent offline / gated), updated at event granularity.
-    """
-
-    def __init__(self, num_blocks: int, num_groups: int,
-                 blocks_per_group: int,
-                 groups_of_block: Sequence[Sequence[int]],
-                 pair_gating: bool = True):
-        self.num_blocks = num_blocks
-        self.num_groups = num_groups
-        self.blocks_per_group = blocks_per_group
-        self.pair_gating = pair_gating
-        #: Static topology: the groups each block overlaps.
-        self._groups_of_block: List[tuple] = [
-            tuple(groups) for groups in groups_of_block]
-        #: The sense-amp partner of each group (Section 6.1's pairing).
-        self._pair = np.arange(num_groups) ^ 1
-        self.cover = np.zeros(num_groups, dtype=np.int64)
-        self.gated = np.zeros(num_groups, dtype=bool)
-        self.offline = np.zeros(num_blocks, dtype=bool)
-        self.offline_since_s = np.full(num_blocks, np.nan)
-        self.offline_total_s = np.zeros(num_blocks)
-        self.gated_since_s = np.full(num_groups, np.nan)
-        self.gated_total_s = np.zeros(num_groups)
-        # Hot-query side indexes: at 64 groups, set membership beats
-        # numpy's per-call constants; the arrays above stay authoritative
-        # for bulk views and the property tests assert they agree.
-        self._full: "set[int]" = set()
-        self._gated_set: "set[int]" = set()
-
-    # --- block events -----------------------------------------------------
-
-    def block_offlined(self, block: int, now_s: float) -> None:
-        if self.offline[block]:
-            return
-        self.offline[block] = True
-        self.offline_since_s[block] = now_s
-        cover = self.cover
-        full = self.blocks_per_group
-        for group in self._groups_of_block[block]:
-            cover[group] += 1
-            if cover[group] == full:
-                self._full.add(group)
-
-    def block_onlined(self, block: int, now_s: float) -> None:
-        if not self.offline[block]:
-            return
-        self.offline[block] = False
-        self.offline_total_s[block] += now_s - self.offline_since_s[block]
-        self.offline_since_s[block] = np.nan
-        cover = self.cover
-        for group in self._groups_of_block[block]:
-            cover[group] -= 1
-            self._full.discard(group)
-
-    # --- gate events ------------------------------------------------------
-
-    def group_gated(self, group: int, now_s: float) -> None:
-        self.gated[group] = True
-        self._gated_set.add(group)
-        self.gated_since_s[group] = now_s
-
-    def group_ungated(self, group: int, now_s: float) -> None:
-        if not self.gated[group]:
-            return
-        self.gated[group] = False
-        self._gated_set.discard(group)
-        self.gated_total_s[group] += now_s - self.gated_since_s[group]
-        self.gated_since_s[group] = np.nan
-
-    # --- eligibility ------------------------------------------------------
-
-    def eligible_mask(self) -> np.ndarray:
-        """Boolean mask of groups that may be gated right now.
-
-        A group qualifies when every covering block is off-lined; with
-        pair gating its partner group must qualify too.
-        """
-        full = self.cover == self.blocks_per_group
-        if self.pair_gating:
-            full &= full[self._pair]
-        return full
-
-    def eligible_groups(self) -> List[int]:
-        """Gateable group indices, ascending (matches the sorted rescan)."""
-        full = self._full
-        if self.pair_gating:
-            return sorted(g for g in full if g ^ 1 in full)
-        return sorted(full)
-
-    def gate_candidates(self) -> List[int]:
-        """Eligible groups not currently gated, ascending.
-
-        The gate path only probes the controller's ready bit for these,
-        so already-gated groups cost nothing per offline event.
-        """
-        full = self._full
-        gated = self._gated_set
-        if self.pair_gating:
-            return sorted(g for g in full
-                          if g not in gated and g ^ 1 in full)
-        return sorted(g for g in full if g not in gated)
-
-    def broken_gated_groups(self) -> List[int]:
-        """Gated groups whose eligibility no longer holds, ascending."""
-        full = self._full
-        if self.pair_gating:
-            return sorted(g for g in self._gated_set
-                          if g not in full or g ^ 1 not in full)
-        return sorted(g for g in self._gated_set if g not in full)
-
-    # --- checkpoint/restore -----------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Coverage counters, gate flags, and residency clocks."""
-        return {"cover": self.cover,
-                "gated": self.gated,
-                "offline": self.offline,
-                "offline_since_s": self.offline_since_s,
-                "offline_total_s": self.offline_total_s,
-                "gated_since_s": self.gated_since_s,
-                "gated_total_s": self.gated_total_s,
-                "full": self._full,
-                "gated_set": self._gated_set}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.cover[:] = state["cover"]
-        self.gated[:] = state["gated"]
-        self.offline[:] = state["offline"]
-        self.offline_since_s[:] = state["offline_since_s"]
-        self.offline_total_s[:] = state["offline_total_s"]
-        self.gated_since_s[:] = state["gated_since_s"]
-        self.gated_total_s[:] = state["gated_total_s"]
-        self._full = set(state["full"])
-        self._gated_set = set(state["gated_set"])
-
-    # --- residency views --------------------------------------------------
-
-    def offline_residency_s(self, now_s: float) -> np.ndarray:
-        """Cumulative seconds each block has spent off-lined, as of *now_s*."""
-        total = self.offline_total_s.copy()
-        live = self.offline
-        total[live] += now_s - self.offline_since_s[live]
-        return total
 
 
 # --- batched epoch evaluation -------------------------------------------------

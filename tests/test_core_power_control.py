@@ -150,3 +150,28 @@ class TestPairRegating:
         ctl.block_offlined(2)  # partner 3 never offlined -> never gated
         assert ctl.block_onlined(2, now_s=1.0) == []
         assert ctl.offline_capacity_fraction() == 0.0
+
+
+class TestRepeatedEvents:
+    """A repeated event must not count a block's coverage twice."""
+
+    def test_second_offline_of_a_block_moves_nothing(self):
+        # 128 MiB blocks: group 1 covers blocks 8..15.
+        ctl = GreenDIMMPowerControl(PowerBlockMap(MAPPING, 128 * MIB),
+                                    pair_gating=False)
+        for block in range(8, 15):
+            ctl.block_offlined(block)
+        cover, raw = list(ctl._cover), ctl.register.raw_value()
+        assert ctl.block_offlined(14) == []
+        assert ctl._cover == cover and ctl.register.raw_value() == raw
+        # Counted twice, block 14 would have filled group 1.
+        assert ctl._eligible() == []
+
+    def test_online_of_an_online_block_moves_nothing(self):
+        ctl = control(pair_gating=True)
+        ctl.block_offlined(2)
+        ctl.block_offlined(3)
+        cover, raw = list(ctl._cover), ctl.register.raw_value()
+        assert ctl.block_onlined(7, now_s=1.0) == []
+        assert ctl._cover == cover and ctl.register.raw_value() == raw
+        assert ctl.register.is_gated(2) and ctl.register.is_gated(3)

@@ -120,10 +120,6 @@ class TestFreeing:
         assert small_mm.free_all("ghost") == 0
         assert small_mm.free_pages_of("ghost", 10) == 0
 
-    def test_free_unknown_extent_rejected(self, small_mm):
-        with pytest.raises(AllocationError):
-            small_mm.free_extent(12345)
-
     @given(st.integers(min_value=1, max_value=9999))
     @settings(max_examples=30, deadline=None)
     def test_alloc_free_roundtrip_conserves(self, n):
@@ -280,7 +276,8 @@ def assert_same_state(mm, naive):
     for zone, ref in zip(mm.zones, naive.zones):
         ours, theirs = zone.allocator, ref.allocator
         assert ours._sorted == theirs._sorted
-        assert ours._free_sets == theirs._free_sets
+        for order in range(ours.max_order + 1):
+            assert ours.free_blocks(order) == theirs.free_blocks(order)
         assert ours._allocated == theirs._allocated
         assert ours.free_pages == theirs.free_pages
     assert set(mm.owners()) == naive.owners()
@@ -288,12 +285,10 @@ def assert_same_state(mm, naive):
         runs = mm.extents_of(owner)
         assert run_blocks(runs) == naive.owned(owner)
         assert mm.owner_pages(owner) == sum(run.pages for run in runs)
-    soa = mm.soa_view()
     for index in range(mm.num_blocks):
         counts = naive.block_counts(index)
         acct = mm.block_accounting(index)
         assert (acct.used_pages, acct.unmovable_pages) == counts
-        assert (soa.used_pages[index], soa.unmovable_pages[index]) == counts
         for run in mm.block_extents(index):
             # A canonical run stays inside its memory block, and the
             # buddy holds each of its derived blocks at that order.
@@ -536,11 +531,11 @@ class TestUndoIsolationWart:
         rolls it back, and that round trip coalesces the split buddies."""
         pair = MMPair(total=512 * MIB, movable=0.5)
         wart_setup(pair)
-        free_sets = pair.mm.zones[1].allocator._free_sets
-        assert {65536, 65544} <= free_sets[3]
+        allocator = pair.mm.zones[1].allocator
+        assert {65536, 65544} <= allocator.free_blocks(3)
         pair.allocate("big", pair.mm.total_pages, OwnerKind.USER, False)
         assert_same_state(pair.mm, pair.naive)
-        assert not {65536, 65544} & free_sets[3]
+        assert not {65536, 65544} & allocator.free_blocks(3)
         # Later lowest-address picks see the merged block.
         pair.allocate("c", 8, OwnerKind.USER, False)
         pair.call("free_pages_of", "fill", 16)
@@ -566,10 +561,9 @@ class TestUndoIsolationWart:
         pair = MMPair(total=512 * MIB, movable=0.5)
         wart_setup(pair)
         for zone in pair.mm.zones:
-            free_sets = zone.allocator._free_sets
             for order in range(MAX_ORDER):
-                split = {pfn for pfn in free_sets[order]
-                         if pfn ^ (1 << order) in free_sets[order]}
+                free = zone.allocator.free_blocks(order)
+                split = {pfn for pfn in free if pfn ^ (1 << order) in free}
                 assert not split, f"unmerged order-{order} buddies {split}"
 
 

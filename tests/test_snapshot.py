@@ -22,6 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import SnapshotError
@@ -380,7 +381,7 @@ class TestRestrictedRestore:
             for blob in _paused_captures(plan):
                 referenced |= _referenced_globals(blob)
                 # A payload re-pickled at the default protocol (as the
-                # version test below does) rebuilds arrays another way.
+                # version test below does) must load too.
                 referenced |= _referenced_globals(
                     pickle.dumps(pickle.loads(blob)))
         for policy in policy_names():
@@ -402,6 +403,12 @@ class TestRestrictedRestore:
         payload["server"] = collections.OrderedDict()
         with pytest.raises(SnapshotError, match="collections.OrderedDict"):
             restore(pickle.dumps(payload))
+        # No state tree holds a numpy array, so numpy's rebuild helpers
+        # are off the list at every protocol.
+        payload["server"] = np.zeros(3)
+        for protocol in (2, pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+            with pytest.raises(SnapshotError, match="not allowed"):
+                restore(pickle.dumps(payload, protocol=protocol))
 
 
 #: Appended to whenever a pickled :class:`SideEffect` is loaded.

@@ -1,18 +1,16 @@
-"""SoA mirror property tests: the arrays must match the objects exactly.
+"""Gate-coverage oracle and the run-length sample log.
 
-The structure-of-arrays stores in :mod:`repro.soa` are write-back
-mirrors, never the source of truth.  These tests replay randomized
-daemon / hot-plug / fault sequences through the public APIs and then
-compare every array (and the hot-query side sets) against the
-authoritative object state — per-block accounting, the offline set, and
-the controller's gating register — plus the reference address-layer
-rescan for gate eligibility.
+The power control tracks gate eligibility incrementally, as per-group
+coverage counts.  These tests replay randomized daemon / hot-plug /
+fault sequences through the public APIs and compare the counts and the
+eligible list against the reference address-layer rescan, and the
+controller register's gated groups against the eligible list.  The
+rest of the module holds :class:`repro.soa.SampleLog` to a plain list.
 """
 
 import pickle
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,46 +37,22 @@ def small_system(seed=7, fault_plan=None):
                            fault_plan=fault_plan)
 
 
-def assert_block_store_matches(system):
-    """BlockStateStore arrays == the BlockAccounting objects, exactly."""
-    mm = system.mm
-    soa = mm.soa_view()  # flushes the dirty set
-    used = [mm.block_accounting(b).used_pages for b in range(mm.num_blocks)]
-    unmovable = [mm.block_accounting(b).unmovable_pages
-                 for b in range(mm.num_blocks)]
-    np.testing.assert_array_equal(soa.used_pages, used)
-    np.testing.assert_array_equal(soa.unmovable_pages, unmovable)
-    offline = set(system.hotplug.offline_blocks())
-    np.testing.assert_array_equal(
-        soa.offline, [b in offline for b in range(mm.num_blocks)])
-
-
-def assert_gate_store_matches(system):
-    """GroupGateStore arrays/side-sets == register + topology rescan."""
+def assert_gate_state_matches(system):
+    """Coverage counts and eligibility == the topology rescan; the
+    register gates only eligible groups."""
     pc = system.power_control
-    soa = pc.soa
     block_map = system.block_map
     offline = pc.offline_blocks
+    assert offline == set(system.hotplug.offline_blocks())
     cover = [sum(1 for b in offline if g in block_map.groups_of_block(b))
              for g in range(block_map.num_groups)]
-    np.testing.assert_array_equal(soa.cover, cover)
-    full = {g for g in range(block_map.num_groups)
-            if cover[g] == soa.blocks_per_group}
-    assert soa._full == full
-    gated = {g for g in range(block_map.num_groups)
-             if pc.register.is_gated(g)}
-    assert soa._gated_set == gated
-    np.testing.assert_array_equal(
-        soa.gated, [g in gated for g in range(block_map.num_groups)])
-    # The incremental eligibility views must equal the reference rescan
+    assert pc._cover == cover
+    # The incremental eligible list must equal the reference rescan
     # through the address-mapping layer, including ordering.
-    assert soa.eligible_groups() == block_map.gateable_groups(
-        offline, pair_constraint=soa.pair_gating)
-    assert list(np.nonzero(soa.eligible_mask())[0]) == soa.eligible_groups()
-    # Gated groups are always a subset the register agrees with; the
-    # candidates/broken views partition against it consistently.
-    assert set(soa.gate_candidates()).isdisjoint(gated)
-    assert set(soa.broken_gated_groups()) <= gated
+    eligible = pc._eligible()
+    assert eligible == block_map.gateable_groups(
+        offline, pair_constraint=pc.pair_gating)
+    assert set(pc.register.gated_groups()) <= set(eligible)
 
 
 class TestRandomizedSequences:
@@ -123,10 +97,8 @@ class TestRandomizedSequences:
                     hotplug.online_block(block)
                     pc.block_onlined(block, now)
             if step % 20 == 19:
-                assert_block_store_matches(system)
-                assert_gate_store_matches(system)
-        assert_block_store_matches(system)
-        assert_gate_store_matches(system)
+                assert_gate_state_matches(system)
+        assert_gate_state_matches(system)
         return system
 
     def test_mirrors_match_after_randomized_churn(self):
@@ -145,31 +117,7 @@ class TestRandomizedSequences:
         sim.run_workload(profile_by_name("429.mcf"), epoch_s=1.0,
                          pinned_churn=True)
         assert sim.system.fault_injector.stats.total > 0
-        assert_block_store_matches(sim.system)
-        assert_gate_store_matches(sim.system)
-
-
-class TestResidencyClocks:
-    def test_offline_and_gated_residency_accumulate(self):
-        from repro.soa import GroupGateStore
-
-        store = GroupGateStore(num_blocks=4, num_groups=4,
-                               blocks_per_group=2,
-                               groups_of_block=[(0,), (0,), (1,), (1,)],
-                               pair_gating=True)
-        store.block_offlined(0, 1.0)
-        store.block_offlined(1, 2.0)
-        store.group_gated(0, 2.0)
-        assert store.eligible_groups() == []  # partner group 1 not full
-        store.block_offlined(2, 3.0)
-        store.block_offlined(3, 3.0)
-        assert store.eligible_groups() == [0, 1]
-        store.group_ungated(0, 5.0)
-        assert store.gated_total_s[0] == 3.0
-        store.block_onlined(0, 6.0)
-        assert store.offline_total_s[0] == 5.0
-        # Live clocks keep counting until the closing event.
-        assert store.offline_residency_s(7.0)[1] == 5.0
+        assert_gate_state_matches(sim.system)
 
 
 # --- the run-length sample log -------------------------------------------------
