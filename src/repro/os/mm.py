@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.errors import AllocationError, ConfigurationError
-from repro.os.buddy import MAX_ORDER, BuddyAllocator
+from repro.os.buddy import MAX_ORDER, BuddyAllocator, tail_blocks
 from repro.os.page import (MAX_BLOCK_PAGES, TAIL_MASK, BlockAccounting,
                            OwnerKind, PageExtent, buddy_blocks)
 from repro.os.zones import Zone, ZoneKind, ZoneLayout
@@ -75,6 +75,27 @@ def _room(pages: int) -> int:
 _ROOM_AFTER = [_room(1 << order) for order in range(MAX_ORDER + 1)]
 
 
+def _stretches(pieces: Iterable[Tuple[int, int]],
+               block_pages: int) -> Iterator[Tuple[int, int, int]]:
+    """``(pfn, pages, order)`` of the buddy blocks of each canonical
+    ``(pfn, pages)`` piece, in :func:`buddy_blocks` order, except that
+    the max-order prefix comes as one stretch per memory block it spans.
+    """
+    for pfn, pages in pieces:
+        if pages < MAX_BLOCK_PAGES and not pages & (pages - 1):
+            # One buddy block: every piece alloc_pages returns below
+            # max order.
+            yield pfn, pages, pages.bit_length() - 1
+            continue
+        top = pfn + (pages & ~TAIL_MASK)
+        while pfn < top:
+            size = min(top, pfn - pfn % block_pages + block_pages) - pfn
+            yield pfn, size, MAX_ORDER
+            pfn += size
+        for pfn, order in tail_blocks(pfn, pages & TAIL_MASK):
+            yield pfn, 1 << order, order
+
+
 class PhysicalMemoryManager:
     """Owns the frame space: allocation, freeing, migration, accounting.
 
@@ -86,8 +107,11 @@ class PhysicalMemoryManager:
     top run in place, so a resize touches a run's counters rather than
     re-registering its pieces.  Runs are indexed three ways — by start
     pfn, by owner (an ascending list of run starts), and by memory block
-    — and the buddy allocators below still see one ``(pfn, order)`` block
-    at a time.
+    — and what crosses to the buddy allocators below is runs too:
+    ``(pfn, pages)`` pieces out of ``alloc_pages`` and ``isolate_range``,
+    and each run's max-order prefix or whole migrated run into
+    ``free_max_order_blocks``, ``remove_allocated`` and the ``isolated``
+    lists, never one tuple per 4 MiB block.
 
     Parameters
     ----------
@@ -166,10 +190,14 @@ class PhysicalMemoryManager:
     # --- run bookkeeping ------------------------------------------------------
 
     def _register(self, owner_id: str, kind: OwnerKind, mergeable: bool,
-                  blocks: List[Tuple[int, int]]) -> List[PageExtent]:
-        """Index buddy blocks for *owner_id*; returns the runs holding them.
+                  pieces: List[Tuple[int, int]]) -> List[PageExtent]:
+        """Index ``(pfn, pages)`` pieces for *owner_id*; returns the runs
+        holding them.
 
-        A block extends a run in place when it lands right after it, in
+        Each piece is a canonical run of buddy blocks, walked in
+        :func:`buddy_blocks` order with its max-order prefix cut at
+        memory-block boundaries.  A block (or such a stretch of max-order
+        blocks) extends a run in place when it lands right after it, in
         the same memory block, with the same kind and ``mergeable``, and
         the run stays canonical: the block is smaller than the run's
         smallest block, or both are max-order (see :func:`_room`).  The
@@ -186,9 +214,9 @@ class PhysicalMemoryManager:
         # The current run spans [run.pfn, end), may grow up to ``stop``
         # (its memory block's end) and take a block of order <= ``room``.
         end = stop = room = -1
-        for pfn, order in blocks:
+        for pfn, pages, order in _stretches(pieces, block_pages):
             if pfn == end < stop and order <= room:
-                end += 1 << order
+                end += pages
                 room = _ROOM_AFTER[order]
                 continue
             if run is not None:
@@ -207,7 +235,7 @@ class PhysicalMemoryManager:
                 extents[pfn] = run
                 fresh.append(pfn)
             before.setdefault(run, run.pages)
-            end = pfn + (1 << order)
+            end = pfn + pages
             stop = run.pfn - run.pfn % block_pages + block_pages
             room = _ROOM_AFTER[order]
         if run is not None:
@@ -273,16 +301,16 @@ class PhysicalMemoryManager:
             raise AllocationError(
                 f"cannot allocate {n_pages} pages for {owner_id!r}: "
                 f"{short} short")
-        blocks: List[Tuple[int, int]] = []
+        pieces: List[Tuple[int, int]] = []
         remaining = n_pages
         for zone in zones:
             take = min(remaining, zone.allocator.free_pages)
             if take > 0:
-                blocks += zone.allocator.alloc_pages(take)
+                pieces += zone.allocator.alloc_pages(take)
                 remaining -= take
                 if not remaining:
                     break
-        return self._register(owner_id, kind, mergeable, blocks)
+        return self._register(owner_id, kind, mergeable, pieces)
 
     def _coalesce(self, zones: List[Zone]) -> None:
         """Merge the free buddies ``undo_isolation`` left split in *zones*.
@@ -296,8 +324,11 @@ class PhysicalMemoryManager:
         for zone in zones:
             allocator = zone.allocator
             if zone.start_pfn in self._uncoalesced and allocator.free_pages:
-                for pfn, order in allocator.alloc_pages(allocator.free_pages):
-                    allocator.free_block(pfn, order)
+                for pfn, pages in allocator.alloc_pages(allocator.free_pages):
+                    if pages > TAIL_MASK:
+                        allocator.free_max_order_blocks(pfn, pages)
+                    else:
+                        allocator.free_block(pfn, pages.bit_length() - 1)
             self._uncoalesced.discard(zone.start_pfn)
 
     def free_pages_of(self, owner_id: str, n_pages: int) -> int:
@@ -325,8 +356,8 @@ class PhysicalMemoryManager:
         then the next run shortened in place.
 
         Max-order blocks never coalesce, so their frees commute with
-        everything else and are batched into one ``free_max_order_blocks``
-        call per zone.
+        everything else: each run's max-order prefix goes back in one
+        ``free_max_order_blocks`` call.
         """
         owned = self._owners.get(owner_id, ())
         freed = 0
@@ -346,9 +377,7 @@ class PhysicalMemoryManager:
 
     def _release(self, runs: List[PageExtent]) -> None:
         """Unregister *runs* and give their blocks back: each run's tail
-        blocks top first, then every max-order prefix in one batch per
-        zone."""
-        pending: Dict[BuddyAllocator, List[int]] = {}
+        blocks top first, then its max-order prefix in one call."""
         for run in runs:
             self._unregister(run)
             allocator = self._zone_of(run.pfn).allocator
@@ -362,10 +391,7 @@ class PhysicalMemoryManager:
                 tail -= size
                 allocator.free_block(end, size.bit_length() - 1)
             if prefix:
-                pending.setdefault(allocator, []).extend(
-                    range(pfn, end, MAX_BLOCK_PAGES))
-        for allocator, pfns in pending.items():
-            allocator.free_max_order_blocks(pfns)
+                allocator.free_max_order_blocks(pfn, prefix)
 
     def _shorten(self, run: PageExtent, n_pages: int) -> None:
         """Free the top *n_pages* of *run* in place.
@@ -392,8 +418,7 @@ class PhysicalMemoryManager:
             size = MAX_BLOCK_PAGES
             whole = (pages - keep) & ~TAIL_MASK
             if whole:
-                allocator.free_max_order_blocks(
-                    range(end - whole, end, MAX_BLOCK_PAGES))
+                allocator.free_max_order_blocks(end - whole, whole)
                 end -= whole
                 pages -= whole
         # The split loop keeps ``remaining < 2**order``; each step frees
@@ -482,10 +507,10 @@ class PhysicalMemoryManager:
         """Move every movable run out of block *index*.
 
         The block's free pages must already be isolated so new allocations
-        cannot land there; *isolated* is the running list of (pfn, order)
-        blocks held out of the free lists, and each migrated source buddy
-        block is appended to it (migrated-away frames are free but must
-        stay isolated).  Returns pages migrated; raises
+        cannot land there; *isolated* is the running list of ``(pfn,
+        pages)`` runs held out of the free lists, and the migrated part of
+        each source run is appended to it as one run (migrated-away frames
+        are free but must stay isolated).  Returns pages migrated; raises
         :class:`AllocationError` when destination memory is insufficient
         (the off-lining EAGAIN path) — the caller then undoes the whole
         isolation with the accumulated list.
@@ -507,15 +532,15 @@ class PhysicalMemoryManager:
             prefix = pages & ~TAIL_MASK
             first = zones[0].allocator
             if prefix and first.free_pages >= prefix:
-                new_blocks = first.alloc_pages(prefix)
+                new_pieces = first.alloc_pages(prefix)
                 moved = prefix
             else:
-                new_blocks = []
+                new_pieces = []
                 moved = 0
             for _pfn, order in buddy_blocks(pfn + moved, pages - moved):
                 for zone in zones:
                     try:
-                        new_blocks += zone.allocator.alloc_pages(1 << order)
+                        new_pieces += zone.allocator.alloc_pages(1 << order)
                         break
                     except AllocationError:
                         continue
@@ -524,14 +549,13 @@ class PhysicalMemoryManager:
                 moved += 1 << order
             if moved:
                 self._unregister(run)
-                moved_blocks = list(buddy_blocks(pfn, moved))
-                for block_pfn, order in moved_blocks:
-                    source.remove_allocated(block_pfn, order)
-                isolated += moved_blocks
+                source.remove_allocated(pfn, moved)
+                isolated.append((pfn, moved))
                 # An unmoved top of the run stays where it is.
+                if moved < pages:
+                    new_pieces.append((pfn + moved, pages - moved))
                 self._register(run.owner_id, run.kind, run.mergeable,
-                               new_blocks + list(buddy_blocks(
-                                   pfn + moved, pages - moved)))
+                               new_pieces)
             if moved < pages:
                 raise AllocationError(
                     f"no destination frames to migrate block {index}")

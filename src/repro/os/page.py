@@ -9,7 +9,9 @@ blocks follow from ``pfn`` and ``pages`` alone (see
 being split into new records.  A multi-GiB VM costs a few records per
 128 MiB block rather than one per 4 MiB buddy block, and per-block
 accounting (used/unmovable page counts, the ``removable`` flag) stays
-exact.
+exact.  Runs are also what crosses the boundary to the buddy allocator,
+which keeps its max-order memory as intervals (see
+:mod:`repro.os.buddy`).
 """
 
 from __future__ import annotations
@@ -17,29 +19,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
-from repro.os.buddy import MAX_ORDER
+from repro.os.buddy import MAX_ORDER, tail_blocks
 
 #: Pages in one max-order buddy block.
 MAX_BLOCK_PAGES = 1 << MAX_ORDER
 #: Low bits of a run's page count that its sub-max-order tail covers.
 TAIL_MASK = MAX_BLOCK_PAGES - 1
-
-
-def _tail_blocks(pfn: int, pages: int) -> List[Tuple[int, int]]:
-    """(pfn, order) of the run tail ``[pfn, pfn + pages)``, ascending.
-
-    *pages* is below ``2**MAX_ORDER``; the tail holds one block per set
-    bit of it, largest first.
-    """
-    blocks = []
-    while pages:
-        order = pages.bit_length() - 1
-        blocks.append((pfn, order))
-        pfn += 1 << order
-        pages -= 1 << order
-    return blocks
 
 
 def buddy_blocks(pfn: int, pages: int) -> Iterator[Tuple[int, int]]:
@@ -52,7 +39,7 @@ def buddy_blocks(pfn: int, pages: int) -> Iterator[Tuple[int, int]]:
     prefix = pages & ~TAIL_MASK
     return chain(zip(range(pfn, pfn + prefix, MAX_BLOCK_PAGES),
                      repeat(MAX_ORDER)),
-                 _tail_blocks(pfn + prefix, pages & TAIL_MASK))
+                 tail_blocks(pfn + prefix, pages & TAIL_MASK))
 
 
 class OwnerKind(enum.Enum):
@@ -70,8 +57,9 @@ class PageExtent:
     """A canonical run of ``pages`` frames from ``pfn``, one owner.
 
     The run lies inside one memory block and its frames share every
-    attribute below.  The buddy allocator still holds each block
-    separately; :meth:`blocks` derives them from ``pfn`` and ``pages``.
+    attribute below.  The buddy allocator holds its max-order prefix
+    inside its allocated intervals and each tail block by pfn;
+    :meth:`blocks` derives all of them from ``pfn`` and ``pages``.
     The memory manager grows and shrinks ``pages`` in place, keeping the
     run canonical; ``pfn`` (the run's index key) never changes.
 

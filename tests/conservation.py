@@ -12,7 +12,9 @@ run to the laws directly:
   is listed in that block's ``extents``; an owner's runs ascend without
   overlapping; each block's runs sum to its used and unmovable pages;
   and the buddy blocks the runs derive are the zones' allocated blocks,
-  each at its order;
+  each at its order: the runs' max-order prefixes, merged, are each
+  zone's allocated max-order intervals, and their tail blocks are the
+  zones' allocated sub-max-order blocks;
 * every sample's ``dpd_fraction`` lies in [0, 1];
 * neither energy sum ever decreases;
 * the residency buckets sum to the executed epochs times ``epoch_s``.
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.os.buddy import tail_blocks
+from repro.os.page import TAIL_MASK
 from repro.sim.kernel import EpochKernel
 
 
@@ -54,7 +58,8 @@ def check_runs(mm) -> None:
     used = [0] * mm.num_blocks
     unmovable = [0] * mm.num_blocks
     starts = [set() for _ in range(mm.num_blocks)]
-    derived = {}
+    prefixes = {zone.start_pfn: [] for zone in mm.zones}
+    tails = {}
     for owner in mm.owners():
         end = 0
         for run in mm.extents_of(owner):
@@ -67,15 +72,34 @@ def check_runs(mm) -> None:
             if not run.movable:
                 unmovable[block] += pages
             starts[block].add(pfn)
-            derived.update(run.blocks())
+            prefix = pages & ~TAIL_MASK
+            if prefix:
+                prefixes[mm._zone_of(pfn).start_pfn].append(
+                    (pfn, pfn + prefix))
+            tails.update(tail_blocks(pfn + prefix, pages & TAIL_MASK))
     allocated = {}
     for zone in mm.zones:
         allocated.update(zone.allocator._allocated)
-    assert derived == allocated
+        assert (zone.allocator._allocated_runs
+                == merged(prefixes[zone.start_pfn]))
+    assert tails == allocated
     accounts = [mm.block_accounting(block) for block in range(mm.num_blocks)]
     assert [acct.used_pages for acct in accounts] == used
     assert [acct.unmovable_pages for acct in accounts] == unmovable
     assert [acct.extents for acct in accounts] == starts
+
+
+def merged(spans):
+    """Disjoint ``(start, end)`` spans as flat interval bounds, touching
+    spans merged."""
+    bounds = []
+    for start, end in sorted(spans):
+        assert not bounds or bounds[-1] <= start, "overlapping runs"
+        if bounds and bounds[-1] == start:
+            bounds[-1] = end
+        else:
+            bounds += [start, end]
+    return bounds
 
 
 def check_run(system, samples, first, epoch_s, residency,

@@ -1,10 +1,17 @@
-"""The set-plus-list buddy allocator, kept as a reference model.
+"""The per-block, set-plus-list buddy allocator, kept as a reference model.
 
-:class:`repro.os.buddy.BuddyAllocator` keeps each free list once, as a
-sorted list probed with ``bisect``.  This copy keeps the older layout,
-an authoritative set per order beside its sorted mirror, so
-``tests/test_os_buddy.py``'s oracle can drive both through the same
-operations and demand the same pfns, free lists and errors.
+:class:`repro.os.buddy.BuddyAllocator` keeps its max-order memory as
+intervals and passes ``(pfn, pages)`` runs across its interface.  This
+copy keeps the older layout, one entry per block at every order (an
+authoritative set per order beside its sorted mirror, and one
+``pfn -> order`` record per allocated block) and its per-block
+interface, so ``tests/test_os_buddy.py``'s oracle can drive both
+through the same operations and demand the same pfns, free lists and
+errors, and ``tests/test_os_mm.py``'s per-block memory manager runs on
+an allocator that shares no code with the one under test.
+
+:func:`allocated_blocks` is the per-block view of either allocator's
+allocated record.
 """
 
 from __future__ import annotations
@@ -14,6 +21,23 @@ from typing import Dict, List, Set, Tuple
 
 from repro.errors import AllocationError, ConfigurationError
 from repro.os.buddy import MAX_ORDER
+
+
+def allocated_blocks(allocator) -> Dict[int, int]:
+    """``pfn -> order`` of every allocated block of *allocator*.
+
+    The reference model's record is that already.  The interval
+    allocator's is its sub-max-order dict plus its allocated max-order
+    intervals, expanded to blocks; the two must not overlap.
+    """
+    blocks = dict(allocator._allocated)
+    runs = getattr(allocator, "_allocated_runs", [])
+    order = allocator.max_order
+    for i in range(0, len(runs), 2):
+        for pfn in range(runs[i], runs[i + 1], 1 << order):
+            assert pfn not in blocks, pfn
+            blocks[pfn] = order
+    return blocks
 
 
 class ReferenceBuddyAllocator:
@@ -176,11 +200,12 @@ class ReferenceBuddyAllocator:
 
     def free_block(self, pfn: int, order: int) -> None:
         """Free a previously allocated block, coalescing with free buddies."""
-        recorded = self._allocated.pop(pfn, None)
+        recorded = self._allocated.get(pfn)
         if recorded != order:
             raise AllocationError(
                 f"free of pfn {pfn} order {order} does not match allocation "
                 f"({recorded})")
+        del self._allocated[pfn]
         free_sets = self._free_sets
         sorted_ = self._sorted
         max_order = self.max_order
@@ -205,16 +230,20 @@ class ReferenceBuddyAllocator:
         is exactly an insert — which makes a batch equivalent to
         repeated :meth:`free_block` calls in any order.  The merged
         sorted list is rebuilt with one extend + sort (timsort exploits
-        the existing runs).
+        the existing runs).  Every pfn is checked before any is freed.
         """
         allocated = self._allocated
         order = self.max_order
         for pfn in pfns:
-            recorded = allocated.pop(pfn, None)
+            recorded = allocated.get(pfn)
             if recorded != order:
                 raise AllocationError(
                     f"free of pfn {pfn} order {order} does not match "
                     f"allocation ({recorded})")
+        if len(set(pfns)) != len(pfns):
+            raise AllocationError("free of a max-order block twice")
+        for pfn in pfns:
+            del allocated[pfn]
         self._free_sets[order].update(pfns)
         lst = self._sorted[order]
         lst.extend(pfns)
@@ -308,8 +337,9 @@ class ReferenceBuddyAllocator:
         The caller keeps the (pfn, order) pair to either discard it on
         offline completion or hand it to :meth:`undo_isolation` on failure.
         """
-        recorded = self._allocated.pop(pfn, None)
+        recorded = self._allocated.get(pfn)
         if recorded != order:
             raise AllocationError(
                 f"remove of pfn {pfn} order {order} does not match allocation "
                 f"({recorded})")
+        del self._allocated[pfn]

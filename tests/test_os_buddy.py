@@ -6,14 +6,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AllocationError, ConfigurationError
-from repro.os.buddy import MAX_ORDER, BuddyAllocator
-from tests.reference_buddy import ReferenceBuddyAllocator
+from repro.os.buddy import MAX_ORDER, BuddyAllocator, tail_blocks
+from tests.reference_buddy import ReferenceBuddyAllocator, allocated_blocks
 
 PAGES = 1 << 14  # 16K pages = 64MiB
+BLOCK = 1 << MAX_ORDER
 
 
 def make_allocator(pages: int = PAGES) -> BuddyAllocator:
     return BuddyAllocator(start_pfn=0, total_pages=pages)
+
+
+def expand(runs, max_order=MAX_ORDER):
+    """``(pfn, pages)`` runs as their (pfn, order) buddy blocks, in order."""
+    block = 1 << max_order
+    blocks = []
+    for pfn, pages in runs:
+        prefix = pages & -block
+        blocks += [(p, max_order) for p in range(pfn, pfn + prefix, block)]
+        blocks += tail_blocks(pfn + prefix, pages - prefix)
+    return blocks
+
+
+def free_pieces(buddy, pieces):
+    """Give back what :meth:`BuddyAllocator.alloc_pages` returned."""
+    for pfn, pages in pieces:
+        if pages >= 1 << buddy.max_order:
+            buddy.free_max_order_blocks(pfn, pages)
+        else:
+            buddy.free_block(pfn, pages.bit_length() - 1)
 
 
 class TestBasics:
@@ -86,12 +107,79 @@ class TestFreeAndCoalesce:
         with pytest.raises(AllocationError):
             buddy.free_block(pfn, 3)
 
+    @pytest.mark.parametrize("allocator", [BuddyAllocator,
+                                           ReferenceBuddyAllocator])
+    def test_mismatched_free_keeps_the_allocation(self, allocator):
+        """A free at the wrong order raises and changes nothing, so the
+        right free afterwards still succeeds."""
+        buddy = allocator(0, PAGES)
+        pfn = buddy.alloc_block(2)
+        with pytest.raises(AllocationError, match=r"\(2\)"):
+            buddy.free_block(pfn, 3)
+        with pytest.raises(AllocationError):
+            buddy.remove_allocated(pfn, 3)
+        assert buddy.free_pages == PAGES - 4
+        buddy.free_block(pfn, 2)
+        assert buddy.free_pages == PAGES
+
+    def test_mismatched_max_order_free_changes_nothing(self):
+        buddy = make_allocator()
+        pieces = buddy.alloc_pages(3 * BLOCK)
+        assert pieces == [(0, 3 * BLOCK)]
+        for pfn, pages in ((0, 4 * BLOCK), (BLOCK, 3 * BLOCK),
+                           (1, BLOCK), (0, 0), (0, BLOCK + 8)):
+            with pytest.raises(AllocationError):
+                buddy.free_max_order_blocks(pfn, pages)
+            assert allocated_blocks(buddy) == {
+                0: MAX_ORDER, BLOCK: MAX_ORDER, 2 * BLOCK: MAX_ORDER}
+            assert buddy.free_pages == PAGES - 3 * BLOCK
+        buddy.free_max_order_blocks(BLOCK, BLOCK)
+        assert buddy._allocated_runs == [0, BLOCK, 2 * BLOCK, 3 * BLOCK]
+        buddy.free_max_order_blocks(0, BLOCK)
+        buddy.free_block(2 * BLOCK, MAX_ORDER)
+        assert buddy._free_runs == [0, PAGES]
+        assert buddy._allocated_runs == []
+
+    def test_reference_batch_with_one_bogus_pfn_changes_nothing(self):
+        ref = ReferenceBuddyAllocator(0, PAGES)
+        ref.alloc_pages(2 * BLOCK)
+        with pytest.raises(AllocationError):
+            ref.free_max_order_blocks([0, BLOCK, 2 * BLOCK])
+        with pytest.raises(AllocationError):
+            ref.free_max_order_blocks([0, 0])
+        assert ref._allocated == {0: MAX_ORDER, BLOCK: MAX_ORDER}
+        ref.free_max_order_blocks([BLOCK, 0])
+        assert ref.free_pages == PAGES
+
+    def test_double_free_into_the_interval_tier_rejected(self):
+        buddy = make_allocator()
+        with pytest.raises(AllocationError):
+            buddy.add_range(BLOCK, BLOCK)
+        removed = buddy.isolate_range(BLOCK, 2 * BLOCK)
+        assert removed == [(BLOCK, 2 * BLOCK)]
+        buddy.undo_isolation(removed)
+        with pytest.raises(AllocationError):
+            buddy.undo_isolation(removed)
+        assert buddy._free_runs == [0, PAGES]
+        assert buddy.free_pages == PAGES
+
 
 class TestAllocPages:
     def test_exact_total(self):
         buddy = make_allocator()
-        blocks = buddy.alloc_pages(1000)
-        assert sum(1 << order for _pfn, order in blocks) == 1000
+        pieces = buddy.alloc_pages(1000)
+        assert sum(pages for _pfn, pages in pieces) == 1000
+
+    def test_max_order_memory_comes_first_as_runs(self):
+        buddy = make_allocator()
+        buddy.alloc_block(MAX_ORDER)  # pfn 0
+        buddy.alloc_pages(2 * BLOCK)  # [BLOCK, 3 * BLOCK)
+        buddy.free_block(0, MAX_ORDER)
+        pieces = buddy.alloc_pages(4 * BLOCK + 3)
+        assert pieces == [(0, BLOCK), (3 * BLOCK, 3 * BLOCK),
+                          (6 * BLOCK, 2), (6 * BLOCK + 2, 1)]
+        assert buddy._allocated_runs == [0, 6 * BLOCK]
+        assert buddy._allocated == {6 * BLOCK: 1, 6 * BLOCK + 2: 0}
 
     def test_all_or_nothing(self):
         buddy = make_allocator(1 << MAX_ORDER)
@@ -109,11 +197,11 @@ class TestIsolation:
         buddy = make_allocator()
         half = PAGES // 2
         removed = buddy.isolate_range(half, half)
+        assert removed == [(half, half)]
         assert buddy.free_pages == half
         # Everything allocated from now on is below the isolated range.
-        blocks = buddy.alloc_pages(half)
-        assert all(pfn < half for pfn, _order in blocks)
-        assert sum(1 << o for _p, o in removed) == half
+        pieces = buddy.alloc_pages(half)
+        assert all(pfn + pages <= half for pfn, pages in pieces)
 
     def test_undo_isolation_restores(self):
         buddy = make_allocator()
@@ -126,7 +214,7 @@ class TestIsolation:
         buddy = make_allocator()
         buddy.alloc_block(MAX_ORDER)  # pfn 0
         removed = buddy.isolate_range(0, 2 << MAX_ORDER)
-        assert sum(1 << o for _p, o in removed) == 1 << MAX_ORDER
+        assert removed == [(1 << MAX_ORDER, 1 << MAX_ORDER)]
 
     def test_misaligned_isolation_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -149,6 +237,19 @@ class TestSplitAndRemove:
         buddy.free_block(pfn + 4, 2)
         assert buddy.free_pages == PAGES
 
+    def test_split_max_order_cuts_the_interval(self):
+        buddy = make_allocator()
+        buddy.alloc_pages(3 * BLOCK)
+        buddy.split_allocated(BLOCK, MAX_ORDER)
+        assert buddy._allocated_runs == [0, BLOCK, 2 * BLOCK, 3 * BLOCK]
+        half = MAX_ORDER - 1
+        assert buddy._allocated == {BLOCK: half, BLOCK + BLOCK // 2: half}
+        with pytest.raises(AllocationError):
+            buddy.free_block(BLOCK, MAX_ORDER)
+        buddy.free_block(BLOCK + BLOCK // 2, half)
+        buddy.free_block(BLOCK, half)
+        assert buddy.free_blocks(MAX_ORDER) >= {BLOCK}
+
     def test_split_order0_rejected(self):
         buddy = make_allocator()
         pfn = buddy.alloc_block(0)
@@ -158,7 +259,7 @@ class TestSplitAndRemove:
     def test_remove_allocated(self):
         buddy = make_allocator()
         pfn = buddy.alloc_block(5)
-        buddy.remove_allocated(pfn, 5)
+        buddy.remove_allocated(pfn, 32)
         with pytest.raises(AllocationError):
             buddy.free_block(pfn, 5)
 
@@ -166,7 +267,20 @@ class TestSplitAndRemove:
         buddy = make_allocator()
         pfn = buddy.alloc_block(5)
         with pytest.raises(AllocationError):
-            buddy.remove_allocated(pfn, 4)
+            buddy.remove_allocated(pfn, 16)
+
+    def test_remove_canonical_run(self):
+        """A run's max-order prefix is cut from the allocated intervals
+        and its tail blocks leave the dict; a run with one block that
+        does not match removes nothing."""
+        buddy = make_allocator()
+        buddy.alloc_pages(3 * BLOCK + 8 + 2)
+        before = allocated_blocks(buddy)
+        with pytest.raises(AllocationError):
+            buddy.remove_allocated(BLOCK, 2 * BLOCK + 8 + 4)
+        assert allocated_blocks(buddy) == before
+        buddy.remove_allocated(BLOCK, 2 * BLOCK + 8)
+        assert allocated_blocks(buddy) == {0: MAX_ORDER, 3 * BLOCK + 8: 1}
 
 
 class TestPropertyBased:
@@ -182,11 +296,10 @@ class TestPropertyBased:
                 held.append(buddy.alloc_pages(size))
             except AllocationError:
                 break
-        allocated = sum(1 << o for blocks in held for _p, o in blocks)
+        allocated = sum(pages for pieces in held for _p, pages in pieces)
         assert buddy.free_pages == PAGES - allocated
-        for blocks in held:
-            for pfn, order in blocks:
-                buddy.free_block(pfn, order)
+        for pieces in held:
+            free_pieces(buddy, pieces)
         assert buddy.free_pages == PAGES
         assert len(buddy.free_blocks(MAX_ORDER)) == PAGES >> MAX_ORDER
 
@@ -218,12 +331,22 @@ class TestPropertyBased:
 # --- the reference-model oracle ------------------------------------------------
 
 
+def outcome(call, *args):
+    """A call's return value, or the type and message of its error."""
+    try:
+        return "ok", call(*args)
+    except (AllocationError, ConfigurationError) as err:
+        return type(err).__name__, str(err)
+
+
 class BuddyPair:
-    """A :class:`BuddyAllocator` and the set-plus-list reference model,
+    """A :class:`BuddyAllocator` and the per-block reference model,
     driven through the same calls.
 
-    ``held`` maps each isolated range's start to ``[count, blocks]``:
-    the blocks :meth:`BuddyAllocator.isolate_range` pulled out plus any
+    Where the interval allocator takes or returns ``(pfn, pages)`` runs,
+    the reference takes or returns their blocks (:func:`expand`).
+    ``held`` maps each isolated range's start to ``[count, runs]``: the
+    runs :meth:`BuddyAllocator.isolate_range` pulled out plus any
     allocations removed from the range since, which is what the memory
     manager hands to ``undo_isolation``.  ``offline`` maps the start of
     each isolated range emptied of allocations to its page count, ready
@@ -238,28 +361,43 @@ class BuddyPair:
         self.held = {}
         self.offline = {}
 
+    def expand(self, runs):
+        return expand(runs, self.ours.max_order)
+
     def call(self, name, *args):
         """Call *name* on both; they must return or raise the same."""
-        outcomes = []
-        for allocator in (self.ours, self.ref):
-            try:
-                value = getattr(allocator, name)(
-                    *(list(a) if isinstance(a, list) else a for a in args))
-                outcomes.append(("ok", value))
-            except (AllocationError, ConfigurationError) as err:
-                outcomes.append((type(err).__name__, str(err)))
-        assert outcomes[0] == outcomes[1], name
+        return self.call_runs(name, args, args)
+
+    def call_runs(self, name, args, ref_args, exact=True):
+        """Call *name* on ours with *args* and on the reference with
+        *ref_args*, the same memory as blocks.  A returned run list is
+        compared as blocks; without *exact*, only whether the call
+        raised, and what, is compared."""
+        ours = outcome(getattr(self.ours, name), *args)
+        theirs = outcome(getattr(self.ref, name), *ref_args)
+        value = ours[1]
+        if ours[0] == "ok" and isinstance(value, list):
+            ours = "ok", self.expand(value)
+        if not exact:
+            ours, theirs = ours[0], theirs[0]
+        assert ours == theirs, name
         self.check()
-        return outcomes[0][1] if outcomes[0][0] == "ok" else None
+        return value if ours[0] == "ok" else None
 
     def check(self):
         ours, ref = self.ours, self.ref
         for order in range(ours.max_order + 1):
             assert ours.free_blocks(order) == ref.free_blocks(order), order
+        for order, lst in enumerate(ours._sorted):
             # One list per order, ascending, without duplicates.
-            assert ours._sorted[order] == sorted(ref.free_blocks(order))
+            assert lst == sorted(ref.free_blocks(order)), order
+        for runs in (ours._free_runs, ours._allocated_runs):
+            # Non-empty, disjoint, merged intervals of whole blocks.
+            assert len(runs) % 2 == 0
+            assert all(a < b for a, b in zip(runs, runs[1:]))
+            assert not any(pfn % self.block for pfn in runs)
         assert ours.free_pages == ref.free_pages
-        assert ours._allocated == ref._allocated
+        assert allocated_blocks(ours) == ref._allocated
 
     # --- the memory manager's uses of the allocator -----------------------------
 
@@ -269,7 +407,7 @@ class BuddyPair:
     def unclaimed_positions(self):
         """Max-order positions outside every held or offline range."""
         taken = set()
-        for start, (count, _blocks) in self.held.items():
+        for start, (count, _runs) in self.held.items():
             taken.update(range(start, start + count, self.block))
         for start, count in self.offline.items():
             taken.update(range(start, start + count, self.block))
@@ -281,15 +419,35 @@ class BuddyPair:
         self.held[start] = [count, list(removed)]
         return removed
 
-    def in_held_range(self, pfn):
-        for start, (count, blocks) in self.held.items():
+    def held_range(self, pfn):
+        """The held range holding *pfn*, as ``(start, end, runs)``."""
+        for start, (count, runs) in self.held.items():
             if start <= pfn < start + count:
-                return blocks
+                return start, start + count, runs
         return None
+
+    def remove(self, pfn, pages):
+        """``remove_allocated`` of the run: the reference removes its
+        blocks one by one, and only if every one of them matches."""
+        blocks = self.expand([(pfn, pages)])
+        matches = pages > 0 and all(self.ref._allocated.get(p) == o
+                                    for p, o in blocks)
+        try:
+            self.ours.remove_allocated(pfn, pages)
+        except AllocationError:
+            assert not matches
+        else:
+            assert matches
+            for block_pfn, order in blocks:
+                self.ref.remove_allocated(block_pfn, order)
+            held = self.held_range(pfn)
+            if held is not None:
+                held[2].append((pfn, pages))
+        self.check()
 
 
 class TestBuddyOracle:
-    """The one-list allocator against the set-plus-list reference."""
+    """The interval allocator against the per-block reference."""
 
     OPS = ("alloc_block", "alloc_block", "alloc_pages", "alloc_pages",
            "alloc_pages", "free_block", "free_block", "free_block",
@@ -324,13 +482,20 @@ class TestBuddyOracle:
                         order += 1
                 pair.call(op, pfn, order)
             elif op == "free_max_order_blocks":
-                tops = [pfn for pfn, order in allocated if order == max_order]
-                pfns = (data.draw(st.lists(st.sampled_from(tops),
-                                           unique=True, max_size=len(tops)))
-                        if tops else [])
-                if bogus:
-                    pfns.append(pair.ours.end_pfn)
-                pair.call(op, data.draw(st.permutations(pfns)))
+                tops = {pfn for pfn, order in allocated if order == max_order}
+                if tops:
+                    pfn = data.draw(st.sampled_from(sorted(tops)))
+                    pages = block
+                    while (pfn + pages in tops
+                           and data.draw(st.booleans())):
+                        pages += block
+                    if bogus:
+                        pages += block
+                else:
+                    pfn, pages = pair.ours.end_pfn, block
+                pair.call_runs(op, (pfn, pages),
+                               (list(range(pfn, pfn + pages, block)),),
+                               exact=False)
             elif op == "isolate_range":
                 free = pair.unclaimed_positions()
                 if bogus or not free:
@@ -343,23 +508,40 @@ class TestBuddyOracle:
                 pair.isolate(first, count)
             elif op == "remove_allocated":
                 inside = [(pfn, order) for pfn, order in allocated
-                          if pair.in_held_range(pfn) is not None]
+                          if pair.held_range(pfn) is not None]
                 if bogus or not inside:
-                    pair.call(op, pair.ours.end_pfn, 0)
+                    pair.remove(pair.ours.end_pfn, 1)
                     continue
+                # A canonical run from an allocated block: more
+                # max-order blocks, then blocks of falling order.
                 pfn, order = data.draw(st.sampled_from(inside))
-                pair.call(op, pfn, order)
-                pair.in_held_range(pfn).append((pfn, order))
+                end = pair.held_range(pfn)[1]
+                records = dict(allocated)
+                pages = 1 << order
+                while (records.get(pfn + pages, -1) == order == max_order
+                       and pfn + pages < end and data.draw(st.booleans())):
+                    pages += block
+                while (records.get(pfn + pages, max_order) < order
+                       and pfn + pages < end and data.draw(st.booleans())):
+                    order = records[pfn + pages]
+                    pages += 1 << order
+                if data.draw(st.integers(0, 9)) == 0:
+                    pages += 1
+                pair.remove(pfn, pages)
             elif op == "undo_isolation" and pair.held:
                 start_pfn = data.draw(st.sampled_from(sorted(pair.held)))
-                pair.call(op, pair.held.pop(start_pfn)[1])
+                runs = pair.held.pop(start_pfn)[1]
+                pair.call_runs(op, (runs,), (pair.expand(runs),))
             elif op == "complete_offline" and pair.held:
                 # offline_pages succeeds only on a range with nothing
-                # left allocated in it.
+                # left allocated in it, and nothing freed back into the
+                # free lists since it was isolated.
                 start_pfn = data.draw(st.sampled_from(sorted(pair.held)))
                 count = pair.held[start_pfn][0]
+                free = [pfn for order in range(max_order + 1)
+                        for pfn in pair.ref.free_blocks(order)]
                 if not any(start_pfn <= pfn < start_pfn + count
-                           for pfn, _order in allocated):
+                           for pfn in free + [p for p, _o in allocated]):
                     del pair.held[start_pfn]
                     pair.offline[start_pfn] = count
             elif op == "add_range":
@@ -373,27 +555,25 @@ class TestBuddyOracle:
         pair = BuddyPair(0, 8, MAX_ORDER)
         pair.call("alloc_pages", 3 << MAX_ORDER)
         removed = pair.isolate(4 << MAX_ORDER, 2 << MAX_ORDER)
-        assert removed == [(4 << MAX_ORDER, MAX_ORDER),
-                           (5 << MAX_ORDER, MAX_ORDER)]
-        pair.call("undo_isolation", removed)
+        assert removed == [(4 << MAX_ORDER, 2 << MAX_ORDER)]
+        pair.call_runs("undo_isolation", (removed,), (pair.expand(removed),))
 
     def test_partly_free_range_returns_the_free_blocks(self):
         pair = BuddyPair(0, 4, MAX_ORDER)
         pair.call("alloc_pages", 5)  # pfn 0 at order 2, pfn 4 at order 0
         removed = pair.isolate(0, 2 << MAX_ORDER)
-        assert sum(1 << order for _pfn, order in removed) == (
+        assert sum(pages for _pfn, pages in removed) == (
             (2 << MAX_ORDER) - 5)
-        assert (5, 0) in removed and (1 << MAX_ORDER, MAX_ORDER) in removed
-        for pfn, order in pair.allocated():
-            pair.call("remove_allocated", pfn, order)
-            removed.append((pfn, order))
-        pair.call("undo_isolation", removed)
+        assert removed[0] == (5, 1)
+        assert removed[-1] == (1 << MAX_ORDER, 1 << MAX_ORDER)
+        pair.remove(0, 5)  # one canonical run: order 2, then order 0
+        removed.append((0, 5))
+        pair.call_runs("undo_isolation", (removed,), (pair.expand(removed),))
 
     def test_empty_range_returns_nothing(self):
         pair = BuddyPair(1 << MAX_ORDER, 4, MAX_ORDER)
         pair.call("alloc_pages", 2 << MAX_ORDER)
         assert pair.isolate(1 << MAX_ORDER, 2 << MAX_ORDER) == []
-        for pfn, order in pair.allocated():
-            pair.call("remove_allocated", pfn, order)
+        pair.remove(1 << MAX_ORDER, 2 << MAX_ORDER)
         pair.call("add_range", 1 << MAX_ORDER, 2 << MAX_ORDER)
         assert pair.ours.free_pages == 4 << MAX_ORDER

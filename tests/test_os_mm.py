@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import AllocationError, ConfigurationError
 from repro.os.buddy import MAX_ORDER
 from repro.os.mm import PhysicalMemoryManager
-from repro.os.page import OwnerKind
+from repro.os.page import OwnerKind, buddy_blocks
 from repro.os.zones import ZoneKind, ZoneLayout
 from repro.units import GIB, MIB, PAGE_SIZE
+from tests.reference_buddy import ReferenceBuddyAllocator, allocated_blocks
 
 
 def make_mm(total=4 * GIB, movable=0.75) -> PhysicalMemoryManager:
@@ -23,6 +24,11 @@ def run_blocks(runs):
     """Runs expanded to (pfn, order, kind, mergeable) buddy blocks."""
     return sorted((pfn, order, run.kind, run.mergeable)
                   for run in runs for pfn, order in run.blocks())
+
+
+def expand(runs):
+    """``(pfn, pages)`` runs as their (pfn, order) buddy blocks, in order."""
+    return [block for pfn, pages in runs for block in buddy_blocks(pfn, pages)]
 
 
 class TestConstruction:
@@ -136,14 +142,18 @@ class NaiveMM:
     """Reference model of the memory manager: one record per buddy block.
 
     No runs, pools, heaps or caches — just a ``pfn -> (order, owner,
-    kind, mergeable)`` table on top of the same :class:`BuddyAllocator`
-    zones, freeing and migrating one buddy block at a time.
+    kind, mergeable)`` table on top of the per-block
+    :class:`ReferenceBuddyAllocator` (not the allocator under test),
+    freeing and migrating one buddy block at a time.
     """
 
     def __init__(self, total, movable):
         self.block_pages = 128 * MIB // PAGE_SIZE
         self.zones = ZoneLayout(total // PAGE_SIZE, movable,
                                 alignment_pages=self.block_pages).build()
+        for zone in self.zones:
+            zone.allocator = ReferenceBuddyAllocator(zone.start_pfn,
+                                                     zone.pages)
         self.records = {}
         self.isolated_blocks = set()
 
@@ -273,13 +283,15 @@ class NaiveMM:
 
 
 def assert_same_state(mm, naive):
+    allocated = {}
     for zone, ref in zip(mm.zones, naive.zones):
         ours, theirs = zone.allocator, ref.allocator
-        assert ours._sorted == theirs._sorted
         for order in range(ours.max_order + 1):
             assert ours.free_blocks(order) == theirs.free_blocks(order)
-        assert ours._allocated == theirs._allocated
+        zone_allocated = allocated_blocks(ours)
+        assert zone_allocated == allocated_blocks(theirs)
         assert ours.free_pages == theirs.free_pages
+        allocated.update(zone_allocated)
     assert set(mm.owners()) == naive.owners()
     for owner in naive.owners():
         runs = mm.extents_of(owner)
@@ -293,7 +305,6 @@ def assert_same_state(mm, naive):
             # A canonical run stays inside its memory block, and the
             # buddy holds each of its derived blocks at that order.
             assert (run.end_pfn - 1) // mm.block_pages == index
-            allocated = mm._zone_of(run.pfn).allocator._allocated
             assert all(allocated.get(pfn) == order
                        for pfn, order in run.blocks())
 
@@ -337,12 +348,14 @@ class MMPair:
     def offline_block(self, index, complete):
         if index in self.offline:
             return
-        removed = self.call("isolate_block", index)
-        ours, theirs = list(removed), list(removed)
+        # The mm's isolated lists hold runs, the oracle's blocks.
+        ours = self.mm.isolate_block(index)
+        theirs = self.naive.isolate_block(index)
+        assert expand(ours) == theirs
         migrated = outcome(self.mm.migrate_block_out, index, ours)
         assert migrated == outcome(self.naive.migrate_block_out, index,
                                    theirs)
-        assert ours == theirs
+        assert expand(ours) == theirs
         if complete or isinstance(migrated, tuple):
             if not isinstance(self.call("complete_offline", index), tuple):
                 self.offline.add(index)

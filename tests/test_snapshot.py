@@ -255,6 +255,16 @@ class TestFormat:
         with pytest.raises(SnapshotError, match="version"):
             restore(pickle.dumps(payload))
 
+    def test_older_version_refused(self):
+        """A payload of an older state-tree shape is refused by the
+        version check, not misread."""
+        spec = ServerSpec()
+        blob = capture(spec.build(), spec=spec)
+        payload = pickle.loads(blob)
+        payload["version"] = SNAPSHOT_VERSION - 1
+        with pytest.raises(SnapshotError, match=f"version {SNAPSHOT_VERSION - 1} unsupported"):
+            restore(pickle.dumps(payload))
+
     def test_garbage_refused(self):
         with pytest.raises(SnapshotError):
             restore(b"not a snapshot")
