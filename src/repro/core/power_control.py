@@ -12,7 +12,7 @@ any demand access's critical path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.core.mapping import PowerBlockMap
 from repro.memctrl.moderegister import ModeRegisterFile
@@ -23,14 +23,18 @@ from repro.memctrl.registers import GreenDIMMControlRegister
 class GreenDIMMPowerControl:
     """Keeps the gating register consistent with the offline block set.
 
-    The register is the whole gating state.  Eligibility is tracked
-    incrementally: each offline/online event bumps ``_cover``, the count
-    of off-lined blocks in each group the block overlaps, and ``_full``
-    holds the groups whose count reached ``blocks_per_group``.  The
-    eligible list (:meth:`_eligible`) is identical — ascending, same
-    membership — to the reference
-    :meth:`~repro.core.mapping.PowerBlockMap.gateable_groups` rescan,
-    without re-deriving every group's block range per event.
+    Eligibility is tracked incrementally.  ``_cover`` counts, per group,
+    the off-lined blocks among those covering it; a group is *eligible*
+    when that count reaches ``blocks_per_group`` and, with pair gating,
+    its partner's does too.  ``_eligible_set`` holds the eligible groups
+    and ``_pending`` the eligible groups the register does not gate.
+    Every gated group is eligible, so an offline or online event
+    re-derives eligibility only for its block's groups and their
+    partners: an offline gates the ready groups of ``_pending``, and an
+    online un-gates the gated groups that lost eligibility in it.  The
+    sorted eligible view (:meth:`_eligible`) is identical — ascending,
+    same membership — to the reference
+    :meth:`~repro.core.mapping.PowerBlockMap.gateable_groups` rescan.
     """
 
     def __init__(self, block_map: PowerBlockMap,
@@ -47,8 +51,10 @@ class GreenDIMMPowerControl:
         self._offline_blocks: Set[int] = set()
         #: Per group, how many of its covering blocks are off-lined.
         self._cover: List[int] = [0] * block_map.num_groups
-        #: Groups every covering block of which is off-lined.
-        self._full: Set[int] = set()
+        #: Groups that may be gated now.
+        self._eligible_set: Set[int] = set()
+        #: Eligible groups the register does not gate.
+        self._pending: Set[int] = set()
         self.wakeup_wait_s = 0.0
         self.mrs_time_ns = 0.0
 
@@ -57,25 +63,38 @@ class GreenDIMMPowerControl:
         self.mrs_time_ns += self.mode_registers.broadcast_gate_mask(
             self.register.raw_value())
 
-    def _eligible(self) -> List[int]:
-        """Groups that may be gated now, ascending.
+    def _qualifies(self, group: int) -> bool:
+        """Every covering block of *group* is off-lined; with pair gating,
+        every covering block of its sense-amp partner (``g ^ 1``) too."""
+        cover = self._cover
+        full = self.block_map.blocks_per_group
+        if cover[group] != full:
+            return False
+        if not self.pair_gating:
+            return True
+        partner = group ^ 1
+        return partner < len(cover) and cover[partner] == full
 
-        A group qualifies when every covering block is off-lined; with
-        pair gating its sense-amp partner (``g ^ 1``) must qualify too.
-        """
-        full = self._full
-        if self.pair_gating:
-            return sorted(g for g in full if g ^ 1 in full)
-        return sorted(full)
+    def _decided_by(self, group: int) -> Tuple[int, ...]:
+        """The groups whose eligibility *group*'s coverage decides."""
+        partner = group ^ 1
+        if self.pair_gating and partner < len(self._cover):
+            return group, partner
+        return group,
+
+    def _eligible(self) -> List[int]:
+        """Groups that may be gated now, ascending."""
+        return sorted(self._eligible_set)
 
     # --- events from the daemon ------------------------------------------
 
     def block_offlined(self, block: int, now_s: float = 0.0) -> List[int]:
-        """Record an off-lining; gate any newly eligible groups.
+        """Record an off-lining; gate the pending groups that are ready.
 
         Returns the groups gated by this event.  A block already offline
         leaves the coverage counts as they are.
         """
+        pending = self._pending
         if block not in self._offline_blocks:
             self._offline_blocks.add(block)
             cover = self._cover
@@ -83,14 +102,18 @@ class GreenDIMMPowerControl:
             for group in self.block_map.groups_of_block(block):
                 cover[group] += 1
                 if cover[group] == full:
-                    self._full.add(group)
+                    for g in self._decided_by(group):
+                        if self._qualifies(g):
+                            self._eligible_set.add(g)
+                            pending.add(g)
+        if not pending:
+            return []
         register = self.register
-        gated = register.raw_value()
         now_ns = now_s * 1e9
-        newly = [g for g in self._eligible()
-                 if not gated >> g & 1 and register.is_ready(g, now_ns)]
+        newly = [g for g in sorted(pending) if register.is_ready(g, now_ns)]
         for group in newly:
             register.gate(group)
+            pending.discard(group)
         if newly:
             self._sync_mode_registers()
             if TRACER.enabled:
@@ -103,6 +126,9 @@ class GreenDIMMPowerControl:
 
         Returns the wake-up wait in seconds (the poll loop of Section
         4.2); the caller performs ``online_pages()`` only after this.
+        An un-gated group stays eligible until the block is on-lined, so
+        it goes back to pending: should the on-lining fail, the next
+        offline event of any block re-gates it.
         """
         now_ns = now_s * 1e9
         ready_ns = now_ns
@@ -111,6 +137,7 @@ class GreenDIMMPowerControl:
             if self.register.is_gated(group):
                 ready_ns = max(ready_ns,
                                self.register.ungate(group, now_ns))
+                self._pending.add(group)
                 ungated_any = True
         if ungated_any:
             self._sync_mode_registers()
@@ -129,20 +156,29 @@ class GreenDIMMPowerControl:
         the groups that had to be un-gated.  A block already online
         leaves the coverage counts as they are.
         """
-        if block in self._offline_blocks:
-            self._offline_blocks.remove(block)
-            cover = self._cover
-            for group in self.block_map.groups_of_block(block):
-                cover[group] -= 1
-                self._full.discard(group)
-        now_ns = now_s * 1e9
+        if block not in self._offline_blocks:
+            return []
+        self._offline_blocks.remove(block)
+        cover = self._cover
+        full = self.block_map.blocks_per_group
+        eligible = self._eligible_set
         gated = self.register.raw_value()
-        eligible = set(self._eligible())
-        broken = [g for g in range(gated.bit_length())
-                  if gated >> g & 1 and g not in eligible]
-        for group in broken:
-            self.register.ungate(group, now_ns)
+        broken = []
+        for group in self.block_map.groups_of_block(block):
+            cover[group] -= 1
+            if cover[group] == full - 1:
+                for g in self._decided_by(group):
+                    if g in eligible:
+                        eligible.remove(g)
+                        if gated >> g & 1:
+                            broken.append(g)
+                        else:
+                            self._pending.discard(g)
         if broken:
+            broken.sort()
+            now_ns = now_s * 1e9
+            for group in broken:
+                self.register.ungate(group, now_ns)
             self._sync_mode_registers()
             if TRACER.enabled:
                 TRACER.event("power.ungate_broken", t_s=now_s, block=block,
@@ -156,7 +192,6 @@ class GreenDIMMPowerControl:
                 "mode_registers": self.mode_registers.state_dict(),
                 "offline_blocks": self._offline_blocks,
                 "cover": self._cover,
-                "full": self._full,
                 "wakeup_wait_s": self.wakeup_wait_s,
                 "mrs_time_ns": self.mrs_time_ns}
 
@@ -165,9 +200,12 @@ class GreenDIMMPowerControl:
         self.mode_registers.load_state_dict(state["mode_registers"])
         self._offline_blocks = state["offline_blocks"]
         self._cover = state["cover"]
-        self._full = state["full"]
         self.wakeup_wait_s = state["wakeup_wait_s"]
         self.mrs_time_ns = state["mrs_time_ns"]
+        self._eligible_set = {g for g in range(len(self._cover))
+                              if self._qualifies(g)}
+        gated = self.register.raw_value()
+        self._pending = {g for g in self._eligible_set if not gated >> g & 1}
 
     # --- power accounting --------------------------------------------------
 
@@ -182,8 +220,3 @@ class GreenDIMMPowerControl:
         groups shed their background and refresh power.
         """
         return self.register.gated_fraction()
-
-    def offline_capacity_fraction(self) -> float:
-        """Fraction of capacity off-lined (>= gated when pairing or
-        partial groups leave some offline blocks un-gated)."""
-        return len(self._offline_blocks) / self.block_map.num_blocks

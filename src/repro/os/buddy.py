@@ -61,6 +61,12 @@ def tail_blocks(pfn: int, pages: int) -> List[Tuple[int, int]]:
 # --- flat interval lists ``[start0, end0, start1, end1, ...]`` ---------------
 
 
+def _overlaps(runs: List[int], start: int, end: int) -> bool:
+    """Whether ``[start, end)`` meets an interval of *runs*."""
+    i = bisect_right(runs, start)
+    return bool(i & 1) or (i < len(runs) and runs[i] < end)
+
+
 def _covers(runs: List[int], start: int, end: int) -> bool:
     """Whether one interval of *runs* holds all of ``[start, end)``."""
     i = bisect_right(runs, start)
@@ -412,14 +418,43 @@ class BuddyAllocator:
             removed.extend((pfn, 1 << order) for pfn in found)
         return removed + tops
 
+    def _holds(self, start: int, end: int) -> bool:
+        """Whether ``[start, end)`` meets free memory of any order or
+        allocated max-order memory."""
+        if (_overlaps(self._free_runs, start, end)
+                or _overlaps(self._allocated_runs, start, end)):
+            return True
+        for order, lst in enumerate(self._sorted):
+            # The first free block of this order ending after start.
+            i = bisect_right(lst, start - (1 << order))
+            if i < len(lst) and lst[i] < end:
+                return True
+        return False
+
     def undo_isolation(self, removed: List[Tuple[int, int]]) -> None:
         """Return isolated runs to the free lists.
 
         Those are the runs :meth:`isolate_range` took out and the runs
         :meth:`remove_allocated` dropped since.  A run's max-order prefix
         merges into the free intervals; its tail blocks go back as they
-        are, without coalescing with free buddies.
+        are, without coalescing with free buddies.  The whole batch is
+        checked first: a run that is empty or overlaps free memory,
+        allocated memory or another run of the batch raises
+        :class:`AllocationError` and leaves the allocator as it was.
         """
+        bounds: List[int] = []
+        for start, end in sorted((pfn, pfn + pages)
+                                 for pfn, pages in removed):
+            if (start >= end or bounds and start < bounds[-1]
+                    or self._holds(start, end)):
+                raise AllocationError(
+                    f"undo of pfns [{start}, {end}) overlaps memory the "
+                    f"allocator holds or another run of the batch")
+            bounds += (start, end)
+        for pfn, order in self._allocated.items():
+            if _overlaps(bounds, pfn, pfn + (1 << order)):
+                raise AllocationError(
+                    f"undo overlaps the allocated pfn {pfn} order {order}")
         block = 1 << self.max_order
         sorted_ = self._sorted
         for pfn, pages in removed:

@@ -83,13 +83,6 @@ class HotplugStats:
     def total_failures(self) -> int:
         return self.ebusy_failures + self.eagain_failures
 
-    @property
-    def total_latency_s(self) -> float:
-        return sum(self.latency_by_kind_s.values())
-
-    def mean_latency_s(self, kind: str, count: int) -> float:
-        return self.latency_by_kind_s.get(kind, 0.0) / count if count else 0.0
-
 
 @dataclass(frozen=True)
 class OfflineResult:
@@ -170,9 +163,6 @@ class MemoryBlockManager:
         """The sysfs ``removable`` flag (Section 5.2): 1 when every page in
         the block is movable (or free)."""
         return self.mm.block_is_removable(index)
-
-    def is_free(self, index: int) -> bool:
-        return self.mm.block_is_free(index)
 
     # --- off-lining -------------------------------------------------------------
 

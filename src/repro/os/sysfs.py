@@ -60,6 +60,3 @@ class SysfsMemoryInterface:
             self.manager.online_block(index)
         else:
             raise HotplugError(f"invalid state value {value!r}")
-
-    def block_indices(self) -> range:
-        return range(self.manager.mm.num_blocks)

@@ -296,7 +296,22 @@ class ReferenceBuddyAllocator:
         return removed
 
     def undo_isolation(self, removed: List[Tuple[int, int]]) -> None:
-        """Return blocks taken by :meth:`isolate_range` to the free lists."""
+        """Return blocks taken by :meth:`isolate_range` to the free lists.
+
+        A block that overlaps a free block, an allocated block or another
+        block of the batch raises :class:`AllocationError` before any
+        block goes back.
+        """
+        held = [(pfn, order) for order, pfns in enumerate(self._free_sets)
+                for pfn in pfns] + list(self._allocated.items())
+        spans = sorted([(pfn, pfn + (1 << order), True)
+                        for pfn, order in removed]
+                       + [(pfn, pfn + (1 << order), False)
+                          for pfn, order in held])
+        for (_s, end, ours), (start, _e, theirs) in zip(spans, spans[1:]):
+            if start < end and (ours or theirs):
+                raise AllocationError(
+                    f"undo of pfn {start} overlaps held memory")
         for pfn, order in removed:
             self._insert(order, pfn)
 

@@ -158,7 +158,7 @@ class TestSelectorPolicies:
                                  SelectionPolicy.REMOVABLE_FIRST)
         candidates = selector.candidates(5)
         assert candidates
-        assert all(system.hotplug.is_free(b) for b in candidates)
+        assert all(system.mm.block_is_free(b) for b in candidates)
         # Highest-address-first ordering.
         assert candidates == sorted(candidates, reverse=True)
 

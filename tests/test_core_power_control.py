@@ -1,5 +1,7 @@
 """GreenDIMMPowerControl: gating follows the offline block set."""
 
+import pickle
+
 import pytest
 
 from repro.core.mapping import PowerBlockMap
@@ -40,7 +42,7 @@ class TestGatingOnOffline:
     def test_offline_fraction_vs_gated_fraction(self):
         ctl = control(pair_gating=True)
         ctl.block_offlined(2)
-        assert ctl.offline_capacity_fraction() == pytest.approx(1 / 64)
+        assert ctl.offline_blocks == {2}
         assert ctl.gated_capacity_fraction() == 0.0
 
 
@@ -63,7 +65,6 @@ class TestOnlinePath:
         ctl.prepare_online(5, now_s=0.0)
         ctl.block_onlined(5, now_s=1.0)
         assert 5 not in ctl.offline_blocks
-        assert ctl.offline_capacity_fraction() == 0.0
 
     def test_onlining_breaks_partner_gating(self):
         ctl = control(pair_gating=True)
@@ -99,7 +100,6 @@ class TestPairRegating:
         # Group 2 is *fully offline* but can no longer be held gated:
         # its capacity stays out of service yet draws background power.
         assert 2 in ctl.offline_blocks
-        assert ctl.offline_capacity_fraction() == pytest.approx(1 / 64)
         assert ctl.gated_capacity_fraction() == 0.0
 
     def test_reoffline_partner_regates_both(self):
@@ -149,7 +149,7 @@ class TestPairRegating:
         ctl = control(pair_gating=True)
         ctl.block_offlined(2)  # partner 3 never offlined -> never gated
         assert ctl.block_onlined(2, now_s=1.0) == []
-        assert ctl.offline_capacity_fraction() == 0.0
+        assert not ctl.offline_blocks
 
 
 class TestRepeatedEvents:
@@ -175,3 +175,32 @@ class TestRepeatedEvents:
         assert ctl.block_onlined(7, now_s=1.0) == []
         assert ctl._cover == cover and ctl.register.raw_value() == raw
         assert ctl.register.is_gated(2) and ctl.register.is_gated(3)
+
+
+class TestPendingGroups:
+    """A group left waking stays eligible; any later offline event gates
+    it once it is ready, not only an event of its own block."""
+
+    def woken_but_offline(self):
+        # Block 5 is un-gated for an on-lining that never completes:
+        # group 5 is still fully offline, but wakes until 1 s + 18 ns.
+        ctl = control()
+        assert ctl.block_offlined(5) == [5]
+        ctl.prepare_online(5, now_s=1.0)
+        assert ctl.block_offlined(7, now_s=1.0) == [7]
+        return ctl
+
+    def test_next_offline_of_any_block_regates(self):
+        ctl = self.woken_but_offline()
+        assert ctl.block_offlined(9, now_s=2.0) == [5, 9]
+        assert ctl.register.is_gated(5)
+
+    def test_restore_keeps_the_pending_group(self):
+        ctl = self.woken_but_offline()
+        twin = control()
+        twin.load_state_dict(pickle.loads(pickle.dumps(ctl.state_dict())))
+        assert twin._eligible() == ctl._eligible() == [5, 7]
+        assert twin.block_offlined(9, now_s=2.0) \
+            == ctl.block_offlined(9, now_s=2.0) == [5, 9]
+        assert twin.register.raw_value() == ctl.register.raw_value()
+        assert twin.mrs_time_ns == ctl.mrs_time_ns

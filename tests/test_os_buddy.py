@@ -1,5 +1,6 @@
 """Buddy allocator: correctness and invariants."""
 
+import copy
 import random
 
 import pytest
@@ -219,6 +220,49 @@ class TestIsolation:
     def test_misaligned_isolation_rejected(self):
         with pytest.raises(ConfigurationError):
             make_allocator().isolate_range(1, 100)
+
+    def test_bad_undo_batch_changes_nothing(self):
+        buddy = make_allocator(8 * BLOCK)
+        removed = buddy.isolate_range(0, 2 * BLOCK)
+        assert removed == [(0, 2 * BLOCK)]
+        before = copy.deepcopy(buddy.state_dict())
+        # The last run is free memory: nothing of the batch may go back.
+        with pytest.raises(AllocationError):
+            buddy.undo_isolation(removed + [(4 * BLOCK, BLOCK)])
+        assert buddy.state_dict() == before
+        assert buddy.free_pages == 6 * BLOCK
+        assert buddy._free_runs == [2 * BLOCK, 8 * BLOCK]
+
+    def test_undo_twice_raises_the_second_time(self):
+        buddy = make_allocator(2 * BLOCK)
+        buddy.alloc_pages(5)  # pfn 0 at order 2, pfn 4 at order 0
+        removed = buddy.isolate_range(0, BLOCK)
+        buddy.remove_allocated(0, 5)
+        removed.append((0, 5))
+        buddy.undo_isolation(removed)
+        after = copy.deepcopy(buddy.state_dict())
+        with pytest.raises(AllocationError):
+            buddy.undo_isolation(removed)
+        assert buddy.state_dict() == after
+        assert buddy.free_pages == 2 * BLOCK
+
+    @pytest.mark.parametrize("extra", [
+        [(2 * BLOCK, BLOCK)],  # inside the batch's own run
+        [(3 * BLOCK + 1, 1)],  # the allocated order-1 block
+        [(3 * BLOCK + 2, 1)],  # a free order-1 block
+        [(4 * BLOCK, 1)],  # allocated max-order memory
+        [(6 * BLOCK, 0)],  # empty
+    ])
+    def test_undo_rejects_overlaps_with_held_memory(self, extra):
+        buddy = make_allocator(8 * BLOCK)
+        buddy.alloc_block(MAX_ORDER)  # pfn 0
+        removed = buddy.isolate_range(BLOCK, 2 * BLOCK)
+        assert buddy.alloc_block(1) == 3 * BLOCK  # splits that block
+        assert buddy.alloc_block(MAX_ORDER) == 4 * BLOCK
+        before = copy.deepcopy(buddy.state_dict())
+        with pytest.raises(AllocationError):
+            buddy.undo_isolation(removed + extra)
+        assert buddy.state_dict() == before
 
     def test_add_range(self):
         buddy = make_allocator()
@@ -530,7 +574,14 @@ class TestBuddyOracle:
                 pair.remove(pfn, pages)
             elif op == "undo_isolation" and pair.held:
                 start_pfn = data.draw(st.sampled_from(sorted(pair.held)))
-                runs = pair.held.pop(start_pfn)[1]
+                runs = pair.held[start_pfn][1]
+                if bogus and runs:
+                    # One run twice: both refuse the batch whole.
+                    runs = runs + runs[-1:]
+                    pair.call_runs(op, (runs,), (pair.expand(runs),),
+                                   exact=False)
+                    continue
+                del pair.held[start_pfn]
                 pair.call_runs(op, (runs,), (pair.expand(runs),))
             elif op == "complete_offline" and pair.held:
                 # offline_pages succeeds only on a range with nothing

@@ -164,14 +164,6 @@ class TestStats:
         assert mgr.stats.offline_success == 2
         assert mgr.stats.online_success == 1
         assert mgr.offline_count == 1
-        assert mgr.stats.total_latency_s > 0
-
-    def test_mean_latency(self):
-        mm, mgr = managed()
-        block = top_free_block(mm)
-        mgr.offline_block(block)
-        mean = mgr.stats.mean_latency_s("offline", mgr.stats.offline_success)
-        assert mean == pytest.approx(1.58 * MILLISECOND)
 
     def test_removable_view(self):
         mm, mgr = managed()

@@ -64,7 +64,3 @@ class TestWrites:
     def test_write_to_read_only_file(self, sysfs):
         with pytest.raises(FileNotFoundError):
             sysfs.write("memory0/removable", "1")
-
-    def test_block_indices(self, sysfs, reliable_hotplug):
-        assert list(sysfs.block_indices()) == list(
-            range(reliable_hotplug.mm.num_blocks))

@@ -39,7 +39,8 @@ def small_system(seed=7, fault_plan=None):
 
 def assert_gate_state_matches(system):
     """Coverage counts and eligibility == the topology rescan; the
-    register gates only eligible groups."""
+    register gates only eligible groups, and the pending groups are the
+    eligible ones it does not gate."""
     pc = system.power_control
     block_map = system.block_map
     offline = pc.offline_blocks
@@ -52,7 +53,10 @@ def assert_gate_state_matches(system):
     eligible = pc._eligible()
     assert eligible == block_map.gateable_groups(
         offline, pair_constraint=pc.pair_gating)
-    assert set(pc.register.gated_groups()) <= set(eligible)
+    assert pc._eligible_set == set(eligible)
+    gated = set(pc.register.gated_groups())
+    assert gated <= set(eligible)
+    assert pc._pending == set(eligible) - gated
 
 
 class TestRandomizedSequences:
