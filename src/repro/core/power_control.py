@@ -12,10 +12,10 @@ any demand access's critical path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.core.mapping import PowerBlockMap
-from repro.memctrl.moderegister import ModeRegisterFile
+from repro.memctrl.moderegister import TMRD_NS, ModeRegisterFile
 from repro.obs.tracer import GLOBAL_TRACER as TRACER
 from repro.memctrl.registers import GreenDIMMControlRegister
 
@@ -37,15 +37,12 @@ class GreenDIMMPowerControl:
     :meth:`~repro.core.mapping.PowerBlockMap.gateable_groups` rescan.
     """
 
-    def __init__(self, block_map: PowerBlockMap,
-                 register: Optional[GreenDIMMControlRegister] = None,
-                 pair_gating: bool = True,
-                 mode_registers: Optional[ModeRegisterFile] = None):
+    def __init__(self, block_map: PowerBlockMap, pair_gating: bool = True):
         self.block_map = block_map
-        self.register = register or GreenDIMMControlRegister(
+        self.register = GreenDIMMControlRegister(
             num_groups=block_map.num_groups)
         self.pair_gating = pair_gating
-        self.mode_registers = mode_registers or ModeRegisterFile(
+        self.mode_registers = ModeRegisterFile(
             total_ranks=block_map.mapping.organization.total_ranks,
             mask_bits=max(64, block_map.num_groups))
         self._offline_blocks: Set[int] = set()
@@ -56,12 +53,21 @@ class GreenDIMMPowerControl:
         #: Eligible groups the register does not gate.
         self._pending: Set[int] = set()
         self.wakeup_wait_s = 0.0
-        self.mrs_time_ns = 0.0
 
     def _sync_mode_registers(self) -> None:
-        """Propagate the control register to every rank's MRs (MRS path)."""
-        self.mrs_time_ns += self.mode_registers.broadcast_gate_mask(
-            self.register.raw_value())
+        """Broadcast the control register to the ranks' MRs (MRS path)."""
+        self.mode_registers.broadcast_gate_mask(self.register.raw_value())
+
+    @property
+    def mrs_time_ns(self) -> float:
+        """MRS command time of every gating update so far.
+
+        Each broadcast costs its changed-slice count times tMRD, and the
+        ranks share the count, so this is exactly the sum of the
+        latencies the broadcasts returned.
+        """
+        registers = self.mode_registers
+        return registers.commands // registers.total_ranks * TMRD_NS
 
     def _qualifies(self, group: int) -> bool:
         """Every covering block of *group* is off-lined; with pair gating,
@@ -192,8 +198,7 @@ class GreenDIMMPowerControl:
                 "mode_registers": self.mode_registers.state_dict(),
                 "offline_blocks": self._offline_blocks,
                 "cover": self._cover,
-                "wakeup_wait_s": self.wakeup_wait_s,
-                "mrs_time_ns": self.mrs_time_ns}
+                "wakeup_wait_s": self.wakeup_wait_s}
 
     def load_state_dict(self, state: dict) -> None:
         self.register.load_state_dict(state["register"])
@@ -201,7 +206,6 @@ class GreenDIMMPowerControl:
         self._offline_blocks = state["offline_blocks"]
         self._cover = state["cover"]
         self.wakeup_wait_s = state["wakeup_wait_s"]
-        self.mrs_time_ns = state["mrs_time_ns"]
         self._eligible_set = {g for g in range(len(self._cover))
                               if self._qualifies(g)}
         gated = self.register.raw_value()

@@ -181,17 +181,6 @@ class AddressMapping:
         """Capacity of one sub-array group."""
         return self.capacity_bytes // self.subarray_group_count
 
-    def subarray_group_of(self, address: int) -> int:
-        """Sub-array-group index owning *address*.
-
-        With interleaving this is simply the top ``M`` bits of the address;
-        without interleaving addresses of one group are scattered (which is
-        why plain rank power management needs interleaving disabled).
-        """
-        if not 0 <= address < self.capacity_bytes:
-            raise AddressError(f"address {address:#x} out of range")
-        return self.field(address, "subarray")
-
     def group_is_contiguous(self) -> bool:
         """True when each sub-array group is one contiguous address range.
 

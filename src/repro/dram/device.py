@@ -93,16 +93,6 @@ class DRAMDeviceConfig:
         """Bits stored in one row of this device (the device's page size)."""
         return self.density_bits // (self.banks * self.rows_per_bank)
 
-    @property
-    def columns_per_row(self) -> int:
-        """Column locations per row, ``width`` bits each."""
-        return self.row_size_bits // self.width
-
-    @property
-    def subarray_bits_capacity(self) -> int:
-        """Capacity of one sub-array of this device, in bits."""
-        return self.row_size_bits * self.rows_per_subarray
-
 
 #: DDR4 x8 4Gb device — the paper's Figure 5 example and the device used in
 #: the 8GB DIMMs of the SPEC evaluation platform (Section 6.1).

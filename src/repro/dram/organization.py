@@ -63,10 +63,6 @@ class MemoryOrganization:
         return self.channels * self.ranks_per_channel
 
     @property
-    def total_devices(self) -> int:
-        return self.total_ranks * self.devices_per_rank
-
-    @property
     def total_banks(self) -> int:
         """Logical banks visible to the memory controllers (per-rank x ranks)."""
         return self.total_ranks * self.device.banks
@@ -89,15 +85,6 @@ class MemoryOrganization:
     def logical_bank_capacity_bytes(self) -> int:
         """Capacity of one logical bank: the lock-stepped physical banks."""
         return self.rank_capacity_bytes // self.device.banks
-
-    @property
-    def subarray_group_slice_bytes(self) -> int:
-        """Bytes one sub-array contributes across the devices of a rank.
-
-        In the Figure 5 example this is 4MB: a 4Mb sub-array replicated
-        lock-step across the eight x8 devices of the rank.
-        """
-        return (self.device.subarray_bits_capacity // 8) * self.devices_per_rank
 
     @property
     def min_power_unit_bytes(self) -> int:

@@ -70,11 +70,6 @@ class DDR4Timing:
         return self.burst_length / 2 * self.tck_ns
 
     @property
-    def row_cycle_ns(self) -> float:
-        """tRC: ACT-to-ACT on the same bank."""
-        return self.tras_ns + self.trp_ns
-
-    @property
     def random_access_latency_ns(self) -> float:
         """Idle-bank closed-row access latency: tRCD + CL + burst."""
         return self.trcd_ns + self.cl_ns + self.burst_duration_ns
@@ -110,12 +105,3 @@ DDR4_2133_8GB = DDR4Timing(
     tras_ns=33.0,
     trfc_ns=350.0,
 )
-
-
-def at_high_temperature(timing: DDR4Timing) -> DDR4Timing:
-    """The same speed grade above 85C: JEDEC halves the refresh interval
-    (2x refresh), doubling refresh power and command overhead."""
-    from dataclasses import replace
-
-    return replace(timing, name=f"{timing.name}-2x-refresh",
-                   trefi_ns=timing.trefi_ns / 2)

@@ -27,7 +27,7 @@ import json
 import math
 import pathlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
@@ -148,14 +148,6 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.rules)
-
-    def shifted(self, offset_s: float) -> "FaultPlan":
-        """The same plan with every rule's window moved by *offset_s*."""
-        return replace(self, rules=tuple(
-            replace(r, start_s=r.start_s + offset_s,
-                    end_s=r.end_s + offset_s if not math.isinf(r.end_s)
-                    else r.end_s)
-            for r in self.rules))
 
     # --- serialization ------------------------------------------------------
 

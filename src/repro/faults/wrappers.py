@@ -105,20 +105,17 @@ class FaultyMemoryBlockManager(_FaultyDelegate):
             if rule.error == "EBUSY":
                 latency = latency_model.failure_ebusy_s + rule.extra_latency_s
                 self.inner.stats.ebusy_failures += 1
-                self.inner.stats.record("ebusy", latency)
                 raise OfflineBusyError(
                     f"block {index}: injected EBUSY ({rule.label or 'fault'})",
                     latency_s=latency)
             latency = latency_model.failure_eagain_s + rule.extra_latency_s
             self.inner.stats.eagain_failures += 1
-            self.inner.stats.record("eagain", latency)
             raise OfflineAgainError(
                 f"block {index}: injected EAGAIN ({rule.label or 'fault'})",
                 latency_s=latency)
         result = self.inner.offline_block(index)
         stall = self.injector.should_fail("migration", index)
         if stall is not None and stall.extra_latency_s > 0:
-            self.inner.stats.record("stall", stall.extra_latency_s)
             result = replace(result,
                              latency_s=result.latency_s + stall.extra_latency_s)
         return result

@@ -36,13 +36,6 @@ def chunk_fingerprint(image_id: int, chunk_index: int) -> int:
     return int.from_bytes(digest, "big") >> 1 | 1  # never collides with 0
 
 
-def unique_fingerprint(owner_id: str, index: int) -> int:
-    """Fingerprint of a page unique to *owner_id* (never merges)."""
-    digest = hashlib.blake2b(
-        f"unique:{owner_id}:{index}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") >> 1 | 1
-
-
 @dataclass(frozen=True)
 class ContentStats:
     zero_pages: int

@@ -113,10 +113,6 @@ class KSMDaemon:
             if page is not None:
                 self.stable.drop_sharer(fingerprint)
 
-    def saved_pages(self, owner_id: str) -> int:
-        share = self._shares.get(owner_id)
-        return share.merged_pages if share else 0
-
     @property
     def total_saved_pages(self) -> int:
         return sum(s.merged_pages for s in self._shares.values())

@@ -37,13 +37,6 @@ class MadviseRegistry:
     def remove_owner(self, owner_id: str) -> None:
         self._regions.pop(owner_id, None)
 
-    def region_of(self, owner_id: str) -> RegionContent:
-        try:
-            return self._regions[owner_id]
-        except KeyError:
-            raise ConfigurationError(
-                f"{owner_id!r} has no mergeable region") from None
-
     def __contains__(self, owner_id: str) -> bool:
         return owner_id in self._regions
 

@@ -5,18 +5,18 @@ that the peripheral and I/O circuits of sub-arrays are turned off ...
 after the DRAM mode register of every DRAM device in a rank is
 concurrently updated, each DRAM device turns off the power gates".
 
-This module models that command path: a per-rank mode-register file
-whose GreenDIMM field is the 64-bit sub-array-group mask, programmed
-with MRS commands.  An MRS command carries 16 payload bits (one MR
-write), so refreshing the full mask costs four MRS commands per rank,
-each taking tMRD.  All devices of a rank latch the same MRS broadcast —
-that is why the paper needs no per-device state.
+This module models that command path.  The GreenDIMM field of the mode
+registers is the 64-bit sub-array-group mask, programmed with MRS
+commands.  An MRS command carries 16 payload bits (one MR write), so
+refreshing the full mask costs four MRS commands per rank, each taking
+tMRD.  Every device of every rank latches the same MRS broadcast, so
+the controller keeps one copy of the mask for all of them, not one per
+device or per rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ConfigurationError
 
@@ -26,23 +26,15 @@ TMRD_NS = 7.5
 #: Payload bits one MRS write can update.
 MRS_PAYLOAD_BITS = 16
 
-
-@dataclass
-class RankModeState:
-    """The mode-register fields one rank's devices currently hold."""
-
-    #: The vendor-defined sub-array-gate mask (bit i = group i gated).
-    subarray_gate_mask: int = 0
-    #: MRS commands issued to this rank so far.
-    mrs_commands: int = 0
+_PAYLOAD_MASK = (1 << MRS_PAYLOAD_BITS) - 1
 
 
 class ModeRegisterFile:
-    """Controller-side shadow of every rank's mode registers.
+    """Controller-side shadow of the mode registers every rank holds.
 
-    ``program_gate_mask`` computes which 16-bit MR slices changed and
-    issues only those MRS writes, returning the command latency — the
-    realistic cost of a gating update.
+    ``mask`` is the sub-array-gate mask (bit i = group i gated) that all
+    ranks latched with the last broadcast; ``commands`` counts the MRS
+    writes issued so far, summed over the ranks.
     """
 
     def __init__(self, total_ranks: int, mask_bits: int = 64):
@@ -53,82 +45,33 @@ class ModeRegisterFile:
                 "mask width must be a multiple of the MRS payload")
         self.total_ranks = total_ranks
         self.mask_bits = mask_bits
-        self._ranks: List[RankModeState] = [RankModeState()
-                                            for _ in range(total_ranks)]
-
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.total_ranks:
-            raise ConfigurationError(f"rank {rank} out of range")
-
-    def rank_state(self, rank: int) -> RankModeState:
-        self._check_rank(rank)
-        return self._ranks[rank]
-
-    def _changed_slices(self, old: int, new: int) -> List[int]:
-        slices = []
-        for index in range(self.mask_bits // MRS_PAYLOAD_BITS):
-            shift = index * MRS_PAYLOAD_BITS
-            payload_mask = ((1 << MRS_PAYLOAD_BITS) - 1) << shift
-            if (old ^ new) & payload_mask:
-                slices.append(index)
-        return slices
-
-    def program_gate_mask(self, rank: int, mask: int) -> float:
-        """Bring one rank's gate mask to *mask*; returns MRS latency (ns)."""
-        self._check_rank(rank)
-        if mask >> self.mask_bits:
-            raise ConfigurationError("mask wider than the register")
-        state = self._ranks[rank]
-        slices = self._changed_slices(state.subarray_gate_mask, mask)
-        state.subarray_gate_mask = mask
-        state.mrs_commands += len(slices)
-        return len(slices) * TMRD_NS
+        self.mask = 0
+        self.commands = 0
 
     def broadcast_gate_mask(self, mask: int) -> float:
-        """Program every rank (GreenDIMM gates groups across all ranks).
+        """Program every rank with *mask*; returns the MRS latency (ns).
 
-        Ranks on different channels program in parallel; ranks sharing a
-        command bus serialize — we return the worst-rank latency times
-        one, as channels dominate parallelism in practice, and expose
-        per-rank command counts for finer accounting.
+        Only the changed 16-bit slices are written, one MRS command per
+        slice per rank.  Ranks on different channels program in
+        parallel, so the latency is one rank's slice count times tMRD.
         """
         if mask >> self.mask_bits:
             raise ConfigurationError("mask wider than the register")
-        # Under the lock-step invariant every rank holds the same old
-        # mask, so the changed-slice count can be computed once and
-        # reused until a rank with a different shadow appears.
-        worst = 0
-        last_old = -1
-        cached = 0
-        n_slices = self.mask_bits // MRS_PAYLOAD_BITS
-        for state in self._ranks:
-            old = state.subarray_gate_mask
-            if old != last_old:
-                diff = old ^ mask
-                cached = 0
-                for index in range(n_slices):
-                    if (diff >> (index * MRS_PAYLOAD_BITS)) & 0xFFFF:
-                        cached += 1
-                last_old = old
-            state.subarray_gate_mask = mask
-            state.mrs_commands += cached
-            if cached > worst:
-                worst = cached
-        return worst * TMRD_NS
-
-    def consistent(self) -> bool:
-        """All ranks hold the same mask (the lock-step invariant)."""
-        masks = {state.subarray_gate_mask for state in self._ranks}
-        return len(masks) <= 1
-
-    def command_counts(self) -> Dict[int, int]:
-        return {rank: state.mrs_commands
-                for rank, state in enumerate(self._ranks)}
+        diff = self.mask ^ mask
+        slices = 0
+        while diff:
+            if diff & _PAYLOAD_MASK:
+                slices += 1
+            diff >>= MRS_PAYLOAD_BITS
+        self.mask = mask
+        self.commands += self.total_ranks * slices
+        return slices * TMRD_NS
 
     # --- checkpoint/restore -----------------------------------------------------
 
-    def state_dict(self) -> Dict[str, object]:
-        return {"ranks": self._ranks}
+    def state_dict(self) -> Dict[str, int]:
+        return {"mask": self.mask, "commands": self.commands}
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self._ranks = state["ranks"]
+    def load_state_dict(self, state: Dict[str, int]) -> None:
+        self.mask = state["mask"]
+        self.commands = state["commands"]

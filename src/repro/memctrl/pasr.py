@@ -41,14 +41,6 @@ class PASRBitVector:
         self._check(rank, bank)
         self._masks[rank] &= ~(1 << bank)
 
-    def enable_refresh(self, rank: int, bank: int) -> None:
-        self._check(rank, bank)
-        self._masks[rank] |= 1 << bank
-
-    def is_refreshing(self, rank: int, bank: int) -> bool:
-        self._check(rank, bank)
-        return bool(self._masks[rank] >> bank & 1)
-
     def refreshing_fraction(self) -> float:
         """Fraction of all banks still being refreshed."""
         total = self.register_bits

@@ -12,7 +12,7 @@ backing memory block.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.errors import ConfigurationError, PowerStateError
 from repro.power.states import PowerState, exit_latency_ns
@@ -78,9 +78,6 @@ class GreenDIMMControlRegister:
             del self._wake_ready_at_ns[group]
             return True
         return False
-
-    def gated_groups(self) -> Iterable[int]:
-        return (g for g in range(self.num_groups) if self.is_gated(g))
 
     @property
     def gated_count(self) -> int:

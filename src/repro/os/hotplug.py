@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
@@ -73,11 +73,6 @@ class HotplugStats:
     ebusy_failures: int = 0
     eagain_failures: int = 0
     migrated_pages: int = 0
-    latency_by_kind_s: Dict[str, float] = field(default_factory=dict)
-
-    def record(self, kind: str, latency_s: float) -> None:
-        self.latency_by_kind_s[kind] = (
-            self.latency_by_kind_s.get(kind, 0.0) + latency_s)
 
     @property
     def total_failures(self) -> int:
@@ -179,7 +174,6 @@ class MemoryBlockManager:
         if not self.mm.block_is_removable(index):
             latency = self.latency.failure_ebusy_s
             self.stats.ebusy_failures += 1
-            self.stats.record("ebusy", latency)
             if TRACER.enabled:
                 TRACER.event("hotplug.ebusy", block=index, latency_s=latency)
             raise OfflineBusyError(f"block {index} has unmovable pages",
@@ -197,7 +191,6 @@ class MemoryBlockManager:
             self.states[index] = MemoryBlockState.ONLINE
             latency = self.latency.failure_eagain_s
             self.stats.eagain_failures += 1
-            self.stats.record("eagain", latency)
             if TRACER.enabled:
                 TRACER.event("hotplug.eagain", block=index, latency_s=latency)
             raise OfflineAgainError(f"block {index}: migration failed",
@@ -208,7 +201,6 @@ class MemoryBlockManager:
         latency = self.latency.offline_latency(migrated)
         self.stats.offline_success += 1
         self.stats.migrated_pages += migrated
-        self.stats.record("offline", latency)
         if TRACER.enabled:
             TRACER.event("hotplug.offline", block=index, latency_s=latency,
                          migrated_pages=migrated)
@@ -250,7 +242,6 @@ class MemoryBlockManager:
         self._offline_set.discard(index)
         latency = self.latency.online_s
         self.stats.online_success += 1
-        self.stats.record("online", latency)
         if TRACER.enabled:
             TRACER.event("hotplug.online", block=index, latency_s=latency)
         return latency

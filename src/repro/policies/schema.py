@@ -47,15 +47,6 @@ class PolicyRow:
         out.update(self.extras)
         return out
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, object]) -> "PolicyRow":
-        """Inverse of :meth:`as_dict`: unknown keys become extras."""
-        core = {name for name in POLICY_ROW_FIELDS}
-        kwargs = {name: mapping[name] for name in core if name in mapping}
-        extras = {key: value for key, value in mapping.items()
-                  if key not in core}
-        return cls(extras=extras, **kwargs)  # type: ignore[arg-type]
-
 
 def render_rows(title: str, rows: Sequence[PolicyRow]) -> Table:
     """The canonical fixed-width table every CLI surface prints."""

@@ -50,11 +50,6 @@ class SubarrayGatingCost:
         """Switch area / die area (paper: 0.64%)."""
         return self.switch_area_um2 / self.die_area_um2
 
-    @property
-    def total_overhead_fraction(self) -> float:
-        """All gating silicon / die area (paper: < 1%)."""
-        return (self.switch_area_um2 + self.control_area_um2) / self.die_area_um2
-
 
 def _die_area_um2(device: DRAMDeviceConfig) -> float:
     """First-order die area: scale the 8Gb reference linearly in density,

@@ -148,10 +148,6 @@ class PowerCacheStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class DevicePowerModel:
     """Power of a single DRAM device given its IDD table."""

@@ -20,8 +20,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, FrozenSet
 
-from repro.errors import PowerStateError
-
 
 class PowerState(enum.Enum):
     """Power state of a rank — or, for DEEP_POWER_DOWN, of a sub-array."""
@@ -83,18 +81,3 @@ def exit_latency_ns(state: PowerState) -> float:
 def is_low_power(state: PowerState) -> bool:
     """True when a rank in *state* must wake before serving a request."""
     return state in _LOW_POWER
-
-
-def check_transition(current: PowerState, target: PowerState) -> None:
-    """Raise :class:`PowerStateError` if *current* -> *target* is illegal."""
-    if target not in ALLOWED_TRANSITIONS[current]:
-        raise PowerStateError(f"illegal transition {current.value} -> {target.value}")
-
-
-def refreshes_in_state(state: PowerState) -> bool:
-    """Whether DRAM contents are retained (refreshed) in *state*.
-
-    Deep power-down does *not* refresh — which is safe in GreenDIMM only
-    because the OS has off-lined the backing physical range first.
-    """
-    return state is not PowerState.DEEP_POWER_DOWN

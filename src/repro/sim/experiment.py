@@ -15,7 +15,6 @@ from repro.core.system import GreenDIMMSystem
 from repro.dram.organization import MemoryOrganization, spec_server_memory
 from repro.policies.calibration import ESTIMATE_KERNEL_BYTES, resident_ranks
 from repro.policies.registry import analytical_policy_names, policy_class
-from repro.policies.schema import PolicyRow
 from repro.power.model import DRAMPowerModel, RankPowerProfile
 from repro.power.system import SystemPowerModel
 from repro.sim.perfmodel import (
@@ -48,21 +47,6 @@ class PolicyResult:
     @property
     def key(self) -> Tuple[str, bool]:
         return (self.policy, self.interleaved)
-
-    def to_row(self, scenario: Optional[str] = None) -> PolicyRow:
-        """Flatten into the shared :class:`~repro.policies.schema.PolicyRow`.
-
-        The Figure 9/10 matrix has no explicit scenario axis, so the
-        operating point stands in for it unless the caller names one.
-        """
-        return PolicyRow(
-            policy=self.policy,
-            scenario=scenario or ("intlv" if self.interleaved else "no-intlv"),
-            runtime_s=self.runtime_s,
-            dram_power_w=self.dram_power_w,
-            dram_energy_j=self.dram_energy_j,
-            system_energy_j=self.system_energy_j,
-            overhead_fraction=self.overhead_fraction)
 
 
 def _runtimes(profile: WorkloadProfile, organization: MemoryOrganization,

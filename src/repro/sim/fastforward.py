@@ -73,23 +73,7 @@ class FastForwardStats:
         total = self.epochs_total
         return self.epochs_fast_forwarded / total if total else 0.0
 
-    @property
-    def epochs_dynamic(self) -> int:
-        """Epochs that truly stepped the full stack one at a time."""
-        return self.epochs_stepped - self.epochs_batched
-
     def as_dict(self) -> Dict[str, int]:
         return {"windows": self.windows,
                 "epochs_fast_forwarded": self.epochs_fast_forwarded,
                 "epochs_stepped": self.epochs_stepped}
-
-    def span_counters(self) -> Dict[str, int]:
-        """The span-planner view: quiescent / batched / dynamic epochs.
-
-        Kept out of :meth:`as_dict` deliberately — that dict's keys and
-        values are pinned bit-for-bit by the golden kernel recordings.
-        """
-        return {"spans_quiescent": self.windows,
-                "spans_stable": self.spans_stable,
-                "epochs_batched": self.epochs_batched,
-                "epochs_dynamic": self.epochs_dynamic}

@@ -300,11 +300,6 @@ def run_fleet(source: FleetSource, workers: int = 1,
     return fleet
 
 
-#: Reverse index for quick lookups in reports/tests.
-def server_by_index(result: FleetRunResult) -> Dict[int, FleetServerResult]:
-    return {s.index: s for s in result.servers}
-
-
 # --- resident-fleet construction and elastic resharding ----------------------
 
 

@@ -179,15 +179,3 @@ class PerformanceModel:
         sensitivity = min(1.0, profile.mpki / _MPKI_NORM)
         weighted = sensitivity ** _SENSITIVITY_EXP * rate
         return _OVERHEAD_CAP * weighted / (weighted + _OVERHEAD_HALF_RATE)
-
-    def tail_latency_factor(self, profile: WorkloadProfile,
-                            overhead_fraction: float) -> float:
-        """95th/99th-percentile inflation for latency-critical services.
-
-        Footprint-stable services see almost no daemon events, so the
-        paper observes no notable tail degradation; we model the tail
-        factor as tracking the (tiny) runtime overhead.
-        """
-        if not profile.latency_critical:
-            return 1.0 + overhead_fraction
-        return 1.0 + 0.5 * overhead_fraction

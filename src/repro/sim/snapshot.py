@@ -66,7 +66,7 @@ PathLike = Union[str, pathlib.Path]
 
 #: Bump on any incompatible change to the state tree's shape.  Restore
 #: refuses versions it does not know rather than guessing.
-SNAPSHOT_VERSION = 9
+SNAPSHOT_VERSION = 10
 
 
 #: Every global a capture references, and all that :func:`restore` will
@@ -87,7 +87,6 @@ SNAPSHOT_GLOBALS: FrozenSet[Tuple[str, str]] = frozenset({
     ("repro.ksm.daemon", "_OwnerShare"),
     ("repro.ksm.trees", "SharedPage"),
     ("repro.ksm.trees", "_Node"),
-    ("repro.memctrl.moderegister", "RankModeState"),
     ("repro.obs.residency", "ResidencyStats"),
     ("repro.os.hotplug", "HotplugStats"),
     ("repro.os.hotplug", "MemoryBlockState"),

@@ -41,38 +41,6 @@ MINUTE: float = 60.0
 HOUR: float = 3600.0
 
 
-def mib(n: float) -> int:
-    """Return *n* mebibytes as an integer byte count."""
-    return int(n * MIB)
-
-
-def gib(n: float) -> int:
-    """Return *n* gibibytes as an integer byte count."""
-    return int(n * GIB)
-
-
-def to_gib(n_bytes: int) -> float:
-    """Return a byte count as (fractional) gibibytes."""
-    return n_bytes / GIB
-
-
-def to_mib(n_bytes: int) -> float:
-    """Return a byte count as (fractional) mebibytes."""
-    return n_bytes / MIB
-
-
-def pages_of(n_bytes: int) -> int:
-    """Return the number of 4 KiB pages covering *n_bytes*.
-
-    Raises :class:`ValueError` when *n_bytes* is not page aligned, because
-    every region this library manages (memory blocks, sub-array groups) is
-    page aligned by construction and a misaligned size indicates a bug.
-    """
-    if n_bytes % PAGE_SIZE:
-        raise ValueError(f"size {n_bytes} is not a multiple of PAGE_SIZE")
-    return n_bytes // PAGE_SIZE
-
-
 def is_power_of_two(n: int) -> bool:
     """Return True when *n* is a positive power of two."""
     return n > 0 and (n & (n - 1)) == 0
@@ -83,14 +51,3 @@ def log2_int(n: int) -> int:
     if not is_power_of_two(n):
         raise ValueError(f"{n} is not a power of two")
     return n.bit_length() - 1
-
-
-def format_bytes(n_bytes: int) -> str:
-    """Render a byte count with a binary suffix, e.g. ``'128MiB'``."""
-    for suffix, unit in (("TiB", TIB), ("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
-        if n_bytes >= unit and n_bytes % unit == 0:
-            return f"{n_bytes // unit}{suffix}"
-    for suffix, unit in (("TiB", TIB), ("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
-        if n_bytes >= unit:
-            return f"{n_bytes / unit:.2f}{suffix}"
-    return f"{n_bytes}B"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.units import GIB, MIB
@@ -131,10 +131,6 @@ class AzureTrace:
             return 0.0
         return sum(s.used_bytes for s in self.samples) / (
             len(self.samples) * self.capacity_bytes)
-
-    def utilization_range(self) -> Tuple[float, float]:
-        fractions = [s.used_bytes / self.capacity_bytes for s in self.samples]
-        return min(fractions), max(fractions)
 
 
 class AzureTraceGenerator:

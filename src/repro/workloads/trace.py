@@ -187,17 +187,3 @@ class AccessTraceGenerator:
             requests.append(MemoryRequest(address=address, access=access,
                                           arrival_ns=now))
         return requests
-
-
-def merged_streams(generators: Sequence[AccessTraceGenerator],
-                   count_each: int) -> List[MemoryRequest]:
-    """Interleave several generators' streams by arrival time.
-
-    Used to model N copies of a benchmark (the paper runs 16 copies of
-    mcf for its busy-power measurements).
-    """
-    out: List[MemoryRequest] = []
-    for gen in generators:
-        out.extend(gen.generate(count_each))
-    out.sort(key=lambda r: r.arrival_ns)
-    return out

@@ -19,6 +19,11 @@ from repro.os.mm import PhysicalMemoryManager
 from repro.units import GIB, MIB
 
 
+def gated_groups(register) -> list:
+    """Groups whose gate bit is set in a control register, ascending."""
+    return [g for g in range(register.num_groups) if register.is_gated(g)]
+
+
 @pytest.fixture
 def spec_org() -> MemoryOrganization:
     """The paper's 64GB SPEC platform."""

@@ -75,7 +75,7 @@ class TestEncodeDecodeBijection:
     @given(st.integers(min_value=0, max_value=ORG.total_capacity_bytes - 1))
     @settings(max_examples=200, deadline=None)
     def test_group_matches_top_bits(self, address):
-        group = MAPPING.subarray_group_of(address)
+        group = MAPPING.decode(address).subarray
         assert group == address // MAPPING.subarray_group_bytes
 
     def test_encode_rejects_field_overflow(self):

@@ -29,7 +29,8 @@ class TestFigure5Device:
         assert DDR4_4GB_X8.subarrays_per_bank == 64
 
     def test_subarray_is_4mb(self):
-        assert DDR4_4GB_X8.subarray_bits_capacity == 4 * (1 << 20)
+        assert (DDR4_4GB_X8.row_size_bits * DDR4_4GB_X8.rows_per_subarray
+                == 4 * (1 << 20))
 
     def test_16_banks(self):
         assert DDR4_4GB_X8.banks == 16
@@ -39,9 +40,6 @@ class TestFigure5Device:
 
     def test_row_size_is_8kb(self):
         assert DDR4_4GB_X8.row_size_bits == 8192
-
-    def test_columns_per_row(self):
-        assert DDR4_4GB_X8.columns_per_row == 1024
 
     def test_mats_per_subarray(self):
         assert DDR4_4GB_X8.mats_per_subarray == 16

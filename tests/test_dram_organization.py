@@ -33,7 +33,9 @@ class TestSpecPlatform:
 
     def test_subarray_group_slice_is_4mb(self, spec_org):
         # "a 4Mb sub-array (i.e., 4MB across 8 DRAM devices in a rank)"
-        assert spec_org.subarray_group_slice_bytes == 4 * MIB
+        slice_bytes = spec_org.min_power_unit_bytes // (
+            spec_org.total_ranks * spec_org.device.banks)
+        assert slice_bytes == 4 * MIB
 
     def test_min_power_unit_is_1gb(self, spec_org):
         # 4MB x 16 banks x 16 ranks = 1024MB, 1.5625% of 64GB.
@@ -86,7 +88,5 @@ class TestValidation:
             MemoryOrganization(device=DDR4_4GB_X8, channels=3)
 
     def test_total_counts_consistent(self, spec_org):
-        assert spec_org.total_devices == (spec_org.total_ranks
-                                          * spec_org.devices_per_rank)
         assert spec_org.total_banks == (spec_org.total_ranks
                                         * spec_org.device.banks)

@@ -27,10 +27,6 @@ class TestDerived:
     def test_burst_duration_four_clocks(self):
         assert DDR4_2133.burst_duration_ns == pytest.approx(4 * 0.9375)
 
-    def test_row_cycle(self):
-        assert DDR4_2133.row_cycle_ns == pytest.approx(
-            DDR4_2133.tras_ns + DDR4_2133.trp_ns)
-
     def test_random_access_latency_reasonable(self):
         lat = DDR4_2133.random_access_latency_ns
         assert 25 < lat < 50

@@ -115,15 +115,6 @@ class TestFaultPlan:
         assert injector.should_fail("offline", 0).error == "EBUSY"
         assert injector.should_fail("offline", 0).error == "EAGAIN"
 
-    def test_shifted_moves_windows(self):
-        plan = FaultPlan(rules=(
-            FaultRule(op="offline", error="EBUSY", start_s=1.0, end_s=2.0),
-            FaultRule(op="offline", error="EAGAIN", start_s=0.0),))
-        moved = plan.shifted(10.0)
-        assert moved.rules[0].start_s == 11.0
-        assert moved.rules[0].end_s == 12.0
-        assert math.isinf(moved.rules[1].end_s)
-
     def test_file_roundtrip(self, tmp_path):
         plan = storm_plan(5, intensity=0.5, duration_s=20.0)
         path = tmp_path / "plan.json"

@@ -8,7 +8,6 @@ from repro.sim.fleet import (
     fleet_server_memory,
     run_fleet,
     run_fleet_server,
-    server_by_index,
 )
 
 
@@ -49,12 +48,11 @@ class TestFleetSource:
 class TestFleetRun:
     def test_one_result_per_server(self, source, fleet_result):
         assert sorted(s.index for s in fleet_result.servers) == [0, 1, 2]
-        assert set(server_by_index(fleet_result)) == {0, 1, 2}
 
     def test_servers_match_standalone_runs(self, source, fleet_result):
         """The fleet is exactly its servers run alone: same seeds, same
         shard, same numbers — fleet membership must not perturb anyone."""
-        by_index = server_by_index(fleet_result)
+        by_index = {s.index: s for s in fleet_result.servers}
         for job in source.jobs():
             standalone = run_fleet_server(job)
             assert standalone == by_index[job.index]

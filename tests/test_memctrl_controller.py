@@ -13,7 +13,7 @@ from repro.dram.organization import spec_server_memory
 from repro.errors import ConfigurationError
 from repro.memctrl.controller import MemoryController
 from repro.memctrl.lowpower import LowPowerConfig
-from repro.workloads.trace import AccessTraceGenerator, merged_streams
+from repro.workloads.trace import AccessTraceGenerator
 
 ORG = spec_server_memory()
 
@@ -97,13 +97,3 @@ class TestFigure3Mechanism:
         idle = DRAMPowerModel(ORG).idle_power()
         # Sleeping ranks push power below the all-standby idle level.
         assert power.static_w < idle.static_w
-
-
-class TestMergedStreams:
-    def test_merged_streams_sorted(self):
-        gens = [AccessTraceGenerator(1 << 20, rate_per_s=1e6,
-                                     rng=random.Random(i)) for i in range(4)]
-        reqs = merged_streams(gens, 100)
-        assert len(reqs) == 400
-        arrivals = [r.arrival_ns for r in reqs]
-        assert arrivals == sorted(arrivals)

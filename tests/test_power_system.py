@@ -57,7 +57,8 @@ class TestCactiLite:
 
     def test_total_overhead_below_1pct(self):
         cost = estimate_gating_cost(DDR4_8GB_X8)
-        assert cost.total_overhead_fraction < 0.01
+        gating_area = cost.switch_area_um2 + cost.control_area_um2
+        assert gating_area / cost.die_area_um2 < 0.01
 
     def test_smaller_die_same_ballpark(self):
         cost = estimate_gating_cost(DDR4_4GB_X8)

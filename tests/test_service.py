@@ -16,11 +16,12 @@ import pickle
 import socket
 import threading
 import types
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ReproError, SimulationError
-from repro.faults.plan import storm_plan
+from repro.faults.plan import FaultPlan, storm_plan
 from repro.service import (
     ControlClient,
     ControlPlane,
@@ -34,6 +35,13 @@ from repro.sim.snapshot import SNAPSHOT_VERSION
 from repro.units import GIB
 from repro.workloads.azure import VMEvent, VMInstance, VMType
 from tests.test_snapshot import FIRED, SideEffect
+
+
+def shifted(plan: FaultPlan, offset_s: float) -> FaultPlan:
+    """*plan* with every rule's window moved *offset_s* later."""
+    return replace(plan, rules=tuple(
+        replace(rule, start_s=rule.start_s + offset_s,
+                end_s=rule.end_s + offset_s) for rule in plan.rules))
 
 
 def _vm_event(vm_id: int, time_s: float, kind: str = "arrive",
@@ -163,8 +171,8 @@ class TestFleetService:
         service.ingest(vm_id=0, memory_bytes=2 * GIB, time_s=0.0)
         service.advance(until_s=60.0)
         armed = service.inject_fault_plan(
-            0, storm_plan(seed=5, intensity=3.0,
-                          duration_s=600.0).shifted(60.0).to_dict())
+            0, shifted(storm_plan(seed=5, intensity=3.0, duration_s=600.0),
+                       60.0).to_dict())
         assert armed["rules"] > 0
         assert service.server_status(0)["fault_plan"] is not None
         service.retune({"off_thr_fraction": 0.2, "on_thr_fraction": 0.15})
@@ -261,7 +269,7 @@ class TestControlPlane:
         client.ingest(vm_id=0, memory_bytes=2 * GIB)
         client.advance(until_s=60.0)
         armed = client.inject_fault_plan(
-            0, storm_plan(seed=2, duration_s=300.0).shifted(60.0).to_dict())
+            0, shifted(storm_plan(seed=2, duration_s=300.0), 60.0).to_dict())
         assert armed["plan"].startswith("storm")
         tuned = client.retune({"off_thr_fraction": 0.18,
                                "on_thr_fraction": 0.14}, server=0)

@@ -99,10 +99,3 @@ class TestGreenDIMMOverhead:
         large_blocks = PERF.greendimm_overhead_fraction(mcf, 1, 4, 600.0)
         assert small_blocks > large_blocks
         assert small_blocks < 0.035
-
-    def test_tail_latency_factor(self):
-        serving = profile_by_name("data-caching")
-        factor = PERF.tail_latency_factor(serving, overhead_fraction=0.01)
-        assert 1.0 < factor < 1.01
-        batch = profile_by_name("429.mcf")
-        assert PERF.tail_latency_factor(batch, 0.01) == pytest.approx(1.01)

@@ -25,6 +25,7 @@ from repro.sim.server import ServerSimulator, VMTraceRunResult
 from repro.soa import SampleLog, accumulate_energy, batched_times
 from repro.units import MIB
 from repro.workloads import profile_by_name
+from tests.conftest import gated_groups
 
 
 def small_system(seed=7, fault_plan=None):
@@ -54,7 +55,7 @@ def assert_gate_state_matches(system):
     assert eligible == block_map.gateable_groups(
         offline, pair_constraint=pc.pair_gating)
     assert pc._eligible_set == set(eligible)
-    gated = set(pc.register.gated_groups())
+    gated = set(gated_groups(pc.register))
     assert gated <= set(eligible)
     assert pc._pending == set(eligible) - gated
 

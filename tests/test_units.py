@@ -8,14 +8,8 @@ from repro.units import (
     KIB,
     MIB,
     PAGE_SIZE,
-    format_bytes,
-    gib,
     is_power_of_two,
     log2_int,
-    mib,
-    pages_of,
-    to_gib,
-    to_mib,
 )
 
 
@@ -34,26 +28,6 @@ def test_default_memory_block_is_128mib():
     assert units.DEFAULT_MEMORY_BLOCK_SIZE == 128 * MIB
 
 
-def test_mib_gib_constructors():
-    assert mib(128) == 128 * MIB
-    assert gib(2) == 2 * GIB
-    assert mib(0.5) == MIB // 2
-
-
-def test_to_gib_roundtrip():
-    assert to_gib(gib(64)) == 64.0
-    assert to_mib(mib(3)) == 3.0
-
-
-def test_pages_of_exact():
-    assert pages_of(128 * MIB) == 32768
-
-
-def test_pages_of_rejects_misaligned():
-    with pytest.raises(ValueError):
-        pages_of(PAGE_SIZE + 1)
-
-
 @pytest.mark.parametrize("n,expected", [
     (1, True), (2, True), (1024, True), (0, False), (3, False), (-4, False),
 ])
@@ -69,24 +43,6 @@ def test_log2_int():
 def test_log2_int_rejects_non_power():
     with pytest.raises(ValueError):
         log2_int(12)
-
-
-@pytest.mark.parametrize("n,text", [
-    (128 * MIB, "128MiB"),
-    (GIB, "1GiB"),
-    (512, "512B"),
-    (3 * units.TIB, "3TiB"),
-])
-def test_format_bytes_exact(n, text):
-    assert format_bytes(n) == text
-
-
-def test_format_bytes_prefers_exact_smaller_unit():
-    assert format_bytes(GIB + GIB // 2) == "1536MiB"
-
-
-def test_format_bytes_fractional():
-    assert format_bytes(int(2.5 * GIB) + 7) == "2.50GiB"
 
 
 def test_time_units():

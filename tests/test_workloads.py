@@ -147,9 +147,10 @@ class TestAzureGenerator:
     def test_figure1_calibration(self):
         trace = AzureTraceGenerator(seed=7).generate()
         assert trace.mean_utilization == pytest.approx(0.48, abs=0.06)
-        low, high = trace.utilization_range()
-        assert low < 0.15
-        assert high > 0.70
+        fractions = [s.used_bytes / trace.capacity_bytes
+                     for s in trace.samples]
+        assert min(fractions) < 0.15
+        assert max(fractions) > 0.70
 
     def test_respects_capacity(self):
         trace = AzureTraceGenerator(seed=11).generate()
