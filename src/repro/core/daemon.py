@@ -14,7 +14,7 @@ import collections
 import math
 import random
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, NamedTuple, Optional, Set
 
 from repro.core.config import GreenDIMMConfig
 from repro.core.power_control import GreenDIMMPowerControl
@@ -27,9 +27,13 @@ from repro.os.mm import PhysicalMemoryManager
 from repro.units import PAGE_SIZE
 
 
-@dataclass(frozen=True)
-class DaemonEvent:
-    """One daemon action, for time-series analysis (Figure 12 style)."""
+class DaemonEvent(NamedTuple):
+    """One daemon action, for time-series analysis (Figure 12 style).
+
+    A ``NamedTuple`` rather than a frozen dataclass: the daemon logs one
+    per off-lining and on-lining, and tuple construction is the cheaper
+    record.
+    """
 
     time_s: float
     kind: str  # offline | online | ebusy | eagain | emergency
@@ -259,28 +263,37 @@ class GreenDIMMDaemon:
         max_attempts = self.config.max_attempts_per_period
         candidates = self.selector.candidates(
             max_attempts, exclude=self._embargoed(now_s))
+        try_offline = self.hotplug.try_offline_block
+        block_offlined = self.power_control.block_offlined
+        stats = self.stats
+        block_bytes = self.config.block_bytes
+        fail_streak = self._fail_streak
+        log = self.event_log.append
         done = 0
         attempts = 0
         for block in candidates:
             if done >= surplus_blocks or attempts >= max_attempts:
                 break
             attempts += 1
-            result = self.hotplug.try_offline_block(block)
-            self.stats.busy_s += result.latency_s
-            self.stats.busy_offline_s += result.latency_s
+            result = try_offline(block)
+            latency = result.latency_s
+            stats.busy_s += latency
+            stats.busy_offline_s += latency
             if result.success:
                 done += 1
-                self._fail_streak.pop(block, None)
-                self.stats.offline_events += 1
-                self.stats.offlined_bytes_total += self.config.block_bytes
-                self.power_control.block_offlined(block, now_s)
-                self._record(DaemonEvent(now_s, "offline", block))
+                fail_streak.pop(block, None)
+                stats.offline_events += 1
+                stats.offlined_bytes_total += block_bytes
+                block_offlined(block, now_s)
+                log(DaemonEvent(now_s, "offline", block))
+                if TRACER.enabled:
+                    TRACER.event("daemon.offline", t_s=now_s, block=block)
             elif result.errno_name == "EBUSY":
-                self.stats.ebusy_failures += 1
+                stats.ebusy_failures += 1
                 self._record(DaemonEvent(now_s, "ebusy", block))
                 self._note_offline_failure(block, now_s, result.errno_name)
             else:
-                self.stats.eagain_failures += 1
+                stats.eagain_failures += 1
                 self._record(DaemonEvent(now_s, "eagain", block))
                 self._note_offline_failure(block, now_s, result.errno_name)
 
@@ -304,6 +317,13 @@ class GreenDIMMDaemon:
         free_pages = self.mm.free_pages
         if free_pages >= target_free_pages:
             return onlined
+        prepare_online = self.power_control.prepare_online
+        block_onlined = self.power_control.block_onlined
+        online_block = self.hotplug.online_block
+        stats = self.stats
+        block_bytes = self.config.block_bytes
+        block_pages = self._block_pages
+        log = self.event_log.append
         # The offline set only shrinks while this loop runs (each pass
         # removes the block it on-lines, or skips it for good), so one
         # sorted snapshot yields the same lowest-first attempt order as
@@ -315,29 +335,31 @@ class GreenDIMMDaemon:
             # daemon CPU time: it lands in wakeup_wait_s only, so
             # cpu_overhead_fraction reflects cycles actually consumed.
             try:
-                wait_s = self.power_control.prepare_online(block, now_s)
+                wait_s = prepare_online(block, now_s)
             except WakeupTimeoutError as err:
-                self.stats.wakeup_wait_s += getattr(err, "wait_s", 0.0)
-                self.stats.wakeup_timeouts += 1
+                stats.wakeup_wait_s += err.wait_s
+                stats.wakeup_timeouts += 1
                 self._record(DaemonEvent(now_s, "wakeup_timeout", block))
                 continue
-            self.stats.wakeup_wait_s += wait_s
+            stats.wakeup_wait_s += wait_s
             try:
-                latency = self.hotplug.online_block(block)
+                latency = online_block(block)
             except OnlineError as err:
-                self.stats.online_failures += 1
-                self.stats.busy_s += getattr(err, "latency_s", 0.0)
-                self.stats.busy_online_s += getattr(err, "latency_s", 0.0)
+                stats.online_failures += 1
+                stats.busy_s += err.latency_s
+                stats.busy_online_s += err.latency_s
                 self._record(DaemonEvent(now_s, "online_failed", block))
                 continue
-            self.power_control.block_onlined(block, now_s)
-            self.stats.busy_s += latency
-            self.stats.busy_online_s += latency
-            self.stats.online_events += 1
-            self.stats.onlined_bytes_total += self.config.block_bytes
-            self._record(DaemonEvent(now_s, "online", block))
+            block_onlined(block, now_s)
+            stats.busy_s += latency
+            stats.busy_online_s += latency
+            stats.online_events += 1
+            stats.onlined_bytes_total += block_bytes
+            log(DaemonEvent(now_s, "online", block))
+            if TRACER.enabled:
+                TRACER.event("daemon.online", t_s=now_s, block=block)
             onlined.append(block)
-            free_pages += self._block_pages
+            free_pages += block_pages
         return onlined
 
     def emergency_online(self, needed_pages: int, now_s: float = 0.0) -> int:

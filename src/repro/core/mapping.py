@@ -53,22 +53,20 @@ class PowerBlockMap:
         # Contiguity was validated above, so both tables reduce to range
         # arithmetic (identical to mapping.groups_of_range /
         # group_address_range, without the per-call property chains).
-        self._block_groups: Tuple[Tuple[int, ...], ...] = tuple(
+        #: Per block, its groups (ascending) and the same as a group mask.
+        self.block_groups: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(range(b * block_bytes // group_bytes,
                         ((b + 1) * block_bytes - 1) // group_bytes + 1))
             for b in range(self.num_blocks))
+        self.block_masks: Tuple[int, ...] = tuple(
+            ((1 << len(groups)) - 1) << groups[0]
+            for groups in self.block_groups)
         self._group_blocks: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(range(g * group_bytes // block_bytes,
                         ((g + 1) * group_bytes - 1) // block_bytes + 1))
             for g in range(self.num_groups))
 
     # --- forward map ------------------------------------------------------
-
-    def groups_of_block(self, block: int) -> Tuple[int, ...]:
-        """Sub-array groups that block *block* overlaps."""
-        if not 0 <= block < self.num_blocks:
-            raise AddressError(f"block {block} out of range")
-        return self._block_groups[block]
 
     def blocks_of_group(self, group: int) -> Tuple[int, ...]:
         """Memory blocks that together cover group *group*."""

@@ -12,28 +12,39 @@ any demand access's critical path.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Set
 
 from repro.core.mapping import PowerBlockMap
+from repro.errors import AddressError
 from repro.memctrl.moderegister import TMRD_NS, ModeRegisterFile
 from repro.obs.tracer import GLOBAL_TRACER as TRACER
 from repro.memctrl.registers import GreenDIMMControlRegister
 
 
+def _groups(mask: int) -> List[int]:
+    """The groups of a group *mask*, ascending."""
+    groups = []
+    while mask:
+        low = mask & -mask
+        groups.append(low.bit_length() - 1)
+        mask ^= low
+    return groups
+
+
 class GreenDIMMPowerControl:
     """Keeps the gating register consistent with the offline block set.
 
-    Eligibility is tracked incrementally.  ``_cover`` counts, per group,
-    the off-lined blocks among those covering it; a group is *eligible*
-    when that count reaches ``blocks_per_group`` and, with pair gating,
-    its partner's does too.  ``_eligible_set`` holds the eligible groups
-    and ``_pending`` the eligible groups the register does not gate.
-    Every gated group is eligible, so an offline or online event
-    re-derives eligibility only for its block's groups and their
-    partners: an offline gates the ready groups of ``_pending``, and an
-    online un-gates the gated groups that lost eligibility in it.  The
-    sorted eligible view (:meth:`_eligible`) is identical — ascending,
-    same membership — to the reference
+    Eligibility is a group mask kept incrementally.  ``_cover`` counts,
+    per group, the off-lined blocks among those covering it; ``_full``
+    has a bit for each group whose count reached ``blocks_per_group``,
+    and ``_eligible`` is ``_full`` less, under pair gating, every group
+    whose sense-amp partner (``g ^ 1``) is not full.  Every gated group
+    is eligible, so the *pending* groups — eligible, not gated — are
+    ``_eligible & ~register``.  An event touches only its block's
+    precomputed group tuple and mask: an offline gates the ready pending
+    groups, an online un-gates the gated groups that lost eligibility in
+    it, each with one register operation and one MRS broadcast.  The
+    eligible mask holds exactly the groups of the reference
     :meth:`~repro.core.mapping.PowerBlockMap.gateable_groups` rescan.
     """
 
@@ -45,18 +56,19 @@ class GreenDIMMPowerControl:
         self.mode_registers = ModeRegisterFile(
             total_ranks=block_map.mapping.organization.total_ranks,
             mask_bits=max(64, block_map.num_groups))
+        self._block_groups = block_map.block_groups
+        self._block_masks = block_map.block_masks
+        #: The even groups (0b...0101), whose partners are the odd ones
+        #: above them.
+        self._even = int("01" * ((block_map.num_groups + 1) // 2), 2)
         self._offline_blocks: Set[int] = set()
         #: Per group, how many of its covering blocks are off-lined.
         self._cover: List[int] = [0] * block_map.num_groups
+        #: Groups all of whose covering blocks are off-lined.
+        self._full = 0
         #: Groups that may be gated now.
-        self._eligible_set: Set[int] = set()
-        #: Eligible groups the register does not gate.
-        self._pending: Set[int] = set()
+        self._eligible = 0
         self.wakeup_wait_s = 0.0
-
-    def _sync_mode_registers(self) -> None:
-        """Broadcast the control register to the ranks' MRs (MRS path)."""
-        self.mode_registers.broadcast_gate_mask(self.register.raw_value())
 
     @property
     def mrs_time_ns(self) -> float:
@@ -69,28 +81,12 @@ class GreenDIMMPowerControl:
         registers = self.mode_registers
         return registers.commands // registers.total_ranks * TMRD_NS
 
-    def _qualifies(self, group: int) -> bool:
-        """Every covering block of *group* is off-lined; with pair gating,
-        every covering block of its sense-amp partner (``g ^ 1``) too."""
-        cover = self._cover
-        full = self.block_map.blocks_per_group
-        if cover[group] != full:
-            return False
+    def _eligible_of(self, full: int) -> int:
+        """The eligible groups when *full* holds the fully covered ones."""
         if not self.pair_gating:
-            return True
-        partner = group ^ 1
-        return partner < len(cover) and cover[partner] == full
-
-    def _decided_by(self, group: int) -> Tuple[int, ...]:
-        """The groups whose eligibility *group*'s coverage decides."""
-        partner = group ^ 1
-        if self.pair_gating and partner < len(self._cover):
-            return group, partner
-        return group,
-
-    def _eligible(self) -> List[int]:
-        """Groups that may be gated now, ascending."""
-        return sorted(self._eligible_set)
+            return full
+        even = self._even
+        return full & (((full & even) << 1) | ((full >> 1) & even))
 
     # --- events from the daemon ------------------------------------------
 
@@ -100,32 +96,36 @@ class GreenDIMMPowerControl:
         Returns the groups gated by this event.  A block already offline
         leaves the coverage counts as they are.
         """
-        pending = self._pending
-        if block not in self._offline_blocks:
-            self._offline_blocks.add(block)
+        offline = self._offline_blocks
+        if block not in offline:
+            if not 0 <= block < len(self._block_masks):
+                raise AddressError(f"block {block} out of range")
+            offline.add(block)
             cover = self._cover
-            full = self.block_map.blocks_per_group
-            for group in self.block_map.groups_of_block(block):
+            groups = self._block_groups[block]
+            for group in groups:
                 cover[group] += 1
-                if cover[group] == full:
-                    for g in self._decided_by(group):
-                        if self._qualifies(g):
-                            self._eligible_set.add(g)
-                            pending.add(g)
+            # A block covers whole groups or a slice of one, so its
+            # groups fill together.
+            if cover[groups[0]] == self.block_map.blocks_per_group:
+                self._full |= self._block_masks[block]
+                self._eligible = self._eligible_of(self._full)
+        register = self.register
+        raw = register.raw_value()
+        pending = self._eligible & ~raw
         if not pending:
             return []
-        register = self.register
-        now_ns = now_s * 1e9
-        newly = [g for g in sorted(pending) if register.is_ready(g, now_ns)]
-        for group in newly:
-            register.gate(group)
-            pending.discard(group)
-        if newly:
-            self._sync_mode_registers()
-            if TRACER.enabled:
-                TRACER.event("power.gate", t_s=now_s, block=block,
-                             groups=newly)
-        return newly
+        newly = register.ready_groups(pending, now_s * 1e9)
+        if not newly:
+            return []
+        register.gate_groups(newly)
+        self.mode_registers.broadcast_gate_mask(raw | newly)
+        # Mostly exactly the block's own groups: copy their tuple.
+        gated = (list(self._block_groups[block])
+                 if newly == self._block_masks[block] else _groups(newly))
+        if TRACER.enabled:
+            TRACER.event("power.gate", t_s=now_s, block=block, groups=gated)
+        return gated
 
     def prepare_online(self, block: int, now_s: float = 0.0) -> float:
         """Un-gate the groups *block* touches and wait for readiness.
@@ -136,19 +136,19 @@ class GreenDIMMPowerControl:
         it goes back to pending: should the on-lining fail, the next
         offline event of any block re-gates it.
         """
+        masks = self._block_masks
+        if not 0 <= block < len(masks):
+            raise AddressError(f"block {block} out of range")
+        register = self.register
+        raw = register.raw_value()
+        gated = masks[block] & raw
+        if not gated:
+            return 0.0
         now_ns = now_s * 1e9
-        ready_ns = now_ns
-        ungated_any = False
-        for group in self.block_map.groups_of_block(block):
-            if self.register.is_gated(group):
-                ready_ns = max(ready_ns,
-                               self.register.ungate(group, now_ns))
-                self._pending.add(group)
-                ungated_any = True
-        if ungated_any:
-            self._sync_mode_registers()
-            if TRACER.enabled:
-                TRACER.event("power.ungate", t_s=now_s, block=block)
+        ready_ns = register.ungate_groups(gated, now_ns)
+        self.mode_registers.broadcast_gate_mask(raw ^ gated)
+        if TRACER.enabled:
+            TRACER.event("power.ungate", t_s=now_s, block=block)
         wait_s = max(0.0, (ready_ns - now_ns) * 1e-9)
         self.wakeup_wait_s += wait_s
         return wait_s
@@ -162,34 +162,32 @@ class GreenDIMMPowerControl:
         the groups that had to be un-gated.  A block already online
         leaves the coverage counts as they are.
         """
-        if block not in self._offline_blocks:
+        offline = self._offline_blocks
+        if block not in offline:
             return []
-        self._offline_blocks.remove(block)
+        offline.remove(block)
         cover = self._cover
-        full = self.block_map.blocks_per_group
-        eligible = self._eligible_set
-        gated = self.register.raw_value()
-        broken = []
-        for group in self.block_map.groups_of_block(block):
+        groups = self._block_groups[block]
+        was_full = cover[groups[0]] == self.block_map.blocks_per_group
+        for group in groups:
             cover[group] -= 1
-            if cover[group] == full - 1:
-                for g in self._decided_by(group):
-                    if g in eligible:
-                        eligible.remove(g)
-                        if gated >> g & 1:
-                            broken.append(g)
-                        else:
-                            self._pending.discard(g)
-        if broken:
-            broken.sort()
-            now_ns = now_s * 1e9
-            for group in broken:
-                self.register.ungate(group, now_ns)
-            self._sync_mode_registers()
-            if TRACER.enabled:
-                TRACER.event("power.ungate_broken", t_s=now_s, block=block,
-                             groups=broken)
-        return broken
+        if not was_full:
+            return []
+        self._full &= ~self._block_masks[block]
+        lost = self._eligible
+        self._eligible = self._eligible_of(self._full)
+        register = self.register
+        raw = register.raw_value()
+        broken = lost & ~self._eligible & raw
+        if not broken:
+            return []
+        register.ungate_groups(broken, now_s * 1e9)
+        self.mode_registers.broadcast_gate_mask(raw ^ broken)
+        broken_groups = _groups(broken)
+        if TRACER.enabled:
+            TRACER.event("power.ungate_broken", t_s=now_s, block=block,
+                         groups=broken_groups)
+        return broken_groups
 
     # --- checkpoint/restore ------------------------------------------------
 
@@ -206,10 +204,10 @@ class GreenDIMMPowerControl:
         self._offline_blocks = state["offline_blocks"]
         self._cover = state["cover"]
         self.wakeup_wait_s = state["wakeup_wait_s"]
-        self._eligible_set = {g for g in range(len(self._cover))
-                              if self._qualifies(g)}
-        gated = self.register.raw_value()
-        self._pending = {g for g in self._eligible_set if not gated >> g & 1}
+        full = self.block_map.blocks_per_group
+        self._full = sum(1 << g for g, count in enumerate(self._cover)
+                         if count == full)
+        self._eligible = self._eligible_of(self._full)
 
     # --- power accounting --------------------------------------------------
 

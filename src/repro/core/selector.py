@@ -47,21 +47,20 @@ class BlockSelector:
                     zone.end_pfn // mm.block_pages)
                 break
 
-    def _movable_online_blocks(self) -> List[int]:
-        states = self.hotplug.states
-        online = MemoryBlockState.ONLINE
-        return [b for b in self._movable_range if states[b] is online]
-
     def _observe(self) -> dict:
         """One sysfs reading pass over the movable online blocks.
 
         The free/removable flags are read off the memory manager's
-        per-block counters.
+        per-block counters.  The pool is ascending.
         """
-        pool = self._movable_online_blocks()
+        states = self.hotplug.states
+        online = MemoryBlockState.ONLINE
         accounting = self.hotplug.mm.block_accounting
-        free, removable = set(), set()
-        for b in pool:
+        pool, free, removable = [], set(), set()
+        for b in self._movable_range:
+            if states[b] is not online:
+                continue
+            pool.append(b)
             acct = accounting(b)
             if not acct.used_pages:
                 free.add(b)
@@ -104,9 +103,10 @@ class BlockSelector:
             self.rng.shuffle(pool)
             return pool[:count]
         # removable-first: free blocks, then removable ones, both from the
-        # top of memory downward; never propose blocks known unmovable.
-        free = sorted((b for b in pool if b in view["free"]), reverse=True)
-        removable_used = sorted((b for b in pool
-                                 if b not in view["free"]
-                                 and b in view["removable"]), reverse=True)
-        return (free + removable_used)[:count]
+        # top of memory downward (the pool is ascending); never propose
+        # blocks known unmovable.
+        free, removable = view["free"], view["removable"]
+        top_down = pool[::-1]
+        return ([b for b in top_down if b in free]
+                + [b for b in top_down
+                   if b not in free and b in removable])[:count]

@@ -28,8 +28,6 @@ from repro.units import is_power_of_two, log2_int
 LINE_SIZE = 64
 LINE_BITS = 6
 
-_FIELDS = ("offset", "channel", "bank", "rank", "column", "local_row", "subarray")
-
 
 @dataclass(frozen=True)
 class DecodedAddress:

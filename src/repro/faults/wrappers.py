@@ -11,7 +11,6 @@ stream.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.errors import (
@@ -116,8 +115,8 @@ class FaultyMemoryBlockManager(_FaultyDelegate):
         result = self.inner.offline_block(index)
         stall = self.injector.should_fail("migration", index)
         if stall is not None and stall.extra_latency_s > 0:
-            result = replace(result,
-                             latency_s=result.latency_s + stall.extra_latency_s)
+            result = result._replace(
+                latency_s=result.latency_s + stall.extra_latency_s)
         return result
 
     def try_offline_block(self, index: int) -> OfflineResult:

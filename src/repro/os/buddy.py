@@ -396,7 +396,9 @@ class BuddyAllocator:
             raise ConfigurationError("isolation range must be block aligned")
         end = start_pfn + count
         tops = _take(self._free_runs, start_pfn, end)
-        taken = sum(pages for _pfn, pages in tops)
+        taken = 0
+        for _pfn, pages in tops:
+            taken += pages
         self._free_pages -= taken
         if taken == count:
             # Fully free: eager coalescing means the range is exactly its

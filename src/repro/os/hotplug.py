@@ -22,10 +22,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import (
     AllocationError,
+    ConfigurationError,
     OfflineAgainError,
     OfflineBusyError,
     OnlineError,
@@ -79,9 +80,12 @@ class HotplugStats:
         return self.ebusy_failures + self.eagain_failures
 
 
-@dataclass(frozen=True)
-class OfflineResult:
-    """Outcome of one off-lining attempt."""
+class OfflineResult(NamedTuple):
+    """Outcome of one off-lining attempt.
+
+    A ``NamedTuple``, like :class:`OnlineAttempt`: the daemon receives
+    one per attempt, and tuple construction is the cheaper record.
+    """
 
     block: int
     success: bool
@@ -90,8 +94,7 @@ class OfflineResult:
     errno_name: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class OnlineAttempt:
+class OnlineAttempt(NamedTuple):
     """Outcome of one on-lining attempt (the ``try_`` mirror of
     :class:`OfflineResult`)."""
 
@@ -166,12 +169,18 @@ class MemoryBlockManager:
 
         Raises :class:`OfflineBusyError` (unmovable pages present) or
         :class:`OfflineAgainError` (migration failed transiently).  The
-        raised exception carries ``latency_s``.
+        raised exception carries ``latency_s``.  An index outside the
+        block range raises :class:`ConfigurationError` before any state
+        changes.
         """
-        if self.states[index] is not MemoryBlockState.ONLINE:
+        states = self.states
+        if not 0 <= index < len(states):
+            raise ConfigurationError(f"block {index} out of range")
+        if states[index] is not MemoryBlockState.ONLINE:
             raise OnlineError(f"block {index} is not online")
-
-        if not self.mm.block_is_removable(index):
+        mm = self.mm
+        accounting = mm.block_accounting(index)
+        if accounting.unmovable_pages:
             latency = self.latency.failure_ebusy_s
             self.stats.ebusy_failures += 1
             if TRACER.enabled:
@@ -179,16 +188,16 @@ class MemoryBlockManager:
             raise OfflineBusyError(f"block {index} has unmovable pages",
                                    latency_s=latency)
 
-        self.states[index] = MemoryBlockState.GOING_OFFLINE
-        isolated = self.mm.isolate_block(index)
+        states[index] = MemoryBlockState.GOING_OFFLINE
+        isolated = mm.isolate_block(index)
         migrated = 0
         try:
-            if not self.mm.block_is_free(index):
+            if accounting.used_pages:
                 migrated = self._migrate_with_retries(index, isolated)
-            self.mm.complete_offline(index)
+            mm.complete_offline(index)
         except AllocationError:
-            self.mm.undo_isolate_block(index, isolated)
-            self.states[index] = MemoryBlockState.ONLINE
+            mm.undo_isolate_block(index, isolated)
+            states[index] = MemoryBlockState.ONLINE
             latency = self.latency.failure_eagain_s
             self.stats.eagain_failures += 1
             if TRACER.enabled:
@@ -196,7 +205,7 @@ class MemoryBlockManager:
             raise OfflineAgainError(f"block {index}: migration failed",
                                     latency_s=latency)
 
-        self.states[index] = MemoryBlockState.OFFLINE
+        states[index] = MemoryBlockState.OFFLINE
         self._offline_set.add(index)
         latency = self.latency.offline_latency(migrated)
         self.stats.offline_success += 1
@@ -204,8 +213,7 @@ class MemoryBlockManager:
         if TRACER.enabled:
             TRACER.event("hotplug.offline", block=index, latency_s=latency,
                          migrated_pages=migrated)
-        return OfflineResult(block=index, success=True, latency_s=latency,
-                             migrated_pages=migrated)
+        return OfflineResult(index, True, latency, migrated)
 
     def _migrate_with_retries(self, index: int,
                               isolated: List[Tuple[int, int]]) -> int:
@@ -222,9 +230,8 @@ class MemoryBlockManager:
         try:
             return self.offline_block(index)
         except (OfflineBusyError, OfflineAgainError) as err:
-            return OfflineResult(block=index, success=False,
-                                 latency_s=getattr(err, "latency_s", 0.0),
-                                 errno_name=err.errno_name)
+            return OfflineResult(index, False, err.latency_s, 0,
+                                 err.errno_name)
 
     # --- on-lining ---------------------------------------------------------------
 
@@ -235,10 +242,13 @@ class MemoryBlockManager:
         sub-array wake-up before calling this (Section 4.2); that wait is
         accounted by the power-control layer, not here.
         """
-        if self.states[index] is not MemoryBlockState.OFFLINE:
+        states = self.states
+        if not 0 <= index < len(states):
+            raise ConfigurationError(f"block {index} out of range")
+        if states[index] is not MemoryBlockState.OFFLINE:
             raise OnlineError(f"block {index} is not offline")
         self.mm.complete_online(index)
-        self.states[index] = MemoryBlockState.ONLINE
+        states[index] = MemoryBlockState.ONLINE
         self._offline_set.discard(index)
         latency = self.latency.online_s
         self.stats.online_success += 1

@@ -151,6 +151,11 @@ class PhysicalMemoryManager:
         self._user_zones: List[Zone] = movable + normal
         self._allocators: List[BuddyAllocator] = [
             z.allocator for z in self.zones]
+        #: The zone of each memory block: the zones tile the frames in
+        #: ascending order, each a whole number of blocks.
+        self._block_zones: List[Zone] = [
+            zone for zone in self.zones
+            for _ in range(zone.pages // self.block_pages)]
         #: Run start pfn -> run.
         self._extents: Dict[int, PageExtent] = {}
         #: Owner -> ascending run start pfns; freeing walks from the end.
@@ -476,11 +481,11 @@ class PhysicalMemoryManager:
 
     # --- per-block interface used by hot-plug --------------------------------
 
-    def block_range(self, index: int) -> Tuple[int, int]:
-        """(start_pfn, page_count) of memory block *index*."""
+    def _block_zone(self, index: int) -> Zone:
+        """The zone holding memory block *index*, range-checked."""
         if not 0 <= index < self.num_blocks:
             raise ConfigurationError(f"block {index} out of range")
-        return index * self.block_pages, self.block_pages
+        return self._block_zones[index]
 
     def block_accounting(self, index: int) -> BlockAccounting:
         return self._blocks[index]
@@ -497,8 +502,7 @@ class PhysicalMemoryManager:
         return [self._extents[p] for p in sorted(self._blocks[index].extents)]
 
     def zone_kind_of_block(self, index: int) -> ZoneKind:
-        start, _count = self.block_range(index)
-        return self._zone_of(start).kind
+        return self._block_zone(index).kind
 
     # --- migration (for off-lining) -------------------------------------------
 
@@ -522,7 +526,7 @@ class PhysicalMemoryManager:
         to one call per block.
         """
         migrated = 0
-        source = self._zone_of(self.block_range(index)[0]).allocator
+        source = self._block_zone(index).allocator
         for run in self.block_extents(index):
             if not run.movable:
                 raise AllocationError(
@@ -565,32 +569,33 @@ class PhysicalMemoryManager:
     # --- offline bookkeeping (driven by MemoryBlockManager) -------------------
 
     def isolate_block(self, index: int) -> List[Tuple[int, int]]:
-        start, count = self.block_range(index)
-        removed = self._zone_of(start).allocator.isolate_range(start, count)
+        start = index * self.block_pages
+        removed = self._block_zone(index).allocator.isolate_range(
+            start, self.block_pages)
         self._isolated_blocks.add(index)
         return removed
 
     def undo_isolate_block(self, index: int,
                            removed: List[Tuple[int, int]]) -> None:
-        start, _count = self.block_range(index)
-        zone = self._zone_of(start)
+        zone = self._block_zone(index)
         zone.allocator.undo_isolation(removed)
         self._uncoalesced.add(zone.start_pfn)
         self._isolated_blocks.discard(index)
 
     def complete_offline(self, index: int) -> None:
         """Finalize: the block's pages leave the online total entirely."""
-        if index not in self._isolated_blocks:
+        isolated = self._isolated_blocks
+        if index not in isolated:
             raise AllocationError(f"block {index} was not isolated")
-        if not self.block_is_free(index):
+        if self._blocks[index].used_pages:
             raise AllocationError(f"block {index} still has used pages")
-        self._isolated_blocks.remove(index)
+        isolated.remove(index)
         self._offlined_pages += self.block_pages
 
     def complete_online(self, index: int) -> None:
         """Give an off-lined block's frames back to its zone's allocator."""
-        start, count = self.block_range(index)
-        self._zone_of(start).allocator.add_range(start, count)
+        self._block_zone(index).allocator.add_range(
+            index * self.block_pages, self.block_pages)
         self._offlined_pages -= self.block_pages
 
     # --- checkpoint/restore ---------------------------------------------------

@@ -11,6 +11,8 @@ implementation drives Linux.
 from __future__ import annotations
 
 import re
+from typing import Tuple
+
 from repro.errors import HotplugError
 from repro.os.hotplug import MemoryBlockManager
 from repro.units import PAGE_SIZE
@@ -24,18 +26,23 @@ class SysfsMemoryInterface:
     def __init__(self, manager: MemoryBlockManager):
         self.manager = manager
 
-    def read(self, path: str) -> str:
-        """Read a sysfs file; *path* is relative to
-        ``/sys/devices/system/memory``."""
-        if path == "block_size_bytes":
-            return format(self.manager.mm.block_pages * PAGE_SIZE, "x")
+    def _block_file(self, path: str) -> Tuple[int, str]:
+        """``(index, attribute)`` of an existing block's file, or
+        :class:`FileNotFoundError` — for a block past the last one too."""
         match = _BLOCK_FILE.match(path)
         if not match:
             raise FileNotFoundError(path)
         index = int(match.group(1))
         if not 0 <= index < self.manager.mm.num_blocks:
             raise FileNotFoundError(path)
-        attr = match.group(2)
+        return index, match.group(2)
+
+    def read(self, path: str) -> str:
+        """Read a sysfs file; *path* is relative to
+        ``/sys/devices/system/memory``."""
+        if path == "block_size_bytes":
+            return format(self.manager.mm.block_pages * PAGE_SIZE, "x")
+        index, attr = self._block_file(path)
         if attr == "state":
             return self.manager.state(index).value
         if attr == "phys_index":
@@ -49,10 +56,9 @@ class SysfsMemoryInterface:
         :class:`OfflineBusyError` / :class:`OfflineAgainError` exactly as
         ``echo offline > state`` would return -EBUSY / -EAGAIN.
         """
-        match = _BLOCK_FILE.match(path)
-        if not match or match.group(2) != "state":
+        index, attr = self._block_file(path)
+        if attr != "state":
             raise FileNotFoundError(path)
-        index = int(match.group(1))
         value = value.strip()
         if value == "offline":
             self.manager.offline_block(index)

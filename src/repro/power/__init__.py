@@ -8,7 +8,7 @@ busy at 256GB, ~9W busy at 64GB, ~91W busy at 1TB, with the background
 fraction growing from ~44% to ~78% across that range.
 """
 
-from repro.power.states import PowerState, exit_latency_ns, is_low_power, ALLOWED_TRANSITIONS
+from repro.power.states import PowerState, exit_latency_ns, is_low_power
 from repro.power.idd import IDDValues, AccessEnergies, device_power_table
 from repro.power.model import (
     DevicePowerModel,
@@ -24,7 +24,6 @@ __all__ = [
     "PowerState",
     "exit_latency_ns",
     "is_low_power",
-    "ALLOWED_TRANSITIONS",
     "IDDValues",
     "AccessEnergies",
     "device_power_table",

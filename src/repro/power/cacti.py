@@ -32,9 +32,6 @@ REFERENCE_DIE_AREA_UM2 = 2.4e8
 #: Cell-array fraction of a commodity DRAM die (periphery is the rest).
 CELL_AREA_FRACTION = 0.55
 
-#: Maximum design-rule-checked turn-on resistance of the power switch.
-SWITCH_ON_RESISTANCE_OHM = 0.1
-
 
 @dataclass(frozen=True)
 class SubarrayGatingCost:

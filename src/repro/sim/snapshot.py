@@ -66,7 +66,7 @@ PathLike = Union[str, pathlib.Path]
 
 #: Bump on any incompatible change to the state tree's shape.  Restore
 #: refuses versions it does not know rather than guessing.
-SNAPSHOT_VERSION = 10
+SNAPSHOT_VERSION = 11
 
 
 #: Every global a capture references, and all that :func:`restore` will

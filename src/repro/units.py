@@ -14,7 +14,6 @@ from __future__ import annotations
 KIB: int = 1 << 10
 MIB: int = 1 << 20
 GIB: int = 1 << 30
-TIB: int = 1 << 40
 
 #: Size of an OS page in bytes (x86-64 base page).
 PAGE_SIZE: int = 4 * KIB
@@ -36,9 +35,6 @@ PEAK_DRAM_BANDWIDTH_BYTES_PER_S: float = 20e9
 NANOSECOND: float = 1e-9
 MICROSECOND: float = 1e-6
 MILLISECOND: float = 1e-3
-SECOND: float = 1.0
-MINUTE: float = 60.0
-HOUR: float = 3600.0
 
 
 def is_power_of_two(n: int) -> bool:

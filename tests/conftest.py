@@ -21,7 +21,8 @@ from repro.units import GIB, MIB
 
 def gated_groups(register) -> list:
     """Groups whose gate bit is set in a control register, ascending."""
-    return [g for g in range(register.num_groups) if register.is_gated(g)]
+    raw = register.raw_value()
+    return [g for g in range(register.num_groups) if raw >> g & 1]
 
 
 @pytest.fixture

@@ -24,7 +24,8 @@ class TestBlockEqualsGroup:
     def test_identity_mapping(self):
         block_map = PowerBlockMap(MAPPING, GIB)
         for block in (0, 17, 63):
-            assert block_map.groups_of_block(block) == (block,)
+            assert block_map.block_groups[block] == (block,)
+            assert block_map.block_masks[block] == 1 << block
             assert block_map.blocks_of_group(block) == (block,)
 
 
@@ -38,9 +39,10 @@ class TestSmallBlocks:
 
     def test_block_to_single_group(self):
         block_map = PowerBlockMap(MAPPING, 128 * MIB)
-        assert block_map.groups_of_block(0) == (0,)
-        assert block_map.groups_of_block(7) == (0,)
-        assert block_map.groups_of_block(8) == (1,)
+        assert block_map.block_groups[0] == (0,)
+        assert block_map.block_groups[7] == (0,)
+        assert block_map.block_groups[8] == (1,)
+        assert block_map.block_masks[8] == 1 << 1
 
     def test_group_needs_all_blocks(self):
         block_map = PowerBlockMap(MAPPING, 128 * MIB)
@@ -56,7 +58,8 @@ class TestLargeBlocks:
     def test_multi_group_block(self):
         block_map = PowerBlockMap(MAPPING, 4 * GIB)
         assert block_map.groups_per_block == 4
-        assert block_map.groups_of_block(0) == (0, 1, 2, 3)
+        assert block_map.block_groups[1] == (4, 5, 6, 7)
+        assert block_map.block_masks[1] == 0b1111 << 4
         assert block_map.blocks_of_group(5) == (1,)
 
     def test_offline_one_block_gates_four_groups(self):
@@ -94,8 +97,7 @@ class TestValidation:
 
     def test_bounds(self):
         block_map = PowerBlockMap(MAPPING, GIB)
-        with pytest.raises(AddressError):
-            block_map.groups_of_block(64)
+        assert len(block_map.block_groups) == len(block_map.block_masks) == 64
         with pytest.raises(AddressError):
             block_map.blocks_of_group(64)
 

@@ -1,5 +1,7 @@
 """Memory-controller components: bank FSM, low-power policy, registers."""
 
+import pickle
+
 import pytest
 
 from repro.dram.organization import spec_server_memory
@@ -150,41 +152,77 @@ class TestGreenDIMMRegister:
 
     def test_gate_ungate_cycle(self):
         reg = GreenDIMMControlRegister()
-        reg.gate(5)
-        assert reg.is_gated(5)
-        assert not reg.is_ready(5, 0.0)
-        ready_at = reg.ungate(5, now_ns=100.0)
+        reg.gate_groups(1 << 5)
+        assert gated_groups(reg) == [5]
+        assert reg.ready_groups(1 << 5, 0.0) == 0
+        ready_at = reg.ungate_groups(1 << 5, now_ns=100.0)
         assert ready_at == pytest.approx(118.0)  # 18ns wake
-        assert not reg.is_ready(5, 110.0)
-        assert reg.is_ready(5, 120.0)
+        assert reg.ready_groups(1 << 5, 110.0) == 0
+        assert reg.ready_groups(1 << 5, 120.0) == 1 << 5
 
     def test_cannot_gate_mid_wakeup(self):
         reg = GreenDIMMControlRegister()
-        reg.gate(5)
-        reg.ungate(5, 0.0)
-        with pytest.raises(PowerStateError):
-            reg.gate(5)
+        reg.gate_groups(1 << 5)
+        reg.ungate_groups(1 << 5, 0.0)
+        with pytest.raises(PowerStateError, match="group 5 is mid-wake-up"):
+            reg.gate_groups(1 << 4 | 1 << 5)
+        assert reg.raw_value() == 0
 
     def test_regate_after_wake_completes(self):
         reg = GreenDIMMControlRegister()
-        reg.gate(5)
-        reg.ungate(5, 0.0)
-        assert reg.is_ready(5, 1000.0)
-        reg.gate(5)
-        assert reg.is_gated(5)
+        reg.gate_groups(1 << 5)
+        reg.ungate_groups(1 << 5, 0.0)
+        # The poll consumes the finished wake-up, so the gate is legal.
+        assert reg.ready_groups(1 << 5, 1000.0) == 1 << 5
+        assert reg._wake_ready_at_ns == {}
+        reg.gate_groups(1 << 5)
+        assert gated_groups(reg) == [5]
+
+    def test_ready_groups_splits_a_mask(self):
+        reg = GreenDIMMControlRegister()
+        reg.gate_groups(0b1111)
+        reg.ungate_groups(0b0011, 0.0)
+        reg.ungate_groups(0b0100, 100.0)
+        # Group 3 is gated, group 2 still wakes, 0 and 1 are ready and
+        # group 4 never slept.
+        assert reg.ready_groups(0b11111, 50.0) == 0b10011
+        assert reg._wake_ready_at_ns == {2: 118.0}
 
     def test_ungate_of_ungated_rejected(self):
-        with pytest.raises(PowerStateError):
-            GreenDIMMControlRegister().ungate(0, 0.0)
+        reg = GreenDIMMControlRegister()
+        reg.gate_groups(1 << 1)
+        with pytest.raises(PowerStateError, match="group 0 is not gated"):
+            reg.ungate_groups(0b11, 0.0)
+        assert reg.raw_value() == 1 << 1 and reg._wake_ready_at_ns == {}
+
+    def test_out_of_range_groups_rejected(self):
+        reg = GreenDIMMControlRegister()
+        for call in (lambda: reg.gate_groups(1 << 64 | 1),
+                     lambda: reg.ungate_groups(1 << 70, 0.0),
+                     lambda: reg.ready_groups(1 << 64, 0.0)):
+            with pytest.raises(ConfigurationError, match="out of range"):
+                call()
+        with pytest.raises(ConfigurationError):
+            reg.gate_groups(-1)
+        assert reg.raw_value() == 0
 
     def test_gated_fraction_and_raw(self):
         reg = GreenDIMMControlRegister()
-        for group in (0, 1, 63):
-            reg.gate(group)
+        reg.gate_groups(1 | 2 | (1 << 63))
         assert reg.gated_count == 3
         assert reg.gated_fraction() == pytest.approx(3 / 64)
         assert reg.raw_value() == (1 | 2 | (1 << 63))
         assert gated_groups(reg) == [0, 1, 63]
+
+    def test_restore_rebuilds_the_waking_mask(self):
+        reg = GreenDIMMControlRegister()
+        reg.gate_groups(0b110)
+        reg.ungate_groups(0b100, 0.0)
+        twin = GreenDIMMControlRegister()
+        twin.load_state_dict(pickle.loads(pickle.dumps(reg.state_dict())))
+        with pytest.raises(PowerStateError, match="group 2 is mid-wake-up"):
+            twin.gate_groups(0b100)
+        assert twin.ready_groups(0b110, 18.0) == 0b100
 
 
 class TestMemoryRequest:

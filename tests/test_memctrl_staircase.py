@@ -155,11 +155,12 @@ class TestMRSSweep:
         real_online = GreenDIMMPowerControl.block_onlined
 
         def online_without_broadcast(control, *args):
-            control._sync_mode_registers = lambda: None
+            registers = control.mode_registers
+            registers.broadcast_gate_mask = lambda mask: 0.0
             try:
                 return real_online(control, *args)
             finally:
-                del control._sync_mode_registers
+                del registers.broadcast_gate_mask
 
         monkeypatch.setattr(GreenDIMMPowerControl, "block_onlined",
                             online_without_broadcast)

@@ -123,7 +123,6 @@ class TestSelectorStaleness:
         from repro.os.page import OwnerKind
 
         top = max(first)
-        start, _count = small_system.mm.block_range(top)
         # Fill lower blocks so an allocation lands in `top`: instead just
         # verify the stale snapshot still offers `top` as free.
         second = selector.candidates(small_system.mm.num_blocks)

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from repro.errors import OfflineAgainError, OfflineBusyError, OnlineError
+from repro.errors import (
+    ConfigurationError,
+    OfflineAgainError,
+    OfflineBusyError,
+    OnlineError,
+)
 from repro.os.hotplug import (
     HotplugLatencyModel,
     MemoryBlockManager,
@@ -152,6 +157,38 @@ class TestOnline:
         mgr.offline_block(block)
         mgr.online_block(block)
         assert mm.free_pages == before
+
+
+class TestIndexChecks:
+    """An index outside the blocks is refused before any state changes;
+    a negative one must not wrap to the last block."""
+
+    def test_negative_offline_leaves_the_last_block_usable(self):
+        mm, mgr = managed()
+        last = mm.num_blocks - 1
+        with pytest.raises(ConfigurationError, match="block -1 out of range"):
+            mgr.offline_block(-1)
+        assert mgr.state(last) is MemoryBlockState.ONLINE
+        assert mm.meminfo().offlined_pages == 0
+        assert mgr.offline_block(last).success
+        mgr.online_block(last)
+        assert mgr.state(last) is MemoryBlockState.ONLINE
+
+    def test_offline_past_the_end_is_a_configuration_error(self):
+        mm, mgr = managed()
+        with pytest.raises(ConfigurationError):
+            mgr.offline_block(mm.num_blocks)
+        assert mgr.stats == type(mgr.stats)()
+
+    def test_online_out_of_range_rejected(self):
+        mm, mgr = managed()
+        last = mm.num_blocks - 1
+        mgr.offline_block(last)
+        for index in (-1, mm.num_blocks):
+            with pytest.raises(ConfigurationError):
+                mgr.online_block(index)
+        assert mgr.state(last) is MemoryBlockState.OFFLINE
+        assert mgr.offline_blocks() == [last]
 
 
 class TestStats:

@@ -602,14 +602,16 @@ class TestBlockAccounting:
         assert small_mm.block_is_removable(block)
         assert not small_mm.block_is_free(block)
 
-    def test_block_range(self, small_mm):
-        start, count = small_mm.block_range(3)
-        assert start == 3 * small_mm.block_pages
-        assert count == small_mm.block_pages
-
     def test_block_range_validates(self, small_mm):
-        with pytest.raises(ConfigurationError):
-            small_mm.block_range(small_mm.num_blocks)
+        # Every per-block helper refuses an index outside the blocks,
+        # before it touches any state (a negative one must not wrap).
+        for index in (-1, small_mm.num_blocks):
+            for call in (small_mm.isolate_block, small_mm.complete_online,
+                         small_mm.zone_kind_of_block):
+                with pytest.raises(ConfigurationError):
+                    call(index)
+        assert small_mm.meminfo().offlined_pages == 0
+        assert small_mm.free_pages == small_mm.total_pages
 
     def test_zone_kind_of_block(self, small_mm):
         assert small_mm.zone_kind_of_block(0) is ZoneKind.NORMAL

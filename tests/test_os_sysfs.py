@@ -57,6 +57,13 @@ class TestWrites:
         with pytest.raises(OfflineBusyError):
             sysfs.write(f"memory{bad}/state", "offline")
 
+    def test_missing_block_file_not_found(self, sysfs, reliable_hotplug):
+        # As ``read`` answers for the same path: no such file.
+        for value in ("offline", "online"):
+            with pytest.raises(FileNotFoundError):
+                sysfs.write("memory999/state", value)
+        assert reliable_hotplug.offline_count == 0
+
     def test_invalid_value_rejected(self, sysfs):
         with pytest.raises(HotplugError):
             sysfs.write("memory0/state", "hibernate")

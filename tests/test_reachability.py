@@ -31,6 +31,9 @@ ALLOWED = {
         "oracle helper: the block-state laws read the on-line set",
     "repro.os.mm:PhysicalMemoryManager.extents_of":
         "oracle helper: the memory-manager oracles read an owner's runs",
+    "repro.power.states:ALLOWED_TRANSITIONS":
+        "the rank power-state machine as data; tests/test_power_states.py "
+        "pins its legal edges",
 }
 
 _WORD = re.compile(r"\b\w+\b")
@@ -50,28 +53,49 @@ def _documented_words():
 
 
 def _definitions(tree, prefix=""):
+    """``(qualname, name)`` of every function, class and method, and of
+    every module-level constant (a plain name assigned at top level)."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             yield prefix + node.name, node.name
             yield from _definitions(node, prefix + node.name + ".")
+        elif not prefix and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id
+
+
+def _exported(tree):
+    """The names a module lists in ``__all__``: an entry there names a
+    definition, it does not use it."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
 
 
 def test_no_definition_is_reached_only_by_tests():
     sources = {path: path.read_text()
                for path in sorted((ROOT / "src" / "repro").rglob("*.py"))}
+    trees = {path: ast.parse(text) for path, text in sources.items()}
     uses = Counter()
-    for text in sources.values():
+    for path, text in sources.items():
         uses.update(_WORD.findall(text))
+        uses.subtract(_exported(trees[path]))
     documented = _documented_words()
     orphans = set()
-    for path, text in sources.items():
+    for path, tree in trees.items():
         module = ".".join(path.relative_to(ROOT / "src").with_suffix("")
                           .parts).removesuffix(".__init__")
-        for qualname, name in _definitions(ast.parse(text)):
+        for qualname, name in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if uses[name] == 1 and name not in documented:
+            if uses[name] <= 1 and name not in documented:
                 orphans.add(f"{module}:{qualname}")
     assert sorted(orphans - ALLOWED.keys()) == [], (
         "defined in src/ but reached only by tests: delete them with "

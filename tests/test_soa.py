@@ -46,18 +46,28 @@ def assert_gate_state_matches(system):
     block_map = system.block_map
     offline = pc.offline_blocks
     assert offline == set(system.hotplug.offline_blocks())
-    cover = [sum(1 for b in offline if g in block_map.groups_of_block(b))
+    cover = [sum(1 for b in offline if g in block_map.block_groups[b])
              for g in range(block_map.num_groups)]
     assert pc._cover == cover
-    # The incremental eligible list must equal the reference rescan
-    # through the address-mapping layer, including ordering.
-    eligible = pc._eligible()
-    assert eligible == block_map.gateable_groups(
-        offline, pair_constraint=pc.pair_gating)
-    assert pc._eligible_set == set(eligible)
+    full = [g for g, count in enumerate(cover)
+            if count == block_map.blocks_per_group]
+    assert pc._full == sum(1 << g for g in full)
+    # The incremental eligible mask must hold exactly the reference
+    # rescan through the address-mapping layer.
+    eligible = block_map.gateable_groups(offline,
+                                         pair_constraint=pc.pair_gating)
+    assert pc._eligible == sum(1 << g for g in eligible)
     gated = set(gated_groups(pc.register))
     assert gated <= set(eligible)
-    assert pc._pending == set(eligible) - gated
+    # Pending (eligible, not gated) is derived, not stored: every
+    # eligible group outside the register is one an offline event gates.
+    pending = set(eligible) - gated
+    assert {g for g in range(block_map.num_groups)
+            if (pc._eligible & ~pc.register.raw_value()) >> g & 1} == pending
+    register = pc.register
+    assert register._waking == sum(1 << g
+                                   for g in register._wake_ready_at_ns)
+    assert not register._waking & register.raw_value()
 
 
 class TestRandomizedSequences:
