@@ -26,8 +26,8 @@ figures run|check|bless [--fast] [--only ID] [--expected-dir DIR]
 faults storm|show       generate or inspect deterministic fault plans
 serve [--servers N] [--workers N] [--port P] [--policy NAME] [--ksm]
                         keep a resident simulator fleet warm behind a
-                        REST/JSON control plane
-ctl <action> [...]      drive a running service: status, servers,
+                        REST/JSON control plane, one process per worker
+ctl <action> [...]      drive a running service: status, servers, workers,
                         ingest, advance, snapshot/restore, migrate,
                         fault, retune, reshard, shutdown
 topology [--capacity]   show a platform's geometry and power envelope
@@ -372,15 +372,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import FleetService, serve
 
-    service = FleetService(num_servers=args.servers,
-                           num_workers=args.workers,
-                           policy=args.policy, seed=args.seed,
-                           epoch_s=args.epoch, enable_ksm=args.ksm,
-                           pinned_churn=args.churn)
-    try:
-        asyncio.run(serve(service, host=args.host, port=args.port))
-    except KeyboardInterrupt:
-        print("repro service: interrupted, shutting down", file=sys.stderr)
+    with FleetService(num_servers=args.servers, num_workers=args.workers,
+                      policy=args.policy, seed=args.seed,
+                      epoch_s=args.epoch, enable_ksm=args.ksm,
+                      pinned_churn=args.churn) as service:
+        try:
+            asyncio.run(serve(service, host=args.host, port=args.port))
+        except KeyboardInterrupt:
+            print("repro service: interrupted, shutting down",
+                  file=sys.stderr)
     return 0
 
 
@@ -418,6 +418,8 @@ def cmd_ctl(args: argparse.Namespace) -> int:
         result = client.status()
     elif action == "servers":
         result = client.servers()
+    elif action == "workers":
+        result = client.workers()
     elif action == "server":
         result = client.server(args.index)
     elif action == "events":
@@ -654,8 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "control plane")
     serve_p.add_argument("--servers", type=int, default=4, metavar="N")
     serve_p.add_argument("--workers", type=int, default=2, metavar="N",
-                         help="logical worker shards (elastic at runtime "
-                              "via 'repro ctl reshard')")
+                         help="worker processes, each ticking its shard "
+                              "of the servers in parallel (elastic at "
+                              "runtime via 'repro ctl reshard')")
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8023)
     serve_p.add_argument("--policy", default=None,
@@ -677,6 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
     ctl_sub = ctl_p.add_subparsers(dest="action", required=True)
     ctl_sub.add_parser("status", help="fleet summary")
     ctl_sub.add_parser("servers", help="per-server summaries")
+    ctl_sub.add_parser("workers",
+                       help="worker processes: pid, servers, peak RSS")
     one_p = ctl_sub.add_parser("server", help="one server's detail")
     one_p.add_argument("index", type=int)
     events_p = ctl_sub.add_parser("events", help="daemon decision log")

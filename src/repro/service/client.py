@@ -58,6 +58,9 @@ class ControlClient:
     def servers(self):
         return self._get("/servers")
 
+    def workers(self):
+        return self._get("/workers")
+
     def server(self, index: int):
         return self._get(f"/servers/{index}")
 

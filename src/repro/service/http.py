@@ -11,6 +11,7 @@ Routes::
 
     GET  /status                    fleet summary (time, energy, layout)
     GET  /servers                   per-server summaries
+    GET  /workers                   worker processes: pid, servers, peak RSS
     GET  /servers/{i}               one server: residency, energy, config
     GET  /servers/{i}/events?n=K    daemon decision log tail
     GET  /servers/{i}/snapshot      checkpoint (binary)
@@ -25,9 +26,14 @@ Routes::
     POST /reshard                   {"workers": n}
     POST /shutdown                  stop serving
 
-Simulation work runs under one lock (the service is single-threaded
-state), with slow operations pushed to a worker thread so the event
-loop keeps accepting connections while a long ``/advance`` ticks.
+Routes call the :class:`FleetService` methods directly on the event
+loop, one method per request: there is no thread hop and no lock, since
+no route awaits while it holds simulation state.  A long ``/advance``
+therefore holds the loop, and a connection that arrives meanwhile is
+served after it; so are ``/shutdown`` and the read deadline of a request
+already being read.  The simulation itself runs in the service's worker
+processes, which tick in parallel.  A :class:`~repro.errors.ReproError`
+(raised here or in a worker) answers 400, any other error 500.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+import traceback
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -78,7 +85,6 @@ class ControlPlane:
         self.service = service
         self.host = host
         self.port = port
-        self._lock = asyncio.Lock()
         self._shutdown = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
 
@@ -115,7 +121,8 @@ class ControlPlane:
             status, content_type, body = (
                 400, "application/json",
                 json.dumps({"error": str(err)}).encode())
-        except Exception as err:  # pragma: no cover - defensive
+        except Exception as err:
+            traceback.print_exc()
             status, content_type, body = (
                 500, "application/json",
                 json.dumps({"error": f"{type(err).__name__}: {err}"})
@@ -199,8 +206,7 @@ class ControlPlane:
 
     async def _respond(self, reader: asyncio.StreamReader
                        ) -> Tuple[int, str, bytes]:
-        # Only the read is under the deadline: route handlers and the
-        # simulation lock never are.
+        # Only the read is under the deadline, never a route handler.
         try:
             method, target, _headers, body = await asyncio.wait_for(
                 self._read_request(reader), REQUEST_READ_TIMEOUT_S)
@@ -213,17 +219,16 @@ class ControlPlane:
 
         match = _SERVER_ROUTE.match(path)
         if match:
-            index = int(match.group(1))
-            sub = match.group(2)
-            return await self._server_route(method, index, sub, query, body)
+            return self._server_route(method, int(match.group(1)),
+                                      match.group(2), query, body)
 
         if method == "GET":
             if path == "/status":
-                async with self._lock:
-                    return self._ok(service.status())
+                return self._ok(service.status())
             if path == "/servers":
-                async with self._lock:
-                    return self._ok(service.servers())
+                return self._ok(service.servers())
+            if path == "/workers":
+                return self._ok(service.workers())
             raise _HttpError(404, f"unknown path {path!r}")
 
         if method != "POST":
@@ -231,84 +236,68 @@ class ControlPlane:
 
         if path == "/ingest":
             data = self._json(body)
-            async with self._lock:
-                return self._ok(service.ingest(
-                    vm_id=int(data["vm_id"]),
-                    memory_bytes=int(data["memory_bytes"]),
-                    time_s=float(data.get("time_s", service.now_s)),
-                    lifetime_s=(float(data["lifetime_s"])
-                                if "lifetime_s" in data else None),
-                    vcpus=int(data.get("vcpus", 2)),
-                    image_id=int(data.get("image_id", 0))))
+            return self._ok(service.ingest(
+                vm_id=int(data["vm_id"]),
+                memory_bytes=int(data["memory_bytes"]),
+                time_s=float(data.get("time_s", service.now_s)),
+                lifetime_s=(float(data["lifetime_s"])
+                            if "lifetime_s" in data else None),
+                vcpus=int(data.get("vcpus", 2)),
+                image_id=int(data.get("image_id", 0))))
         if path == "/depart":
             data = self._json(body)
-            async with self._lock:
-                return self._ok(service.depart(
-                    vm_id=int(data["vm_id"]),
-                    time_s=float(data.get("time_s", service.now_s))))
+            return self._ok(service.depart(
+                vm_id=int(data["vm_id"]),
+                time_s=float(data.get("time_s", service.now_s))))
         if path == "/advance":
             data = self._json(body)
             until_s = (float(data["until_s"])
                        if "until_s" in data else None)
             dt_s = float(data["dt_s"]) if "dt_s" in data else None
-            async with self._lock:
-                now = await asyncio.to_thread(service.advance,
-                                              until_s=until_s, dt_s=dt_s)
-            return self._ok({"now_s": now})
+            return self._ok({"now_s": service.advance(until_s=until_s,
+                                                      dt_s=dt_s)})
         if path == "/retune":
             data = self._json(body)
             overrides = data.get("overrides")
             if not isinstance(overrides, dict) or not overrides:
                 raise _HttpError(400, "need a non-empty 'overrides' object")
             index = int(data["server"]) if "server" in data else None
-            async with self._lock:
-                return self._ok(service.retune(overrides, index=index))
+            return self._ok(service.retune(overrides, index=index))
         if path == "/reshard":
             data = self._json(body)
-            async with self._lock:
-                result = await asyncio.to_thread(
-                    service.reshard, int(data["workers"]))
-            return self._ok(result)
+            return self._ok(service.reshard(int(data["workers"])))
         if path == "/shutdown":
             self._shutdown.set()
             return self._ok({"shutdown": True})
         raise _HttpError(404, f"unknown path {path!r}")
 
-    async def _server_route(self, method: str, index: int,
-                            sub: Optional[str], query: Dict[str, list],
-                            body: bytes) -> Tuple[int, str, bytes]:
+    def _server_route(self, method: str, index: int, sub: Optional[str],
+                      query: Dict[str, list],
+                      body: bytes) -> Tuple[int, str, bytes]:
         service = self.service
         if method == "GET":
             if sub is None:
-                async with self._lock:
-                    return self._ok(service.server_status(index))
+                return self._ok(service.server_status(index))
             if sub == "/events":
                 limit = int(query.get("n", ["50"])[0])
-                async with self._lock:
-                    return self._ok(service.server_events(index,
-                                                          limit=limit))
+                return self._ok(service.server_events(index, limit=limit))
             if sub == "/snapshot":
-                async with self._lock:
-                    blob = await asyncio.to_thread(service.snapshot, index)
-                return 200, "application/octet-stream", blob
+                return (200, "application/octet-stream",
+                        service.snapshot(index))
             raise _HttpError(404, f"unknown server endpoint {sub!r}")
         if method != "POST":
             raise _HttpError(405, f"unsupported method {method}")
         if sub == "/restore":
             if not body:
                 raise _HttpError(400, "restore needs a snapshot body")
-            async with self._lock:
-                await asyncio.to_thread(service.restore, index, body)
+            service.restore(index, body)
             return self._ok({"server": index, "restored": True})
         if sub == "/migrate":
             data = self._json(body)
-            async with self._lock:
-                return self._ok(service.migrate(index,
-                                                int(data["worker"])))
+            return self._ok(service.migrate(index, int(data["worker"])))
         if sub == "/fault":
             data = self._json(body)
-            async with self._lock:
-                return self._ok(service.inject_fault_plan(index, data))
+            return self._ok(service.inject_fault_plan(index, data))
         raise _HttpError(404, f"unknown server endpoint {sub!r}")
 
 

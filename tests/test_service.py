@@ -98,14 +98,28 @@ class TestStreamSource:
         assert source.pending == 1
 
 
+@pytest.fixture
+def fleet():
+    """Makes :class:`FleetService` instances; stops their workers after."""
+    made = []
+
+    def make(**kwargs):
+        made.append(FleetService(**kwargs))
+        return made[-1]
+
+    yield make
+    for service in made:
+        service.close()
+
+
 class TestFleetService:
-    def test_routing_matches_batch_fleet(self):
-        service = FleetService(num_servers=3, num_workers=2)
+    def test_routing_matches_batch_fleet(self, fleet):
+        service = fleet(num_servers=3, num_workers=2)
         assert [service.route(v) for v in range(6)] == [0, 1, 2, 0, 1, 2]
         assert service.assignment == shard_assignment(3, 2)
 
-    def test_ingest_advance_and_departure(self):
-        service = FleetService(num_servers=2, num_workers=1)
+    def test_ingest_advance_and_departure(self, fleet):
+        service = fleet(num_servers=2, num_workers=1)
         placed = service.ingest(vm_id=1, memory_bytes=2 * GIB, time_s=0.0,
                                 lifetime_s=600.0)
         assert placed["server"] == 1
@@ -118,9 +132,9 @@ class TestFleetService:
         assert service.server_status(1)["running_vms"] == 0
         assert service.status()["now_s"] == 900.0
 
-    def test_restore_then_continue_is_bit_identical(self):
+    def test_restore_then_continue_is_bit_identical(self, fleet):
         def drive(restore_at=None):
-            service = FleetService(num_servers=2, num_workers=1)
+            service = fleet(num_servers=2, num_workers=1)
             service.ingest(vm_id=1, memory_bytes=2 * GIB, time_s=0.0,
                            lifetime_s=900.0)
             service.advance(until_s=300.0)
@@ -136,19 +150,19 @@ class TestFleetService:
 
         assert drive(restore_at=300.0) == drive()
 
-    def test_idle_snapshot_stops_growing(self):
+    def test_idle_snapshot_stops_growing(self, fleet):
         # One idle VM: the idle stretch replays as one quiescent window,
         # logged as one run however long it lasts.
         sizes = []
         for hours in (1, 72):
-            service = FleetService(num_servers=1, num_workers=1)
+            service = fleet(num_servers=1, num_workers=1)
             service.ingest(vm_id=1, memory_bytes=2 * GIB, time_s=0.0)
             service.advance(until_s=hours * 3600.0)
             sizes.append(len(service.snapshot(0)))
         assert sizes[1] - sizes[0] <= 2048, sizes
 
-    def test_migrate_and_reshard_preserve_state(self):
-        service = FleetService(num_servers=3, num_workers=1)
+    def test_migrate_and_reshard_preserve_state(self, fleet):
+        service = fleet(num_servers=3, num_workers=1)
         service.ingest(vm_id=0, memory_bytes=4 * GIB, time_s=0.0)
         service.advance(until_s=120.0)
         before = {i: service.server_status(i)["dram_energy_j"]
@@ -166,8 +180,8 @@ class TestFleetService:
         service.advance(dt_s=60.0)
         assert service.status()["now_s"] == 180.0
 
-    def test_runtime_fault_injection_and_retune(self):
-        service = FleetService(num_servers=1, num_workers=1)
+    def test_runtime_fault_injection_and_retune(self, fleet):
+        service = fleet(num_servers=1, num_workers=1)
         service.ingest(vm_id=0, memory_bytes=2 * GIB, time_s=0.0)
         service.advance(until_s=60.0)
         armed = service.inject_fault_plan(
@@ -183,10 +197,10 @@ class TestFleetService:
             service.retune({"off_thr_fraction": 0.1,
                             "on_thr_fraction": 0.2})
 
-    def test_errors(self):
-        service = FleetService(num_servers=1, num_workers=1)
+    def test_errors(self, fleet):
+        service = fleet(num_servers=1, num_workers=1)
         with pytest.raises(ReproError, match="no server"):
-            service.server(5)
+            service.server_status(5)
         with pytest.raises(ReproError, match="exactly one"):
             service.advance()
         with pytest.raises(ReproError, match="rewind"):
@@ -228,6 +242,7 @@ class _ServiceFixture:
             except ReproError:
                 pass
             self.thread.join(10.0)
+        self.service.close()
 
 
 @pytest.fixture
@@ -294,19 +309,33 @@ class TestControlPlane:
         with pytest.raises(ReproError):
             client.restore(0, b"garbage bytes")
 
-    def test_restore_refuses_code(self, live_service):
+    def test_restore_refuses_code(self, live_service, tmp_path):
         client = live_service.client
         client.advance(until_s=60.0)
         before = client.server(0)
         payload = {"version": SNAPSHOT_VERSION, "spec": None, "run": None}
-        for server in (SideEffect(), collections.OrderedDict()):
+        # The blob is loaded in a worker process, where FIRED is not this
+        # process's list: a file shows a side effect from any process.
+        marker = tmp_path / "fired"
+        for server in (SideEffect(), CreatesFile(marker),
+                       collections.OrderedDict()):
             payload["server"] = server
             with pytest.raises(ReproError, match="HTTP 400: .*not allowed"):
                 client.restore(0, pickle.dumps(payload))
-        assert FIRED == []
+        assert FIRED == [] and not marker.exists()
         after = client.server(0)
         assert after["dram_energy_j"].hex() == before["dram_energy_j"].hex()
         assert after["now_s"] == 60.0
+
+
+class CreatesFile:
+    """Pickles as a call that creates *path*."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
 
 
 def _raw_status(port: int, request: bytes) -> int:

@@ -374,14 +374,15 @@ def _paused_captures(plan):
     yield capture(sim, run_state=state, spec=spec)
 
     for ksm in (False, True):
-        service = FleetService(num_servers=1, num_workers=1,
-                               enable_ksm=ksm)
-        if plan is not None:
-            service.inject_fault_plan(0, plan)
-        service.ingest(vm_id=1, memory_bytes=2 * GIB, time_s=0.0,
-                       lifetime_s=300.0)
-        service.advance(until_s=600.0)
-        yield service.snapshot(0)
+        with FleetService(num_servers=1, num_workers=1,
+                          enable_ksm=ksm) as service:
+            if plan is not None:
+                service.inject_fault_plan(0, plan)
+            service.ingest(vm_id=1, memory_bytes=2 * GIB, time_s=0.0,
+                           lifetime_s=300.0)
+            service.advance(until_s=600.0)
+            blob = service.snapshot(0)
+        yield blob
 
 
 class TestRestrictedRestore:
