@@ -17,6 +17,7 @@ from repro.core.mapping import PowerBlockMap
 from repro.core.power_control import GreenDIMMPowerControl
 from repro.dram.address import AddressMapping
 from repro.dram.organization import MemoryOrganization, spec_server_memory
+from repro.errors import ConfigurationError
 from repro.faults.context import get_active_plan, register_injector
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -128,9 +129,20 @@ class GreenDIMMSystem:
 
         ``dataclasses.replace`` re-runs the config's own validation, and
         the daemon re-checks the page-count band as its constructor does.
+        An unknown field, or a value the validation cannot compare,
+        raises :class:`ConfigurationError` naming the overrides.
         Returns the new config.
         """
-        config = dataclasses.replace(self.config, **overrides)
+        fields = {f.name for f in dataclasses.fields(self.config) if f.init}
+        unknown = sorted(set(overrides) - fields)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown config field(s): {', '.join(unknown)}")
+        try:
+            config = dataclasses.replace(self.config, **overrides)
+        except TypeError as err:
+            raise ConfigurationError(
+                f"bad config override(s) {overrides!r}: {err}") from None
         self.daemon.check_band(config)
         self.config = config
         self.daemon.config = config

@@ -70,6 +70,25 @@ class _HttpError(Exception):
         self.message = message
 
 
+#: Marks a request field that has no default.
+_REQUIRED = object()
+
+
+def _field(data: Dict[str, object], name: str, cast: type,
+           default: object = _REQUIRED) -> object:
+    """``cast(data[name])``; a missing or non-numeric field answers 400."""
+    if name not in data:
+        if default is _REQUIRED:
+            raise _HttpError(400, f"missing field {name!r}")
+        return default
+    try:
+        return cast(data[name])
+    except (TypeError, ValueError, OverflowError):
+        raise _HttpError(
+            400, f"field {name!r} must be a number, "
+                 f"not {data[name]!r}") from None
+
+
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 408: "Request Timeout",
             413: "Payload Too Large", 414: "URI Too Long",
@@ -237,35 +256,32 @@ class ControlPlane:
         if path == "/ingest":
             data = self._json(body)
             return self._ok(service.ingest(
-                vm_id=int(data["vm_id"]),
-                memory_bytes=int(data["memory_bytes"]),
-                time_s=float(data.get("time_s", service.now_s)),
-                lifetime_s=(float(data["lifetime_s"])
-                            if "lifetime_s" in data else None),
-                vcpus=int(data.get("vcpus", 2)),
-                image_id=int(data.get("image_id", 0))))
+                vm_id=_field(data, "vm_id", int),
+                memory_bytes=_field(data, "memory_bytes", int),
+                time_s=_field(data, "time_s", float, service.now_s),
+                lifetime_s=_field(data, "lifetime_s", float, None),
+                vcpus=_field(data, "vcpus", int, 2),
+                image_id=_field(data, "image_id", int, 0)))
         if path == "/depart":
             data = self._json(body)
             return self._ok(service.depart(
-                vm_id=int(data["vm_id"]),
-                time_s=float(data.get("time_s", service.now_s))))
+                vm_id=_field(data, "vm_id", int),
+                time_s=_field(data, "time_s", float, service.now_s)))
         if path == "/advance":
             data = self._json(body)
-            until_s = (float(data["until_s"])
-                       if "until_s" in data else None)
-            dt_s = float(data["dt_s"]) if "dt_s" in data else None
-            return self._ok({"now_s": service.advance(until_s=until_s,
-                                                      dt_s=dt_s)})
+            return self._ok({"now_s": service.advance(
+                until_s=_field(data, "until_s", float, None),
+                dt_s=_field(data, "dt_s", float, None))})
         if path == "/retune":
             data = self._json(body)
             overrides = data.get("overrides")
             if not isinstance(overrides, dict) or not overrides:
                 raise _HttpError(400, "need a non-empty 'overrides' object")
-            index = int(data["server"]) if "server" in data else None
-            return self._ok(service.retune(overrides, index=index))
+            return self._ok(service.retune(
+                overrides, index=_field(data, "server", int, None)))
         if path == "/reshard":
             data = self._json(body)
-            return self._ok(service.reshard(int(data["workers"])))
+            return self._ok(service.reshard(_field(data, "workers", int)))
         if path == "/shutdown":
             self._shutdown.set()
             return self._ok({"shutdown": True})
@@ -279,7 +295,8 @@ class ControlPlane:
             if sub is None:
                 return self._ok(service.server_status(index))
             if sub == "/events":
-                limit = int(query.get("n", ["50"])[0])
+                args = {name: values[0] for name, values in query.items()}
+                limit = _field(args, "n", int, 50)
                 return self._ok(service.server_events(index, limit=limit))
             if sub == "/snapshot":
                 return (200, "application/octet-stream",
@@ -294,7 +311,8 @@ class ControlPlane:
             return self._ok({"server": index, "restored": True})
         if sub == "/migrate":
             data = self._json(body)
-            return self._ok(service.migrate(index, int(data["worker"])))
+            return self._ok(service.migrate(index,
+                                            _field(data, "worker", int)))
         if sub == "/fault":
             data = self._json(body)
             return self._ok(service.inject_fault_plan(index, data))

@@ -21,6 +21,20 @@ identical sequence of float operations, RNG draws, and stat increments,
 so samples, energies, and daemon statistics are exactly what the
 hand-rolled loops produced — with fast-forward on *or* off.
 
+With fast-forward on, the loop runs an epoch in one of four ways.  The
+power posture (the policy's gated fraction, offline blocks and extra
+power) changes only at an acting monitor pass or an emergency
+on-lining, so everything in between can share one sample template:
+
+* a **quiescent window** — nothing can happen; epochs are skipped;
+* a **stable span** — the workload holds still while the monitor may
+  be armed; epochs are stepped in one batch;
+* a **ramp span** — a footprint ramps between two acting monitor
+  passes; ``apply``, pinned churn and the page counts of each sample
+  run per epoch, the rest once per span;
+* a **stepped epoch** — everything else, and every epoch with
+  fast-forward off (the reference path).
+
 The module also hosts the process-wide fast-forward default that lets
 ``repro run --no-fast-forward`` reach simulators built deep inside
 experiment modules (mirroring the fault-plan context in
@@ -196,6 +210,15 @@ class WorkloadSource(Protocol):
     epoch.  It promises nothing about the system side: the kernel adds
     the KSM, fault and monitor vetoes, and ends a churn span once churn
     moves memory.
+
+    The profile-backed sources (:class:`ProfileSource`,
+    :class:`MixSource`) also report a horizon for that veto,
+    ``ramp_until(t)``: while a footprint ramps, ``stable_until(u)``
+    returns *u* for every *u* in ``[t, ramp_until(t))``, clamped at
+    ``duration_s`` (*t* itself when nothing ramps).  The kernel skips
+    planning up to it and runs those epochs as ramp spans.  Their
+    ``apply`` never calls the policy, and their operating point is
+    constant.
     """
 
     duration_s: float
@@ -294,6 +317,11 @@ class ProfileSource(_SimBound):
         if self.profile.footprint.ramping_at(t):
             return t
         return self._flat_calendar.next_after(t)
+
+    def ramp_until(self, t: float) -> float:
+        """End of :meth:`stable_until`'s ramp veto from *t*."""
+        # stable_until vetoes (returns u) at every u the footprint ramps.
+        return min(self.profile.footprint.ramp_end(t), self.duration_s)
 
 
 @dataclass
@@ -407,8 +435,14 @@ class MixSource(_SimBound):
                 self.sim._resize_owner(owner, initial, 0.0)
 
     def apply(self, t: float) -> None:
+        # An owner at its target with nothing in swap would take
+        # _resize_owner's no-op branch (its swap-in finds nothing held).
+        sim = self.sim
+        owner_pages = sim.system.mm.owner_pages
+        held_for = sim.swap.held_for
         for owner, target in zip(self.owners, self._targets(t)):
-            self.sim._resize_owner(owner, target, t)
+            if target != owner_pages(owner) or held_for(owner):
+                sim._resize_owner(owner, target, t)
 
     def operating_point(self, t: float) -> Tuple[float, float]:
         return self._bandwidth, self._row_miss
@@ -436,6 +470,22 @@ class MixSource(_SimBound):
             if profile.footprint.ramping_at(t):
                 return t
         return self._flat_calendar.next_after(t)
+
+    def ramp_until(self, t: float) -> float:
+        """End of :meth:`stable_until`'s ramp veto from *t*."""
+        # stable_until vetoes at every u < duration_s where one owner
+        # ramps, whatever the others do, so the longest ramp bounds it.
+        bound = t
+        for profile in self.profiles:
+            if t < profile.duration_s:
+                bound = max(bound, min(profile.footprint.ramp_end(t),
+                                       profile.duration_s))
+        return bound
+
+
+#: Sources whose ``apply`` never calls the policy (no emergency on-lining)
+#: and whose ``ramp_until`` bounds the planner's ramp veto.
+_RAMP_SOURCES = (ProfileSource, MixSource)
 
 
 # --- the driver --------------------------------------------------------------
@@ -779,6 +829,92 @@ class EpochKernel:
                 dram_energy, baseline_energy, residency)
         return dram_energy, baseline_energy, done, 0
 
+    def _ramp_epochs(self, source: WorkloadSource, clock: SimClock,
+                     end_s: float, pinned_churn: bool, samples: SampleLog,
+                     dram_energy: float, baseline_energy: float,
+                     residency: ResidencyStats) -> Tuple[float, float]:
+        """Step the epochs before *end_s* as one **ramp span**.
+
+        The caller proved the footprint ramps (so the planner vetoes every
+        epoch before *end_s*), and that nothing but the policy's monitor
+        can change the power posture: no KSM, no fault injector, and a
+        source whose ``apply`` never calls the policy.  Each epoch runs
+        ``apply`` and pinned churn for real and logs a sample whose
+        ``used_pages``/``free_pages`` are read live; the posture fields
+        come from one template.  The operating point, the baseline power,
+        both energy chains, residency (:meth:`ResidencyStats.add_epochs`)
+        and the monitor timer are evaluated once for the span, with the
+        same float operations stepping performs.
+
+        A monitor fire is decided when its epoch reaches it, after that
+        epoch's ``apply`` and churn: an inert one
+        (``monitor_fire_is_noop``) resets the timer and the span goes on;
+        an acting one runs the real ``system.step``, takes a fresh
+        sample, books that epoch alone, and ends the span.
+
+        Returns the updated ``(dram_energy, baseline_energy)``.
+        """
+        sim = self.sim
+        system = self.system
+        mm = system.mm
+        policy = system.policy
+        epoch_s = clock.epoch_s
+        t = clock.now_s
+        bandwidth, row_miss_rate = source.operating_point(t)
+        template = self._sample(t, bandwidth, row_miss_rate)
+        baseline_w = self._baseline_power_w(bandwidth, row_miss_rate)
+        active_res = min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S)
+        offline_blocks = template.offline_blocks
+        dpd = template.dpd_fraction
+        power_w = template.dram_power_w
+        online = mm.online_pages
+        period = policy.monitor_period_s
+        since = policy.monitor_timer
+        apply = source.apply
+        churn = sim._pinned_churn
+        append = samples.append
+        if TRACER.enabled:
+            TRACER.event("ramp.enter", t_s=t, end_s=end_s)
+        n = 0
+        acting = False
+        while t < end_s:
+            apply(t)
+            if pinned_churn:
+                churn(t, epoch_s)
+            # The policy's step chain: since += dt, reset at the period.
+            fire_s = since + epoch_s
+            if fire_s >= period:
+                if not policy.monitor_fire_is_noop():
+                    acting = True
+                    break
+                fire_s = 0.0
+            since = fire_s
+            free = mm.free_pages
+            append(EpochSample(t, online - free, free, offline_blocks, dpd,
+                               power_w))
+            n += 1
+            t += epoch_s
+        dram_energy = accumulate_energy(dram_energy, power_w * epoch_s, n)
+        baseline_energy = accumulate_energy(baseline_energy,
+                                            baseline_w * epoch_s, n)
+        residency.add_epochs(epoch_s, active_res, dpd, n)
+        policy.monitor_timer = since
+        clock.now_s = t
+        if acting:
+            system.step(t, epoch_s)
+            sample = self._sample(t, bandwidth, row_miss_rate)
+            append(sample)
+            dram_energy += sample.dram_power_w * epoch_s
+            baseline_energy += baseline_w * epoch_s
+            residency.add_span(epoch_s, active_res, sample.dpd_fraction)
+            clock.tick()
+            n += 1
+        sim.ff_stats.epochs_stepped += n
+        if TRACER.enabled:
+            TRACER.event("ramp.exit", t_s=clock.now_s, epochs=n,
+                         acting_fire=acting)
+        return dram_energy, baseline_energy
+
     # --- the unified run loop ---------------------------------------------
 
     def begin(self, source: WorkloadSource, epoch_s: float,
@@ -846,10 +982,21 @@ class EpochKernel:
         baseline_energy = state.baseline_energy
         residency = state.residency
         cap = min(duration, until_s) if exact else duration
+        # Ramp spans need a source whose apply never reaches the policy
+        # and nothing else that moves the power posture between fires.
+        ramps = (use_ff and isinstance(source, _RAMP_SOURCES)
+                 and system.ksm is None and system.fault_injector is None)
+        ramp_until = -math.inf
         try:
             while clock.now_s < duration and clock.now_s < until_s:
                 t = clock.now_s
                 if use_ff:
+                    if t < ramp_until:
+                        dram_energy, baseline_energy = self._ramp_epochs(
+                            source, clock, min(ramp_until, until_s),
+                            pinned_churn, samples, dram_energy,
+                            baseline_energy, residency)
+                        continue
                     # A churn span ends after the first epoch in which
                     # churn moves memory, so this loop re-plans (and
                     # re-checks the swap-in precondition) right there.
@@ -863,6 +1010,11 @@ class EpochKernel:
                                 pinned_churn, samples, dram_energy,
                                 baseline_energy, residency)
                         continue
+                    if ramps:
+                        # Every plan before this horizon would veto.
+                        ramp_until = source.ramp_until(t)
+                        if t < ramp_until:
+                            continue
                 system.advance_time(t)
                 source.apply(t)
                 if pinned_churn:

@@ -98,6 +98,22 @@ class FootprintTrace:
         i = bisect.bisect_right(times, time_s)
         return i > 0 and self.points[i - 1][1] != self.points[i][1]
 
+    def ramp_end(self, time_s: float) -> float:
+        """End of the ramp holding *time_s*; *time_s* when not ramping.
+
+        :meth:`ramping_at` is true on all of ``[time_s, ramp_end)`` and
+        false at the bound, which is the first point time after *time_s*
+        where the trace runs flat or ends.  Consecutive ramps (up, then
+        straight down) count as one.
+        """
+        # Ramping only switches on or off at a point time, so walk the
+        # point times after time_s; the last one is never ramping.
+        times: Tuple[float, ...] = self._times  # type: ignore[attr-defined]
+        end = time_s
+        while self.ramping_at(end):
+            end = times[bisect.bisect_right(times, end)]
+        return end
+
     def flat_run_ends(self, before_s: float = math.inf) -> Tuple[float, ...]:
         """Every finite value :meth:`constant_until` can return (< *before_s*).
 

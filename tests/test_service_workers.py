@@ -347,6 +347,50 @@ def test_http_500_for_errors_outside_the_library(monkeypatch):
     assert not fixture.thread.is_alive()
 
 
+@pytest.mark.parametrize("path, payload, field", [
+    ("/ingest", {"memory_bytes": GIB}, "vm_id"),
+    ("/ingest", {"vm_id": "seven", "memory_bytes": GIB}, "vm_id"),
+    ("/ingest", {"vm_id": 7}, "memory_bytes"),
+    ("/ingest", {"vm_id": 7, "memory_bytes": [GIB]}, "memory_bytes"),
+    ("/depart", {}, "vm_id"),
+    ("/depart", {"vm_id": None}, "vm_id"),
+    ("/reshard", {}, "workers"),
+    ("/reshard", {"workers": "two"}, "workers"),
+    ("/servers/0/migrate", {}, "worker"),
+    ("/servers/0/migrate", {"worker": {"id": 1}}, "worker"),
+    ("/retune", {"overrides": {"no_such_field": 1}}, "no_such_field"),
+    ("/retune", {"overrides": {"monitor_period_s": "x"}},
+     "monitor_period_s"),
+])
+def test_http_400_names_the_bad_field(path, payload, field):
+    fixture = _ServiceFixture(num_servers=2, num_workers=2)
+    try:
+        client = fixture.client
+        with pytest.raises(ReproError, match=f"HTTP 400: .*{field}"):
+            client._post(path, payload)
+        # The mistake reached no simulator: the fleet still ticks.
+        assert client.advance(until_s=10.0)["now_s"] == 10.0
+        assert [w["servers"] for w in client.workers()] == [[0], [1]]
+    finally:
+        fixture.stop()
+
+
+def test_http_400_for_a_non_numeric_event_limit():
+    fixture = _ServiceFixture(num_servers=1, num_workers=1)
+    try:
+        with pytest.raises(ReproError, match="HTTP 400: .*'n'"):
+            fixture.client.events(0, limit="ten")
+        assert fixture.client.events(0, limit=5) is not None
+    finally:
+        fixture.stop()
+
+
+def test_retune_names_an_unknown_field():
+    with FleetService(num_servers=2, num_workers=2) as service:
+        with pytest.raises(ConfigurationError, match="no_such_field"):
+            service.retune({"no_such_field": 1})
+
+
 def _gone(pid: int) -> bool:
     """Whether *pid* has exited (a zombie awaiting its reaper counts)."""
     try:
