@@ -57,6 +57,16 @@ class GreenDIMMConfig:
     quarantine_cooldown_s: float = 120.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.selection, SelectionPolicy):
+            # The enum's value string (a JSON retune) names it too.
+            try:
+                selection = SelectionPolicy(self.selection)
+            except (ValueError, TypeError):
+                known = ", ".join(p.value for p in SelectionPolicy)
+                raise ConfigurationError(
+                    f"unknown selection {self.selection!r} "
+                    f"(known: {known})") from None
+            object.__setattr__(self, "selection", selection)
         if not 0.0 < self.on_thr_fraction < self.off_thr_fraction < 1.0:
             raise ConfigurationError(
                 "need 0 < on_thr < off_thr < 1 for hysteresis")

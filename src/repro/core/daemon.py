@@ -262,7 +262,8 @@ class GreenDIMMDaemon:
         # short of the surplus just because early candidates failed.
         max_attempts = self.config.max_attempts_per_period
         candidates = self.selector.candidates(
-            max_attempts, exclude=self._embargoed(now_s))
+            max_attempts, exclude=self._embargoed(now_s),
+            policy=self.config.selection)
         try_offline = self.hotplug.try_offline_block
         block_offlined = self.power_control.block_offlined
         stats = self.stats

@@ -78,14 +78,17 @@ class BlockSelector:
         self.rng.setstate(state["rng"])
         self._snapshot = state["snapshot"]
 
-    def candidates(self, count: int,
-                   exclude: Collection[int] = ()) -> List[int]:
+    def candidates(self, count: int, exclude: Collection[int] = (),
+                   policy: Optional[SelectionPolicy] = None) -> List[int]:
         """Up to *count* blocks to attempt off-lining, in attempt order.
 
         *exclude* removes blocks the daemon has embargoed — backing off
         after repeated failures or sitting out a quarantine cooldown —
-        before policy ordering is applied.
+        before policy ordering is applied.  *policy* overrides the
+        constructor's: the daemon passes its live (retunable) config's.
         """
+        if policy is None:
+            policy = self.policy
         if count <= 0:
             return []
         current = self._observe()
@@ -99,7 +102,7 @@ class BlockSelector:
                 if b not in excluded and states[b] is online]
         if not pool:
             return []
-        if self.policy is SelectionPolicy.RANDOM:
+        if policy is SelectionPolicy.RANDOM:
             self.rng.shuffle(pool)
             return pool[:count]
         # removable-first: free blocks, then removable ones, both from the

@@ -131,6 +131,8 @@ class GreenDIMMSystem:
         the daemon re-checks the page-count band as its constructor does.
         An unknown field, or a value the validation cannot compare,
         raises :class:`ConfigurationError` naming the overrides.
+        ``block_bytes`` is refused: the memory manager, the block map and
+        the hot-plug layer are built for one block size.
         Returns the new config.
         """
         fields = {f.name for f in dataclasses.fields(self.config) if f.init}
@@ -138,6 +140,10 @@ class GreenDIMMSystem:
         if unknown:
             raise ConfigurationError(
                 f"unknown config field(s): {', '.join(unknown)}")
+        if "block_bytes" in overrides:
+            raise ConfigurationError(
+                "block_bytes is fixed when the system is built and "
+                "cannot be retuned")
         try:
             config = dataclasses.replace(self.config, **overrides)
         except TypeError as err:

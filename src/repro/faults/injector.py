@@ -16,6 +16,7 @@ timestamp; ``GreenDIMMSystem.step`` advances it every epoch.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -152,6 +153,48 @@ class FaultInjector:
         rebuilds the calendar from the immutable plan, so only that call
         pays a rescan.
         """
+        if self._live_windows(now_s):
+            return now_s
+        # Exhaustion is permanent, so spent rules can be dropped from the
+        # heap for good as they surface.
+        future = self._future_windows
+        remaining = self._remaining
+        while future and remaining[future[0][1]] == 0:
+            heapq.heappop(future)
+        return future[0][0] if future else math.inf
+
+    def live_until(self, now_s: float) -> float:
+        """End of the live period holding *now_s*, or *now_s* outside one.
+
+        The live period is the union of unexhausted rule windows that
+        contains *now_s*: windows that overlap or touch chain together.
+        Until a rule exhausts, :meth:`quiescent_until` returns *u* for
+        every *u* in ``[now_s, live_until(now_s))``.  Only a hit can
+        exhaust a rule, so the bound holds while ``events`` keeps its
+        length.  Costs the live windows plus the rules starting inside
+        the period.
+        """
+        live = self._live_windows(now_s)
+        if not live:
+            return now_s
+        rules = self.plan.rules
+        remaining = self._remaining
+        end = max(rules[index].end_s for index in live)
+        # Windows starting at or before now_s are in the live list
+        # already (or expired, or spent); walk the later ones.
+        starts = self._window_starts
+        position = bisect.bisect_right(starts, (now_s, math.inf))
+        while position < len(starts):
+            start, index = starts[position]
+            if start > end:
+                break
+            if remaining[index] != 0 and rules[index].end_s > end:
+                end = rules[index].end_s
+            position += 1
+        return end
+
+    def _live_windows(self, now_s: float) -> List[int]:
+        """Advance the window calendar to *now_s*; the rules live there."""
         if now_s < self._window_query_s:
             self._future_windows = list(self._window_starts)
             self._active_windows = []
@@ -165,13 +208,7 @@ class FaultInjector:
         live = [index for index in self._active_windows
                 if remaining[index] != 0 and rules[index].end_s > now_s]
         self._active_windows = live
-        if live:
-            return now_s
-        # Exhaustion is permanent, so spent rules can be dropped from the
-        # heap for good as they surface.
-        while future and remaining[future[0][1]] == 0:
-            heapq.heappop(future)
-        return future[0][0] if future else math.inf
+        return live
 
     def exhausted(self) -> bool:
         """True once every non-sticky rule has spent its budget."""

@@ -93,8 +93,13 @@ def resident_ranks(used_bytes: int,
     Live memory-manager usage already includes the kernel boot
     allocation; a closed-form estimate adds it to the footprint first.
     """
-    ranks = math.ceil(used_bytes / organization.rank_capacity_bytes)
-    return max(1, min(organization.total_ranks, ranks))
+    return ranks_holding(used_bytes, organization.rank_capacity_bytes,
+                         organization.total_ranks)
+
+
+def ranks_holding(used_bytes: int, rank_bytes: int, total_ranks: int) -> int:
+    """:func:`resident_ranks` from the organization's two constants."""
+    return max(1, min(total_ranks, math.ceil(used_bytes / rank_bytes)))
 
 
 def idle_rank_fraction(used_bytes: int,

@@ -15,7 +15,7 @@ transition history and the periodic-timer fast-forward contract holds.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.policies.calibration import resident_ranks, state_mix_dpd
 from repro.policies.ranklevel import RankLevelPolicy
@@ -78,6 +78,11 @@ class AdaptiveDemotionPolicy(RankLevelPolicy):
                                    {self._rank_state(rank): CAPTURE})
         return saved / total
 
+    def _posture_key(self, used_bytes: int) -> Tuple[int, float]:
+        # The ladder also reads the idle history: monitor_once drops the
+        # memo whenever it moves.
+        return self._resident_ranks(used_bytes), self.monitor_period_s
+
     def _compute_dpd(self, used_bytes: int) -> float:
         return self._posture_dpd(
             resident_ranks(used_bytes, self.system.organization))
@@ -85,9 +90,9 @@ class AdaptiveDemotionPolicy(RankLevelPolicy):
     # --- monitor ----------------------------------------------------------
 
     def monitor_once(self, now_s: float) -> None:
-        organization = self.system.organization
-        resident = resident_ranks(self._used_bytes(), organization)
-        previous = self._resident or organization.total_ranks
+        used = self._used_bytes()
+        resident = self._resident_ranks(used)
+        previous = self._resident or self._total_ranks
         if resident < previous:
             for rank in range(resident, previous):
                 self._idle_since[rank] = now_s
@@ -102,17 +107,17 @@ class AdaptiveDemotionPolicy(RankLevelPolicy):
                     self._mean_idle_s[rank] = (
                         (1.0 - EWMA_WEIGHT) * mean
                         + EWMA_WEIGHT * interval)
+                    self._postures.clear()
                 self._reactivations += 1
         self._resident = resident
-        self._effective_dpd = self._posture_dpd(resident)
+        self._effective_dpd = self._dpd(used)
 
     def monitor_is_noop(self) -> bool:
         # The posture is a pure function of the resident count and the
         # per-rank interval history; the history only moves when the
         # resident count does, so an unchanged count means a no-op fire.
         return (self._resident != 0
-                and resident_ranks(self._used_bytes(),
-                                   self.system.organization)
+                and self._resident_ranks(self._used_bytes())
                 == self._resident)
 
     def policy_metrics(self) -> Dict[str, float]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict
 
-from repro.policies.calibration import rank_mix_dpd, resident_ranks
+from repro.policies.calibration import rank_mix_dpd
 from repro.policies.ranklevel import RankLevelPolicy
 from repro.power.states import PowerState
 
@@ -64,16 +64,16 @@ class RankAwareMigrationPolicy(RankLevelPolicy):
     # --- posture ----------------------------------------------------------
 
     def _desired_resident(self, used_bytes: int) -> int:
-        organization = self.system.organization
-        plain = resident_ranks(used_bytes, organization)
-        hot = math.ceil(used_bytes * HOT_FRACTION
-                        / organization.rank_capacity_bytes)
-        return max(1, min(plain, hot))
+        """Ranks the hot share of *used_bytes* pins."""
+        hot = math.ceil(used_bytes * HOT_FRACTION / self._rank_bytes)
+        return max(1, min(self._resident_ranks(used_bytes), hot))
+
+    def _posture_key(self, used_bytes: int) -> int:
+        return self._desired_resident(used_bytes)
 
     def _compute_dpd(self, used_bytes: int) -> float:
-        organization = self.system.organization
         idle = 1.0 - (self._desired_resident(used_bytes)
-                      / organization.total_ranks)
+                      / self.system.organization.total_ranks)
         return rank_mix_dpd(self.system.power_model, idle, IDLE_MIX)
 
     # --- monitor ----------------------------------------------------------
@@ -85,7 +85,7 @@ class RankAwareMigrationPolicy(RankLevelPolicy):
         if desired != self._current_resident:
             self._migrate(used, desired)
             self._current_resident = desired
-        self._effective_dpd = self._compute_dpd(used)
+        self._effective_dpd = self._dpd(used)
 
     def _migrate(self, used_bytes: int, desired: int) -> None:
         """Charge one re-concentration: cold data crosses the boundary."""

@@ -16,7 +16,8 @@ at every monitor fire.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import math
+from typing import TYPE_CHECKING, Tuple
 
 from repro.policies.calibration import (
     idle_bank_fraction,
@@ -28,6 +29,7 @@ from repro.policies.srf import SELF_REFRESH_EFFICIENCY
 from repro.power.states import PowerState
 
 if TYPE_CHECKING:
+    from repro.core.system import GreenDIMMSystem
     from repro.dram.organization import MemoryOrganization
 
 #: Background-power share PASR's deep state removes for a fully idle
@@ -43,10 +45,19 @@ class PASRKernelPolicy(RankLevelPolicy):
 
     IDLE_MIX = {PowerState.SELF_REFRESH: SELF_REFRESH_EFFICIENCY}
 
+    def __init__(self, system: "GreenDIMMSystem"):
+        super().__init__(system)
+        self._bank_bytes = system.organization.logical_bank_capacity_bytes
+
     @classmethod
     def _estimate_bank_dpd(cls, footprint: int,
                            organization: "MemoryOrganization") -> float:
         return idle_bank_fraction(footprint, organization) * PASR_BANK_SAVING
+
+    def _posture_key(self, used_bytes: int) -> Tuple[int, int]:
+        # The resident ranks and the used logical banks.
+        return (self._resident_ranks(used_bytes),
+                math.ceil(used_bytes / self._bank_bytes))
 
     def _compute_dpd(self, used_bytes: int) -> float:
         organization = self.system.organization

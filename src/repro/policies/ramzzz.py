@@ -36,11 +36,9 @@ HOT_FRACTION = 0.25
 DEMOTED_EFFICIENCY = 0.80
 
 
-def _hot_ranks(plain: int, footprint: int,
-               organization: "MemoryOrganization") -> int:
+def _hot_ranks(plain: int, footprint: int, rank_bytes: int) -> int:
     """Ranks the hot share of *footprint* pins, at most *plain*."""
-    hot = math.ceil(footprint * HOT_FRACTION
-                    / organization.rank_capacity_bytes)
+    hot = math.ceil(footprint * HOT_FRACTION / rank_bytes)
     return max(1, min(plain, hot))
 
 
@@ -61,11 +59,16 @@ class RAMZzzKernelPolicy(RankLevelPolicy):
     def _estimate_resident(cls, footprint: int,
                            organization: "MemoryOrganization") -> int:
         plain = super()._estimate_resident(footprint, organization)
-        return _hot_ranks(plain, footprint, organization)
+        return _hot_ranks(plain, footprint, organization.rank_capacity_bytes)
+
+    def _posture_key(self, used_bytes: int) -> int:
+        # The hot ranks.
+        return _hot_ranks(self._resident_ranks(used_bytes), used_bytes,
+                          self._rank_bytes)
 
     def _compute_dpd(self, used_bytes: int) -> float:
         organization = self.system.organization
         resident = _hot_ranks(resident_ranks(used_bytes, organization),
-                              used_bytes, organization)
+                              used_bytes, organization.rank_capacity_bytes)
         idle = 1.0 - resident / organization.total_ranks
         return rank_mix_dpd(self.system.power_model, idle, self.IDLE_MIX)

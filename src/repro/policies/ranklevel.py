@@ -23,10 +23,14 @@ and every rank may shed an all-rank bank dpd.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping
 
 from repro.policies.base import PeriodicPolicy
-from repro.policies.calibration import ESTIMATE_KERNEL_BYTES, resident_ranks
+from repro.policies.calibration import (
+    ESTIMATE_KERNEL_BYTES,
+    ranks_holding,
+    resident_ranks,
+)
 from repro.power.model import RankPowerProfile
 from repro.power.states import PowerState
 from repro.units import PAGE_SIZE
@@ -60,7 +64,18 @@ def _idle_residency(idle_mix: Mapping[PowerState, float]
 
 
 class RankLevelPolicy(PeriodicPolicy):
-    """Recompute an effective dpd from live usage at each monitor fire."""
+    """Recompute an effective dpd from live usage at each monitor fire.
+
+    The posture is a pure function of a few integers of the usage (the
+    resident ranks, the used banks, the hot ranks), so each subclass
+    names them in ``_posture_key`` and :meth:`_dpd` computes the dpd
+    once per key: the usage moves at nearly every fire, its key rarely.
+    A subclass must define its own key (there is no default) covering
+    everything its ``_compute_dpd`` reads; mutable state beyond the
+    usage that the computation reads must drop the memo when it moves.
+    The memo is not in ``_STATE_ATTRS``: a restored policy recomputes
+    identical floats.
+    """
 
     _STATE_ATTRS = PeriodicPolicy._STATE_ATTRS + ("_effective_dpd",)
 
@@ -77,6 +92,12 @@ class RankLevelPolicy(PeriodicPolicy):
     def __init__(self, system: "GreenDIMMSystem"):
         super().__init__(system)
         self._effective_dpd = 0.0
+        organization = system.organization
+        #: Organization constants the posture keys read.
+        self._rank_bytes = organization.rank_capacity_bytes
+        self._total_ranks = organization.total_ranks
+        #: dpd by posture key (not state: see the class docstring).
+        self._postures: Dict[Hashable, float] = {}
 
     # --- closed form ------------------------------------------------------
 
@@ -137,17 +158,38 @@ class RankLevelPolicy(PeriodicPolicy):
         mm = self.system.mm
         return (mm.online_pages - mm.free_pages) * PAGE_SIZE
 
+    def _resident_ranks(self, used_bytes: int) -> int:
+        """:func:`resident_ranks` of *used_bytes* on this organization."""
+        return ranks_holding(used_bytes, self._rank_bytes, self._total_ranks)
+
     def _compute_dpd(self, used_bytes: int) -> float:
         raise NotImplementedError
 
+    def _posture_key(self, used_bytes: int) -> Hashable:
+        """The integers :meth:`_compute_dpd` reads of *used_bytes*."""
+        raise NotImplementedError
+
+    def _dpd(self, used_bytes: int) -> float:
+        """:meth:`_compute_dpd` through the posture memo."""
+        key = self._posture_key(used_bytes)
+        try:
+            return self._postures[key]
+        except KeyError:
+            dpd = self._postures[key] = self._compute_dpd(used_bytes)
+            return dpd
+
     def monitor_once(self, now_s: float) -> None:
-        self._effective_dpd = self._compute_dpd(self._used_bytes())
+        self._effective_dpd = self._dpd(self._used_bytes())
 
     def monitor_is_noop(self) -> bool:
-        return self._compute_dpd(self._used_bytes()) == self._effective_dpd
+        return self._dpd(self._used_bytes()) == self._effective_dpd
 
     def dpd_fraction(self) -> float:
         return self._effective_dpd
 
     def runtime_overhead_fraction(self) -> float:
         return self.RUNTIME_OVERHEAD
+
+    def load_state_dict(self, state: Dict[str, object]) -> None:
+        super().load_state_dict(state)
+        self._postures.clear()

@@ -39,6 +39,9 @@ class SelfRefreshTimeoutPolicy(RankLevelPolicy):
     IDLE_MIX = {PowerState.SELF_REFRESH: SELF_REFRESH_EFFICIENCY,
                 PowerState.POWER_DOWN: IDLE_POWERDOWN_FRACTION}
 
+    def _posture_key(self, used_bytes: int) -> int:
+        return self._resident_ranks(used_bytes)
+
     def _compute_dpd(self, used_bytes: int) -> float:
         idle = idle_rank_fraction(used_bytes, self.system.organization)
         return rank_mix_dpd(self.system.power_model, idle, self.IDLE_MIX)

@@ -23,7 +23,10 @@ Bit-for-bit equivalence is the contract, which shapes the design:
   real at its events, and the window closes the moment churn perturbs
   memory;
 * the fast path never opens a window while a fault-plan rule is live
-  (:meth:`~repro.faults.injector.FaultInjector.quiescent_until`).
+  (:meth:`~repro.faults.injector.FaultInjector.quiescent_until`), and
+  after such a veto does not ask again until the live period ends
+  (:meth:`~repro.faults.injector.FaultInjector.live_until`) or a hit
+  spends a rule, since every plan in between would veto too.
 """
 
 from __future__ import annotations

@@ -35,6 +35,11 @@ on-lining, so everything in between can share one sample template:
 * a **stepped epoch** — everything else, and every epoch with
   fast-forward off (the reference path).
 
+After a plan vetoes, the kernel steps every epoch before the **plan
+horizon** without planning again: the later of the source's ramp veto
+and the fault plan's live period, each an end before which every plan
+would veto (:meth:`EpochKernel._plan_horizon`).
+
 The module also hosts the process-wide fast-forward default that lets
 ``repro run --no-fast-forward`` reach simulators built deep inside
 experiment modules (mirroring the fault-plan context in
@@ -215,8 +220,9 @@ class WorkloadSource(Protocol):
     :class:`MixSource`) also report a horizon for that veto,
     ``ramp_until(t)``: while a footprint ramps, ``stable_until(u)``
     returns *u* for every *u* in ``[t, ramp_until(t))``, clamped at
-    ``duration_s`` (*t* itself when nothing ramps).  The kernel skips
-    planning up to it and runs those epochs as ramp spans.  Their
+    ``duration_s`` (*t* itself when nothing ramps).  It is one end of
+    the kernel's plan horizon, and the kernel runs the epochs before it
+    as ramp spans when nothing else moves the power posture.  Their
     ``apply`` never calls the policy, and their operating point is
     constant.
     """
@@ -915,6 +921,28 @@ class EpochKernel:
                          acting_fire=acting)
         return dram_energy, baseline_energy
 
+    def _plan_horizon(self, source: WorkloadSource,
+                      t: float) -> Tuple[float, float, int]:
+        """How long the plan that just vetoed at *t* keeps vetoing.
+
+        Returns ``(ramp_end, live_end, events)``: every plan before the
+        later of the two ends returns ``(0, False)``.  ``ramp_end`` is
+        the source's ramp veto (*t* when nothing ramps, or the source
+        reports no ramps); ``live_end`` the fault plan's live period
+        (:meth:`~repro.faults.injector.FaultInjector.live_until`, *t*
+        with no plan).  A hit can exhaust a rule and end that period
+        early, so ``live_end`` holds only while the injector's event log
+        keeps length *events*.  Skipped plans change no answer: the
+        source's and the injector's calendars are amortized, and each
+        rebuilds itself if a query goes backwards.
+        """
+        ramp_end = (source.ramp_until(t)
+                    if isinstance(source, _RAMP_SOURCES) else t)
+        injector = self.system.fault_injector
+        if injector is None:
+            return ramp_end, t, 0
+        return ramp_end, injector.live_until(t), len(injector.events)
+
     # --- the unified run loop ---------------------------------------------
 
     def begin(self, source: WorkloadSource, epoch_s: float,
@@ -984,36 +1012,45 @@ class EpochKernel:
         cap = min(duration, until_s) if exact else duration
         # Ramp spans need a source whose apply never reaches the policy
         # and nothing else that moves the power posture between fires.
+        injector = system.fault_injector
         ramps = (use_ff and isinstance(source, _RAMP_SOURCES)
-                 and system.ksm is None and system.fault_injector is None)
-        ramp_until = -math.inf
+                 and system.ksm is None and injector is None)
+        # The plan horizon: every plan before it would veto, so those
+        # epochs skip the planner (:meth:`_plan_horizon`).
+        ramp_end = live_end = -math.inf
+        live_events = 0
         try:
             while clock.now_s < duration and clock.now_s < until_s:
                 t = clock.now_s
                 if use_ff:
-                    if t < ramp_until:
-                        dram_energy, baseline_energy = self._ramp_epochs(
-                            source, clock, min(ramp_until, until_s),
-                            pinned_churn, samples, dram_energy,
-                            baseline_energy, residency)
-                        continue
-                    # A churn span ends after the first epoch in which
-                    # churn moves memory, so this loop re-plans (and
-                    # re-checks the swap-in precondition) right there.
-                    n, quiescent = self._plan_span(source, t, epoch_s, cap,
-                                                   pinned_churn)
-                    if n:
-                        bandwidth, row_miss = source.operating_point(t)
-                        dram_energy, baseline_energy = \
-                            self._stable_span_window(
-                                clock, n, quiescent, bandwidth, row_miss,
-                                pinned_churn, samples, dram_energy,
-                                baseline_energy, residency)
-                        continue
-                    if ramps:
-                        # Every plan before this horizon would veto.
-                        ramp_until = source.ramp_until(t)
-                        if t < ramp_until:
+                    if t < ramp_end:
+                        if ramps:
+                            dram_energy, baseline_energy = \
+                                self._ramp_epochs(
+                                    source, clock, min(ramp_end, until_s),
+                                    pinned_churn, samples, dram_energy,
+                                    baseline_energy, residency)
+                            continue
+                    elif (t < live_end
+                          and len(injector.events) == live_events):
+                        pass  # in a live fault period no hit has cut
+                    else:
+                        # A churn span ends after the first epoch in
+                        # which churn moves memory, so this loop re-plans
+                        # (and re-checks the swap-in precondition) there.
+                        n, quiescent = self._plan_span(source, t, epoch_s,
+                                                       cap, pinned_churn)
+                        if n:
+                            bandwidth, row_miss = source.operating_point(t)
+                            dram_energy, baseline_energy = \
+                                self._stable_span_window(
+                                    clock, n, quiescent, bandwidth,
+                                    row_miss, pinned_churn, samples,
+                                    dram_energy, baseline_energy, residency)
+                            continue
+                        ramp_end, live_end, live_events = \
+                            self._plan_horizon(source, t)
+                        if ramps and t < ramp_end:
                             continue
                 system.advance_time(t)
                 source.apply(t)

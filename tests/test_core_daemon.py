@@ -98,6 +98,20 @@ class TestConfig:
         assert system.config is before
         assert system.daemon.config is before
 
+    def test_selection_is_the_enum_or_its_value(self):
+        assert GreenDIMMConfig(selection="random").selection \
+            is SelectionPolicy.RANDOM
+        for bad in ("no_such_policy", None, ["random"]):
+            with pytest.raises(ConfigurationError, match="selection"):
+                GreenDIMMConfig(selection=bad)
+
+    def test_retune_refuses_the_block_size(self):
+        system = make_system()
+        before = system.config
+        with pytest.raises(ConfigurationError, match="block_bytes"):
+            system.retune(block_bytes=2 * before.block_bytes)
+        assert system.daemon.config is before
+
 
 class TestOfflineBehaviour:
     def test_idle_system_offlines_surplus(self):

@@ -29,7 +29,7 @@ from repro.faults.plan import storm_plan
 from repro.service import FleetService, ServiceServer
 from repro.service.fleet_service import WorkerLost
 from repro.sim.fleet import fleet_server_spec, shard_assignment
-from repro.units import GIB
+from repro.units import GIB, MIB
 from repro.workloads.azure import VMEvent, VMInstance, VMType
 from tests.test_service import _ServiceFixture, shifted
 
@@ -381,6 +381,57 @@ def test_http_400_for_a_non_numeric_event_limit():
         with pytest.raises(ReproError, match="HTTP 400: .*'n'"):
             fixture.client.events(0, limit="ten")
         assert fixture.client.events(0, limit=5) is not None
+    finally:
+        fixture.stop()
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"selection": "no_such_policy"}, "selection"),
+    ({"selection": ["random"]}, "selection"),
+    ({"block_bytes": 256 * MIB}, "block_bytes"),
+    ({"block_bytes": 512 * MIB}, "block_bytes"),
+])
+def test_http_400_for_a_retune_it_cannot_apply(overrides, field):
+    fixture = _ServiceFixture(num_servers=2, num_workers=2)
+    try:
+        client = fixture.client
+        before = client.snapshot(0)
+        with pytest.raises(ReproError, match=f"HTTP 400: .*{field}"):
+            client.retune(overrides)
+        # The refused retune reached no simulator.
+        assert client.snapshot(0) == before
+        assert client.advance(until_s=10.0)["now_s"] == 10.0
+    finally:
+        fixture.stop()
+
+
+def test_http_retuned_selection_orders_the_next_pass():
+    fixture = _ServiceFixture(num_servers=3, num_workers=2)
+    try:
+        client = fixture.client
+        for vm in range(8):
+            client.ingest(vm_id=3 * vm, memory_bytes=GIB, time_s=10.0 * vm,
+                          lifetime_s=300.0)
+        client.advance(until_s=200.0)
+        # Servers 1 and 2 become copies of server 0.  Servers 0 and 2
+        # pick blocks at random from now on; server 0 also goes through
+        # a snapshot round trip.
+        blob = client.snapshot(0)
+        client.restore(1, blob)
+        client.restore(2, blob)
+        for index in (0, 2):
+            client.retune({"selection": "random"}, server=index)
+        client.restore(0, client.snapshot(0))
+
+        def offlined(index):
+            return [(e["time_s"], e["block"])
+                    for e in client.events(index, 200)
+                    if e["kind"] == "offline" and e["time_s"] > 200.0]
+
+        # The departures free memory, and the next passes off-line it.
+        client.advance(until_s=400.0)
+        assert offlined(1)
+        assert offlined(0) == offlined(2) != offlined(1)
     finally:
         fixture.stop()
 
