@@ -21,19 +21,23 @@ identical sequence of float operations, RNG draws, and stat increments,
 so samples, energies, and daemon statistics are exactly what the
 hand-rolled loops produced — with fast-forward on *or* off.
 
-With fast-forward on, the loop runs an epoch in one of four ways.  The
+With fast-forward on, the loop runs an epoch in one of three ways.  The
 power posture (the policy's gated fraction, offline blocks and extra
 power) changes only at an acting monitor pass or an emergency
 on-lining, so everything in between can share one sample template:
 
-* a **quiescent window** — nothing can happen; epochs are skipped;
-* a **stable span** — the workload holds still while the monitor may
-  be armed; epochs are stepped in one batch;
-* a **ramp span** — a footprint ramps between two acting monitor
-  passes; ``apply``, pinned churn and the page counts of each sample
-  run per epoch, the rest once per span;
-* a **stepped epoch** — everything else, and every epoch with
-  fast-forward off (the reference path).
+* **replayed** — a quiescent window or a stable span without churn:
+  nothing but the clock and the monitor timer moves, so the epochs are
+  booked in one batch (:meth:`EpochKernel._replay_epochs`);
+* **in a span** (:meth:`EpochKernel._span_epochs`) — a window or
+  stable span under churn, or a ramp span (a footprint ramps): churn
+  runs only at its events, a ramp span's ``apply`` every epoch, and the
+  span is booked in one batch when it ends.  A churn span ends once
+  churn moves free memory, and every span at an acting monitor fire;
+* **stepped** (:meth:`EpochKernel._close_epoch`) — the real
+  ``system.step``, for everything else, for the epoch that ends a
+  span, and for every epoch with fast-forward off (the reference
+  path).
 
 After a plan vetoes, the kernel steps every epoch before the **plan
 horizon** without planning again: the later of the source's ramp veto
@@ -53,10 +57,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterator,
     List,
     NamedTuple,
+    Optional,
     Protocol,
     Tuple,
 )
@@ -151,6 +157,8 @@ class KernelRunState:
 
     Produced by :meth:`EpochKernel.begin`, advanced in place by
     :meth:`EpochKernel.advance`, consumed by :meth:`EpochKernel.finish`.
+    Every executor books its epochs straight into it, so the samples,
+    the clock and both energies always describe the same epochs.
     """
 
     source: "WorkloadSource"
@@ -213,8 +221,8 @@ class WorkloadSource(Protocol):
     no-op (no allocation, free, swap, or RNG draw) and
     :meth:`operating_point` is constant; *t* itself vetoes batching this
     epoch.  It promises nothing about the system side: the kernel adds
-    the KSM, fault and monitor vetoes, and ends a churn span once churn
-    moves memory.
+    the KSM, fault and monitor vetoes, and :meth:`EpochKernel._span_epochs`
+    ends a churn span once churn moves memory.
 
     The profile-backed sources (:class:`ProfileSource`,
     :class:`MixSource`) also report a horizon for that veto,
@@ -618,8 +626,8 @@ class EpochKernel:
         the chain reaches the period): free memory cannot move inside a
         non-churn span, so every fire up to the bound is inert too.  A
         churn span is never capped here: churn can move free memory
-        mid-span, so its executor decides each fire when it reaches it
-        (:meth:`_churn_epochs`).
+        mid-span, so the span loop decides each fire when it reaches it
+        (:meth:`_span_epochs`).
         """
         bound = source.stable_until(t)
         if bound <= t:
@@ -655,12 +663,9 @@ class EpochKernel:
                 now += epoch_s
         return (n if n >= 2 else 0), False
 
-    def _stable_span_window(self, clock: SimClock, n: int, quiescent: bool,
-                            bandwidth: float, row_miss_rate: float,
-                            churn: bool, samples: SampleLog,
-                            dram_energy: float, baseline_energy: float,
-                            residency: ResidencyStats,
-                            ) -> Tuple[float, float]:
+    def _stable_span_window(self, state: KernelRunState, n: int,
+                            quiescent: bool, bandwidth: float,
+                            row_miss_rate: float) -> None:
         """Execute up to *n* planned epochs of one kind as one batch.
 
         The planner proved that across these epochs ``apply`` is a
@@ -670,8 +675,8 @@ class EpochKernel:
         of ``step`` when the pass does nothing), the sample, and the
         energy sums.  Without churn the whole span is one
         :meth:`_replay_epochs` batch.  With churn the promise only lasts
-        while memory holds still, so the span runs from one churn event
-        to the next (:meth:`_churn_epochs`) and ends early after the
+        while memory holds still, so the span runs through
+        :meth:`_span_epochs` with no ``apply`` and ends early after the
         first epoch in which churn moves free memory or a monitor fire
         acts.
 
@@ -680,246 +685,245 @@ class EpochKernel:
         books residency as one closed-form span.  A stable span counts
         its epochs as stepped *and* batched and books residency per
         epoch.
-
-        Returns the updated ``(dram_energy, baseline_energy)``.
         """
         system = self.system
-        policy = system.policy
         stats = self.sim.ff_stats
+        clock = state.clock
+        churn = state.pinned_churn
         if quiescent:
             stats.windows += 1
         else:
             stats.spans_stable += 1
         baseline_w = self._baseline_power_w(bandwidth, row_miss_rate)
-        active_res = min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S)
         if TRACER.enabled:
             TRACER.event("ff.enter" if quiescent else "span.enter",
                          t_s=clock.now_s, epochs=n, churn=churn)
+        closed = 0
         if churn:
-            fires_inert = quiescent or policy.monitor_fire_is_noop()
-            dram_energy, baseline_energy, n, closed = self._churn_epochs(
-                clock, n, bandwidth, row_miss_rate, baseline_w, active_res,
-                fires_inert, samples, dram_energy, baseline_energy,
-                residency)
+            fires_inert = quiescent or system.policy.monitor_fire_is_noop()
+            n, closed = self._span_epochs(state, n, bandwidth, row_miss_rate,
+                                          baseline_w, None, None, fires_inert)
         else:
             system.advance_time(clock.now_s)
             template = self._sample(clock.now_s, bandwidth, row_miss_rate)
-            dram_energy, baseline_energy = self._replay_epochs(
-                clock, n, template, baseline_w, active_res, samples,
-                dram_energy, baseline_energy, residency,
+            self._replay_epochs(
+                state, n, template, baseline_w,
+                min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S),
                 per_epoch=not quiescent)
-            closed = 0
         if quiescent:
             n -= closed
             stats.epochs_fast_forwarded += n
-            stats.epochs_stepped += closed
         else:
-            stats.epochs_stepped += n
+            stats.epochs_stepped += n - closed
             stats.epochs_batched += n
         if TRACER.enabled:
             TRACER.event("ff.exit" if quiescent else "span.exit",
                          t_s=clock.now_s, epochs=n)
-        return dram_energy, baseline_energy
 
-    def _replay_epochs(self, clock: SimClock, n: int, template: EpochSample,
-                       baseline_w: float, active_res: float,
-                       samples: SampleLog, dram_energy: float,
-                       baseline_energy: float, residency: ResidencyStats,
-                       per_epoch: bool = True) -> Tuple[float, float]:
-        """Replay *n* epochs in which nothing but the clock and the
-        monitor timer moves.
+    def _replay_epochs(self, state: KernelRunState, n: int,
+                       template: EpochSample, baseline_w: float,
+                       active_res: float, per_epoch: bool = True,
+                       live: Optional[List[EpochSample]] = None) -> None:
+        """Book *n* epochs in which the power posture holds at
+        *template*'s.
 
-        Each epoch's sample is *template* at its timestamp and its
-        energy the template's, so the whole run collapses to one
-        :class:`~repro.soa.SampleLog` run record and the batched
-        ``repro.soa`` chains (scalar below their crossover): the clock,
-        both energy sums, and the carried monitor timer come out
-        bit-identical to stepping.  Residency is booked per epoch
-        (bit-exact) or, with ``per_epoch=False``, as one closed-form span
-        — the quiescent window's convention, equal up to float rounding.
-
-        Returns the updated ``(dram_energy, baseline_energy)``.
+        Each epoch's sample is *template* at its timestamp, so the whole
+        run collapses to one :class:`~repro.soa.SampleLog` run record —
+        unless the caller read the page counts live, in which case
+        *live* holds the run's samples.  Energy is the template's, so
+        the batched ``repro.soa`` chains (scalar below their crossover)
+        advance the clock, both energy sums on *state*, and the carried
+        monitor timer bit-identically to stepping.  Residency is booked
+        per epoch (bit-exact) or, with ``per_epoch=False``, as one
+        closed-form span — the quiescent window's convention, equal up
+        to float rounding.
         """
         policy = self.system.policy
+        clock = state.clock
         epoch_s = clock.epoch_s
-        samples.append_run(clock.now_s, epoch_s, n, template)
+        if live is None:
+            state.samples.append_run(clock.now_s, epoch_s, n, template)
+        else:
+            state.samples.extend(live)
         # The clock's final value: the same n sequential additions the
         # log's timestamps expand through.
         clock.now_s = accumulate_energy(clock.now_s, epoch_s, n)
-        dram_energy = accumulate_energy(
-            dram_energy, template.dram_power_w * epoch_s, n)
-        baseline_energy = accumulate_energy(
-            baseline_energy, baseline_w * epoch_s, n)
+        state.dram_energy = accumulate_energy(
+            state.dram_energy, template.dram_power_w * epoch_s, n)
+        state.baseline_energy = accumulate_energy(
+            state.baseline_energy, baseline_w * epoch_s, n)
         policy.monitor_timer = monitor_timer_after(
             policy.monitor_timer, epoch_s, policy.monitor_period_s, n)
         if per_epoch:
-            residency.add_epochs(epoch_s, active_res,
-                                 template.dpd_fraction, n)
+            state.residency.add_epochs(epoch_s, active_res,
+                                       template.dpd_fraction, n)
         else:
-            residency.add_span(n * epoch_s, active_res,
-                               template.dpd_fraction)
-        return dram_energy, baseline_energy
+            state.residency.add_span(n * epoch_s, active_res,
+                                     template.dpd_fraction)
 
-    def _churn_epochs(self, clock: SimClock, n: int, bandwidth: float,
-                      row_miss_rate: float, baseline_w: float,
-                      active_res: float, fires_inert: bool,
-                      samples: SampleLog, dram_energy: float,
-                      baseline_energy: float, residency: ResidencyStats,
-                      ) -> Tuple[float, float, int, int]:
-        """Execute up to *n* epochs under pinned churn, from one churn
-        event to the next.
+    def _span_epochs(self, state: KernelRunState, n: int, bandwidth: float,
+                     row_miss_rate: float, baseline_w: float,
+                     template: Optional[EpochSample],
+                     apply: Optional[Callable[[float], None]],
+                     fires_inert: bool) -> Tuple[int, int]:
+        """Execute up to *n* epochs in which only ``apply``, pinned churn
+        and the monitor can act, from one churn event to the next.
 
-        The caller proved ``apply`` a strict no-op and the operating
-        point constant for as long as memory holds still, so only churn
-        and monitor fires can act.  The simulator's quiet-run scan
+        The caller proved the operating point constant and that nothing
+        else moves the power posture, so every epoch booked here shares
+        the posture of one *template* (sampled at the first such epoch
+        when ``None``).  They are booked in one :meth:`_replay_epochs`
+        call when the span ends, or just before the epoch that ends it;
+        a span that raises books nothing, so *state* keeps its samples,
+        clock and energies in step.  What the caller proved about the
+        rest:
+
+        * *apply* is the source's ``apply`` in a ramp span: it runs every
+          epoch, and each sample reads its page counts live.  ``None``
+          means the planner proved ``apply`` a no-op while memory holds
+          still, so an epoch in which churn moves free memory ends the
+          span and the caller re-plans.
+        * *fires_inert* says every monitor fire is inert while memory
+          holds still.  Otherwise each quiet-run scan stops short of the
+          next fire, which is decided after its epoch's ``apply`` and
+          churn by ``monitor_fire_is_noop``: an inert fire resets the
+          timer and the span goes on; an acting one ends the span.
+
+        The simulator's quiet-run scan
         (:meth:`~repro.sim.server.ServerSimulator._quiet_churn_epochs`)
         finds how many leading epochs churn merely draws a missing
-        arrival number; those replay in one batch.  The next epoch runs
-        churn for real, handing over the draw the scan already made.
+        arrival number; those run without churn.  The next epoch runs
+        churn for real, handing over the draw the scan already made.  An
+        epoch that ends the span is completed by :meth:`_close_epoch`.
 
-        *fires_inert* says every monitor fire is inert while memory
-        holds still.  Otherwise each scan stops short of the next fire,
-        and a fire reached with memory unmoved is acting.  An epoch in
-        which churn moved free memory, or a fire acted, is completed
-        through the real ``system.step`` and ends the run: the caller
-        re-plans, which re-checks every precondition.
-
-        Returns ``(dram_energy, baseline_energy, executed, closed)``;
-        *closed* is 1 when the last executed epoch was such a real step.
+        Returns ``(executed, closed)``; *closed* is 1 when the last
+        executed epoch was such a real step.
         """
         sim = self.sim
         system = self.system
         mm = system.mm
         policy = system.policy
+        clock = state.clock
         epoch_s = clock.epoch_s
         period = policy.monitor_period_s
-        template = None
-        done = 0
+        churn = state.pinned_churn
+        active_res = min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S)
+        live = None
+        if apply is not None:
+            live = []
+            online = mm.online_pages
+
+        def live_sample(u: float) -> EpochSample:
+            free = mm.free_pages
+            return EpochSample(u, online - free, free,
+                               template.offline_blocks,
+                               template.dpd_fraction, template.dram_power_w)
+
+        # Epochs before the next fire, counted down: the timer itself is
+        # booked only when the span ends.  The count follows the timer's
+        # own chain, so it is exact.
+        to_fire = (math.inf if fires_inert else epochs_before(
+            policy.monitor_timer + epoch_s, epoch_s, period))
+        t = clock.now_s
+        done = pending = 0
         while done < n:
-            limit = n - done
-            if not fires_inert:
-                limit = min(limit, epochs_before(
-                    policy.monitor_timer + epoch_s, epoch_s, period))
-            quiet, draw = sim._quiet_churn_epochs(clock.now_s, epoch_s,
-                                                  limit)
-            if quiet:
-                if template is None:
-                    template = self._sample(clock.now_s, bandwidth,
-                                            row_miss_rate)
-                dram_energy, baseline_energy = self._replay_epochs(
-                    clock, quiet, template, baseline_w, active_res,
-                    samples, dram_energy, baseline_energy, residency)
-                done += quiet
-                if done == n:
-                    break
-            t = clock.now_s
+            run = min(n - done, to_fire)
+            quiet, draw = (sim._quiet_churn_epochs(t, epoch_s, run)
+                           if churn else (run, None))
+            if apply is None:
+                t = accumulate_energy(t, epoch_s, quiet)
+            else:
+                for _ in range(quiet):
+                    apply(t)
+                    live.append(live_sample(t))
+                    t += epoch_s
+            if quiet and template is None:
+                template = self._sample(t, bandwidth, row_miss_rate)
+            done += quiet
+            pending += quiet
+            to_fire -= quiet
+            if done == n:
+                break
+            # The epoch after the quiet run runs churn for real.
             system.advance_time(t)
+            if apply is not None:
+                apply(t)
             free_before = mm.free_pages
-            sim._pinned_churn(t, epoch_s, draw)
+            if churn:
+                sim._pinned_churn(t, epoch_s, draw)
             done += 1
-            if (mm.free_pages != free_before
-                    or (not fires_inert
-                        and policy.monitor_timer + epoch_s >= period)):
-                system.step(t, epoch_s)
-                sample = self._sample(t, bandwidth, row_miss_rate)
-                samples.append(sample)
-                dram_energy += sample.dram_power_w * epoch_s
-                baseline_energy += baseline_w * epoch_s
-                residency.add_span(epoch_s, active_res, sample.dpd_fraction)
-                clock.tick()
-                return dram_energy, baseline_energy, done, 1
+            fire = to_fire == 0
+            if ((apply is None and mm.free_pages != free_before)
+                    or (fire and not policy.monitor_fire_is_noop())):
+                if pending:
+                    self._replay_epochs(state, pending, template, baseline_w,
+                                        active_res, live=live)
+                self._close_epoch(state, bandwidth, row_miss_rate, baseline_w)
+                return done, 1
+            if live is not None:
+                live.append(live_sample(t))
             if template is None:
                 template = self._sample(t, bandwidth, row_miss_rate)
-            dram_energy, baseline_energy = self._replay_epochs(
-                clock, 1, template, baseline_w, active_res, samples,
-                dram_energy, baseline_energy, residency)
-        return dram_energy, baseline_energy, done, 0
+            pending += 1
+            t += epoch_s
+            to_fire = (epochs_before(epoch_s, epoch_s, period) if fire
+                       else to_fire - 1)
+        self._replay_epochs(state, pending, template, baseline_w, active_res,
+                            live=live)
+        return done, 0
 
-    def _ramp_epochs(self, source: WorkloadSource, clock: SimClock,
-                     end_s: float, pinned_churn: bool, samples: SampleLog,
-                     dram_energy: float, baseline_energy: float,
-                     residency: ResidencyStats) -> Tuple[float, float]:
+    def _ramp_epochs(self, state: KernelRunState, end_s: float) -> None:
         """Step the epochs before *end_s* as one **ramp span**.
 
         The caller proved the footprint ramps (so the planner vetoes every
         epoch before *end_s*), and that nothing but the policy's monitor
         can change the power posture: no KSM, no fault injector, and a
-        source whose ``apply`` never calls the policy.  Each epoch runs
-        ``apply`` and pinned churn for real and logs a sample whose
-        ``used_pages``/``free_pages`` are read live; the posture fields
-        come from one template.  The operating point, the baseline power,
-        both energy chains, residency (:meth:`ResidencyStats.add_epochs`)
-        and the monitor timer are evaluated once for the span, with the
-        same float operations stepping performs.
-
-        A monitor fire is decided when its epoch reaches it, after that
-        epoch's ``apply`` and churn: an inert one
-        (``monitor_fire_is_noop``) resets the timer and the span goes on;
-        an acting one runs the real ``system.step``, takes a fresh
-        sample, books that epoch alone, and ends the span.
-
-        Returns the updated ``(dram_energy, baseline_energy)``.
+        source whose ``apply`` never calls the policy.  The span runs
+        through :meth:`_span_epochs` with the source's ``apply``, taking
+        the posture template (:meth:`_sample`) and the baseline power
+        once; every epoch counts as stepped.
         """
-        sim = self.sim
-        system = self.system
-        mm = system.mm
-        policy = system.policy
-        epoch_s = clock.epoch_s
+        clock = state.clock
         t = clock.now_s
-        bandwidth, row_miss_rate = source.operating_point(t)
+        bandwidth, row_miss_rate = state.source.operating_point(t)
         template = self._sample(t, bandwidth, row_miss_rate)
         baseline_w = self._baseline_power_w(bandwidth, row_miss_rate)
-        active_res = min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S)
-        offline_blocks = template.offline_blocks
-        dpd = template.dpd_fraction
-        power_w = template.dram_power_w
-        online = mm.online_pages
-        period = policy.monitor_period_s
-        since = policy.monitor_timer
-        apply = source.apply
-        churn = sim._pinned_churn
-        append = samples.append
         if TRACER.enabled:
             TRACER.event("ramp.enter", t_s=t, end_s=end_s)
-        n = 0
-        acting = False
-        while t < end_s:
-            apply(t)
-            if pinned_churn:
-                churn(t, epoch_s)
-            # The policy's step chain: since += dt, reset at the period.
-            fire_s = since + epoch_s
-            if fire_s >= period:
-                if not policy.monitor_fire_is_noop():
-                    acting = True
-                    break
-                fire_s = 0.0
-            since = fire_s
-            free = mm.free_pages
-            append(EpochSample(t, online - free, free, offline_blocks, dpd,
-                               power_w))
-            n += 1
-            t += epoch_s
-        dram_energy = accumulate_energy(dram_energy, power_w * epoch_s, n)
-        baseline_energy = accumulate_energy(baseline_energy,
-                                            baseline_w * epoch_s, n)
-        residency.add_epochs(epoch_s, active_res, dpd, n)
-        policy.monitor_timer = since
-        clock.now_s = t
-        if acting:
-            system.step(t, epoch_s)
-            sample = self._sample(t, bandwidth, row_miss_rate)
-            append(sample)
-            dram_energy += sample.dram_power_w * epoch_s
-            baseline_energy += baseline_w * epoch_s
-            residency.add_span(epoch_s, active_res, sample.dpd_fraction)
-            clock.tick()
-            n += 1
-        sim.ff_stats.epochs_stepped += n
+        n, closed = self._span_epochs(
+            state, epochs_before(t, clock.epoch_s, end_s), bandwidth,
+            row_miss_rate, baseline_w, template, state.source.apply, False)
+        self.sim.ff_stats.epochs_stepped += n - closed
         if TRACER.enabled:
             TRACER.event("ramp.exit", t_s=clock.now_s, epochs=n,
-                         acting_fire=acting)
-        return dram_energy, baseline_energy
+                         acting_fire=bool(closed))
+
+    def _close_epoch(self, state: KernelRunState, bandwidth: float,
+                     row_miss_rate: float,
+                     baseline_w: Optional[float] = None) -> None:
+        """Book one real epoch at the paused clock: ``system.step``, a
+        fresh sample, both energies, residency and the tick.
+
+        The power calls keep the stepped order — step, sample, baseline —
+        because the power cache evicts in insertion order, so call order
+        decides its counters.  A span passes the *baseline_w* it already
+        evaluated.
+        """
+        clock = state.clock
+        t = clock.now_s
+        epoch_s = clock.epoch_s
+        self.system.step(t, epoch_s)
+        sample = self._sample(t, bandwidth, row_miss_rate)
+        state.samples.append(sample)
+        state.dram_energy += sample.dram_power_w * epoch_s
+        if baseline_w is None:
+            baseline_w = self._baseline_power_w(bandwidth, row_miss_rate)
+        state.baseline_energy += baseline_w * epoch_s
+        state.residency.add_span(
+            epoch_s, min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S),
+            sample.dpd_fraction)
+        self.sim.ff_stats.epochs_stepped += 1
+        clock.tick()
 
     def _plan_horizon(self, source: WorkloadSource,
                       t: float) -> Tuple[float, float, int]:
@@ -995,6 +999,16 @@ class EpochKernel:
         run bit-for-bit (windows close early, splitting residency
         spans).
 
+        Ramp spans are cut at *until_s* in both modes.  That keeps the
+        default mode bit-identical too: a ramp span books its epochs
+        through :meth:`~repro.obs.residency.ResidencyStats.add_epochs`
+        and :func:`~repro.soa.accumulate_energy`, which add in sequence,
+        so two spans book what one would have.
+
+        Every accumulator lives on *state*, so an epoch that raises
+        leaves the samples, the clock and both energies of the epochs
+        before it booked together.
+
         Returns ``True`` once the measured span is complete.
         """
         sim = self.sim
@@ -1005,10 +1019,6 @@ class EpochKernel:
         use_ff = state.use_ff
         duration = state.duration_s
         clock = state.clock
-        samples = state.samples
-        dram_energy = state.dram_energy
-        baseline_energy = state.baseline_energy
-        residency = state.residency
         cap = min(duration, until_s) if exact else duration
         # Ramp spans need a source whose apply never reaches the policy
         # and nothing else that moves the power posture between fires.
@@ -1019,59 +1029,36 @@ class EpochKernel:
         # epochs skip the planner (:meth:`_plan_horizon`).
         ramp_end = live_end = -math.inf
         live_events = 0
-        try:
-            while clock.now_s < duration and clock.now_s < until_s:
-                t = clock.now_s
-                if use_ff:
-                    if t < ramp_end:
-                        if ramps:
-                            dram_energy, baseline_energy = \
-                                self._ramp_epochs(
-                                    source, clock, min(ramp_end, until_s),
-                                    pinned_churn, samples, dram_energy,
-                                    baseline_energy, residency)
-                            continue
-                    elif (t < live_end
-                          and len(injector.events) == live_events):
-                        pass  # in a live fault period no hit has cut
-                    else:
-                        # A churn span ends after the first epoch in
-                        # which churn moves memory, so this loop re-plans
-                        # (and re-checks the swap-in precondition) there.
-                        n, quiescent = self._plan_span(source, t, epoch_s,
-                                                       cap, pinned_churn)
-                        if n:
-                            bandwidth, row_miss = source.operating_point(t)
-                            dram_energy, baseline_energy = \
-                                self._stable_span_window(
-                                    clock, n, quiescent, bandwidth,
-                                    row_miss, pinned_churn, samples,
-                                    dram_energy, baseline_energy, residency)
-                            continue
-                        ramp_end, live_end, live_events = \
-                            self._plan_horizon(source, t)
-                        if ramps and t < ramp_end:
-                            continue
-                system.advance_time(t)
-                source.apply(t)
-                if pinned_churn:
-                    sim._pinned_churn(t, epoch_s)
-                system.step(t, epoch_s)
-                bandwidth, row_miss = source.operating_point(t)
-                sample = self._sample(t, bandwidth, row_miss)
-                samples.append(sample)
-                dram_energy += sample.dram_power_w * epoch_s
-                baseline_energy += self._baseline_power_w(
-                    bandwidth, row_miss) * epoch_s
-                residency.add_span(
-                    epoch_s,
-                    min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S),
-                    sample.dpd_fraction)
-                sim.ff_stats.epochs_stepped += 1
-                clock.tick()
-        finally:
-            state.dram_energy = dram_energy
-            state.baseline_energy = baseline_energy
+        while clock.now_s < duration and clock.now_s < until_s:
+            t = clock.now_s
+            if use_ff:
+                if t < ramp_end:
+                    if ramps:
+                        self._ramp_epochs(state, min(ramp_end, until_s))
+                        continue
+                elif t < live_end and len(injector.events) == live_events:
+                    pass  # in a live fault period no hit has cut
+                else:
+                    # A churn span ends after the first epoch in which
+                    # churn moves memory, so this loop re-plans (and
+                    # re-checks the swap-in precondition) there.
+                    n, quiescent = self._plan_span(source, t, epoch_s, cap,
+                                                   pinned_churn)
+                    if n:
+                        bandwidth, row_miss = source.operating_point(t)
+                        self._stable_span_window(state, n, quiescent,
+                                                 bandwidth, row_miss)
+                        continue
+                    ramp_end, live_end, live_events = \
+                        self._plan_horizon(source, t)
+                    if ramps and t < ramp_end:
+                        continue
+            system.advance_time(t)
+            source.apply(t)
+            if pinned_churn:
+                sim._pinned_churn(t, epoch_s)
+            bandwidth, row_miss = source.operating_point(t)
+            self._close_epoch(state, bandwidth, row_miss)
         return clock.now_s >= duration
 
     def finish(self, state: KernelRunState) -> KernelRun:

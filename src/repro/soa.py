@@ -185,6 +185,10 @@ class SampleLog:
         """Log one stepped epoch's sample."""
         self._entries.append(sample)
 
+    def extend(self, samples: List[Tuple]) -> None:
+        """Log consecutive stepped epochs' samples, in order."""
+        self._entries.extend(samples)
+
     def append_run(self, t0: float, epoch_s: float, n: int,
                    template: Tuple) -> None:
         """Log *n* replayed epochs from *t0* that all read *template*."""

@@ -113,28 +113,26 @@ def check_run(system, samples, first, epoch_s, residency,
 
 
 def install_conservation_checks(monkeypatch) -> None:
-    """Check the laws after every ``EpochKernel._stable_span_window``
-    and ``EpochKernel.advance`` call until the test ends.
+    """Check the laws after every ``EpochKernel._stable_span_window``,
+    ``EpochKernel._ramp_epochs`` and ``EpochKernel.advance`` call until
+    the test ends.
 
     The run-tiling law walks every run and buddy block, so it is checked
     after each ``advance`` only: runs are persistent state, and a broken
     one is still broken when the call returns.
     """
-    executor = EpochKernel._stable_span_window
     advance = EpochKernel.advance
 
-    def checked_executor(self, clock, n, quiescent, bandwidth,
-                         row_miss_rate, churn, samples, dram_energy,
-                         baseline_energy, residency):
-        first = len(samples)
-        energies = executor(self, clock, n, quiescent, bandwidth,
-                            row_miss_rate, churn, samples, dram_energy,
-                            baseline_energy, residency)
-        assert energies[0] >= dram_energy
-        assert energies[1] >= baseline_energy
-        check_run(self.system, samples, first, clock.epoch_s, residency,
-                  runs=False)
-        return energies
+    def checked(executor):
+        def checked_executor(self, state, *args):
+            first = len(state.samples)
+            energies = state.dram_energy, state.baseline_energy
+            executor(self, state, *args)
+            assert state.dram_energy >= energies[0]
+            assert state.baseline_energy >= energies[1]
+            check_run(self.system, state.samples, first, state.epoch_s,
+                      state.residency, runs=False)
+        return checked_executor
 
     def checked_advance(self, state, *args, **kwargs):
         first = len(state.samples)
@@ -146,6 +144,7 @@ def install_conservation_checks(monkeypatch) -> None:
                   state.residency)
         return done
 
-    monkeypatch.setattr(EpochKernel, "_stable_span_window", checked_executor)
+    for name in ("_stable_span_window", "_ramp_epochs"):
+        monkeypatch.setattr(EpochKernel, name,
+                            checked(getattr(EpochKernel, name)))
     monkeypatch.setattr(EpochKernel, "advance", checked_advance)
-

@@ -25,12 +25,10 @@ from repro.core.system import GreenDIMMSystem
 from repro.dram.organization import DDR4_4GB_X8, MemoryOrganization
 from repro.faults.plan import FaultPlan, FaultRule, storm_plan
 from repro.obs import drain_account
-from repro.obs.residency import ResidencyStats
 from repro.sim.fastforward import SimClock
-from repro.sim.kernel import EpochKernel
+from repro.sim.kernel import EpochKernel, KernelRunState
 from repro.sim.server import ServerSimulator
 from repro.soa import (
-    SampleLog,
     accumulate_energy,
     batched_times,
     monitor_timer_after,
@@ -384,10 +382,11 @@ class TestInertMonitorFires:
         plan = stable_plan(kernel)
         assert plan(0.0, 0.25, 10.0, churn=False) == 3
         assert plan(0.0, 0.25, 10.0, churn=True) == 40
-        clock = SimClock(0.25)
-        samples = SampleLog()
-        kernel._stable_span_window(clock, 40, False, 1e9, 0.5, True, samples,
-                                   0.0, 0.0, ResidencyStats())
+        state = KernelRunState(source=None, epoch_s=0.25, pinned_churn=True,
+                               use_ff=True, duration_s=10.0,
+                               clock=SimClock(0.25), swap_stall_before=0.0)
+        kernel._stable_span_window(state, 40, False, 1e9, 0.5)
+        clock, samples = state.clock, state.samples
         # Three quiet epochs, then the fire at t=0.75 on-lines the block
         # and ends the span.
         assert [s.time_s for s in samples] == [0.0, 0.25, 0.5, 0.75]
